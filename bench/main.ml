@@ -281,13 +281,13 @@ let words_per_event_ceiling () =
   | Some s -> float_of_string s
   | None -> 6.0
 
-(* One timed eventcore run on a given scheduler backend. Cross-pod
-   single-flow UDP traffic through the full simulator (transport,
-   links, engine, metrics) with the Direct scheme: every packet takes
-   the 6-link host-ToR-spine-core-spine-ToR-host path, so executed
-   events are almost exclusively forwarding-path packet events (one
-   arrival per link plus per-packet transport sends). *)
-let eventcore_measure ~sched =
+(* One timed eventcore run. Cross-pod single-flow UDP traffic through
+   the full simulator (transport, links, engine, metrics) with the
+   Direct scheme: every packet takes the 6-link
+   host-ToR-spine-core-spine-ToR-host path, so executed events are
+   almost exclusively forwarding-path packet events (one arrival per
+   link plus per-packet transport sends). *)
+let eventcore_measure () =
   let module Time_ns = Dessim.Time_ns in
   let module Flow = Netcore.Flow in
   let topo =
@@ -296,11 +296,7 @@ let eventcore_measure ~sched =
          ~vms_per_host:2 ())
   in
   let net =
-    Netsim.Network.create
-      ~config:
-        { Netsim.Network.default_config with Netsim.Network.sched = Some sched }
-      topo
-      ~scheme:(Schemes.Baselines.direct ())
+    Netsim.Network.create topo ~scheme:(Schemes.Baselines.direct ())
   in
   let num_vms = Netsim.Network.num_vms net in
   let run_one i ~packets =
@@ -341,7 +337,7 @@ let eventcore_measure ~sched =
   let events = Dessim.Engine.executed eng - ev0 in
   (events, float_of_int events /. wall, words /. float_of_int events)
 
-(* Optional CI regression gate on wheel-backend throughput, in
+(* Optional CI regression gate on forwarding-path throughput, in
    events/sec (e.g. REPRO_EV_S_FLOOR=4e6). Off when unset: absolute
    throughput is machine-dependent, so a hard-coded local floor would
    only measure the machine. CI pins a conservative value for its own
@@ -417,19 +413,13 @@ let par_speedup_floor () =
   | None -> None
 
 let eventcore () =
-  (* Both backends, heap first: the heap is the reference oracle, and
-     measuring it in the same process makes the speedup ratio robust
-     to machine-to-machine absolute variation. *)
-  let h_events, h_eps, h_wpe = eventcore_measure ~sched:Dessim.Engine.Heap in
-  let w_events, w_eps, w_wpe = eventcore_measure ~sched:Dessim.Engine.Wheel in
+  let events, eps, wpe = eventcore_measure () in
   Printf.printf
     "\n== event core (forwarding path) ==\n\
-    \  backend            heap        wheel\n\
-    \  events executed   %9d   %9d\n\
-    \  events/sec        %.3e   %.3e\n\
-    \  words/event       %9.2f   %9.2f\n\
-    \  wheel/heap        %.2fx\n"
-    h_events w_events h_eps w_eps h_wpe w_wpe (w_eps /. h_eps);
+    \  events executed   %9d\n\
+    \  events/sec        %.3e\n\
+    \  words/event       %9.2f\n"
+    events eps wpe;
   (* Domain-sharded scaling of one logical run (see Parnet). *)
   let cores = Domain.recommended_domain_count () in
   let shard_counts = [ 1; 2; 4 ] in
@@ -450,11 +440,9 @@ let eventcore () =
     sharded;
   event_core_stats :=
     [
-      ("events", float_of_int w_events);
-      ("events_per_sec", w_eps);
-      ("words_per_event", w_wpe);
-      ("heap_events_per_sec", h_eps);
-      ("heap_words_per_event", h_wpe);
+      ("events", float_of_int events);
+      ("events_per_sec", eps);
+      ("words_per_event", wpe);
       ("cores", float_of_int cores);
     ]
     @ List.map
@@ -477,21 +465,12 @@ let eventcore () =
        in
        Printf.fprintf oc
          "{\n\
-         \  \"schema\": \"bench_eventcore/v2\",\n\
+         \  \"schema\": \"bench_eventcore/v3\",\n\
          \  \"workload\": \"32-packet cross-pod UDP flows, Direct scheme, 2-pod \
           FatTree\",\n\
-         \  \"heap\": {\"events\": %d, \"events_per_sec\": %.6g, \
-          \"words_per_event\": %.3f},\n\
-         \  \"wheel\": {\"events\": %d, \"events_per_sec\": %.6g, \
-          \"words_per_event\": %.3f},\n\
-         \  \"wheel_over_heap\": %.3f,\n\
-         \  \"wheel_note\": \"this workload keeps only a handful of events \
-          pending (one 32-packet flow at a time), so the depth-2 heap is \
-          near-free and the ratio is pure noise: repeated runs measure \
-          0.83-1.06x and geometry sweeps (shift 12-16, 32-256 buckets) do \
-          not move it beyond that band. The wheel's win is on large pending \
-          sets (the calendar-queue batching case), so both backends are \
-          kept and neither is gated against the other.\",\n\
+         \  \"events\": %d,\n\
+         \  \"events_per_sec\": %.6g,\n\
+         \  \"words_per_event\": %.3f,\n\
          \  \"cores\": %d,\n\
          \  \"sharded\": {\n\
          \    \"workload\": \"512 x 128-packet cross-pod UDP flows, Direct \
@@ -503,20 +482,16 @@ let eventcore () =
          \    ]\n\
          \  }\n\
           }\n"
-         h_events h_eps h_wpe w_events w_eps w_wpe (w_eps /. h_eps) cores
-         shard_json);
+         events eps wpe cores shard_json);
    Printf.printf "[eventcore report written to BENCH_eventcore.json]\n%!");
   let ceiling = words_per_event_ceiling () in
-  List.iter
-    (fun (name, wpe) ->
-      if wpe > ceiling then begin
-        Printf.eprintf
-          "eventcore(%s): words/event %.2f exceeds ceiling %.2f — the \
-           forwarding path regressed into allocating per event\n"
-          name wpe ceiling;
-        exit 1
-      end)
-    [ ("heap", h_wpe); ("wheel", w_wpe) ];
+  if wpe > ceiling then begin
+    Printf.eprintf
+      "eventcore: words/event %.2f exceeds ceiling %.2f — the forwarding \
+       path regressed into allocating per event\n"
+      wpe ceiling;
+    exit 1
+  end;
   (match par_speedup_floor () with
   | None -> ()
   | Some floor ->
@@ -536,11 +511,11 @@ let eventcore () =
   match ev_s_floor () with
   | None -> ()
   | Some floor ->
-      if w_eps < floor then begin
+      if eps < floor then begin
         Printf.eprintf
-          "eventcore(wheel): %.3e events/sec below floor %.3e — scheduler \
+          "eventcore: %.3e events/sec below floor %.3e — scheduler \
            throughput regressed\n"
-          w_eps floor;
+          eps floor;
         exit 1
       end
 
@@ -835,17 +810,6 @@ let micro () =
              (Netcore.Addr.Vip.of_int (!i land 16383))
              (Netcore.Addr.Pip.of_int !i)) )
   in
-  let heap_ops =
-    let h = Dessim.Heap.create () in
-    let rng = Dessim.Rng.create 5 in
-    for _ = 1 to 1024 do
-      Dessim.Heap.push h (Dessim.Rng.int rng 1_000_000) ()
-    done;
-    ( "heap push+pop",
-      fun () ->
-        Dessim.Heap.push h (Dessim.Rng.int rng 1_000_000) ();
-        ignore (Dessim.Heap.pop h) )
-  in
   let routing_topo =
     Topo.Topology.build
       (Topo.Params.scaled ~pods:8 ~racks_per_pod:4 ~hosts_per_rack:2
@@ -946,7 +910,7 @@ let micro () =
   in
   let benches =
     [
-      cache_lookup; cache_insert; heap_ops; ecmp; next_hop_table;
+      cache_lookup; cache_insert; ecmp; next_hop_table;
       next_hop_oracle; e2e; rng_bench;
     ]
   in

@@ -262,11 +262,11 @@ let transcript_of_sharded par ~seed ~scheme ~plan_str =
   List.iter (fun (k, v) -> addf "fault %s=%d\n" k v) (Netsim.Parnet.fault_counts par);
   Buffer.contents b
 
-let run_one ?sched ?(shards = 1) ~seed ~scheme () =
+let run_one ?(shards = 1) ~seed ~scheme () =
   let topo = Topology.build params in
   let plan = Netsim.Faultplan.generate ~seed ~horizon:fault_horizon topo in
   let plan_str = Fault.to_string plan in
-  let config = { Network.default_config with Network.seed; Network.sched } in
+  let config = { Network.default_config with Network.seed } in
   let num_vms =
     Array.length (Topology.hosts topo) * params.Topo.Params.vms_per_host
   in
@@ -324,7 +324,7 @@ let churn_episode ~seed =
   Churn.make ~start:(Time_ns.of_ms 2) ~kind ~rate ~duration:(Time_ns.of_ms 15)
     ~batch ()
 
-let run_churn ?sched ?(scheme = "switchv2p") ~seed () =
+let run_churn ?(scheme = "switchv2p") ~seed () =
   let topo = Topology.build params in
   let episode = churn_episode ~seed in
   let plan =
@@ -334,7 +334,7 @@ let run_churn ?sched ?(scheme = "switchv2p") ~seed () =
     }
   in
   let plan_str = Fault.to_string plan in
-  let config = { Network.default_config with Network.seed; Network.sched } in
+  let config = { Network.default_config with Network.seed } in
   let num_vms =
     Array.length (Topology.hosts topo) * params.Topo.Params.vms_per_host
   in
@@ -371,10 +371,10 @@ let run_churn ?sched ?(scheme = "switchv2p") ~seed () =
   in
   { seed; scheme; plan = plan_str; transcript; failures }
 
-let run_seeds ?sched ?shards ~schemes ~seeds () =
+let run_seeds ?shards ~schemes ~seeds () =
   List.concat_map
     (fun scheme ->
-      List.map (fun seed -> run_one ?sched ?shards ~seed ~scheme ()) seeds)
+      List.map (fun seed -> run_one ?shards ~seed ~scheme ()) seeds)
     schemes
 
 let failed outcomes = List.filter (fun o -> o.failures <> []) outcomes

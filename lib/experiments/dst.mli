@@ -38,17 +38,15 @@ val all_schemes : string list
 (** Subset exercised by [dune runtest] (3 schemes for speed). *)
 val default_schemes : string list
 
-(** [sched] selects the engine backend for the run ([None] defers to
-    {!Dessim.Engine.default_sched}); transcripts are byte-identical
-    across backends, which the test suite checks differentially.
-    [shards > 1] executes the same seed as a domain-sharded run
-    ({!Netsim.Parnet}) and checks the same invariants — conservation
+(** [run_one ~seed ~scheme ()] runs one DST seed and checks its
+    invariants. [shards > 1] executes the same seed as a
+    domain-sharded run ({!Netsim.Parnet}) and checks the same
+    invariants — conservation
     gains the cross-shard mailbox term, per-flow transport state is
     read from the flow's home shard. Sharded transcripts are
     deterministic for a fixed shard count but differ from single-shard
     transcripts (a different, equally valid, event interleaving). *)
 val run_one :
-  ?sched:Dessim.Engine.sched ->
   ?shards:int ->
   seed:int ->
   scheme:string ->
@@ -64,11 +62,10 @@ val run_one :
     every flow must start and transport/metrics completion counters
     must agree. *)
 val run_churn :
-  ?sched:Dessim.Engine.sched -> ?scheme:string -> seed:int -> unit -> outcome
+  ?scheme:string -> seed:int -> unit -> outcome
 
 (** [run_seeds ~schemes ~seeds ()] — the cartesian product, in order. *)
 val run_seeds :
-  ?sched:Dessim.Engine.sched ->
   ?shards:int ->
   schemes:string list ->
   seeds:int list ->

@@ -22,7 +22,6 @@ type config = {
   classify : (Packet.t -> int) option;
   transport_mode : Transport.mode;
   telemetry : Dessim.Telemetry.t;
-  sched : Engine.sched option;
 }
 
 let default_config =
@@ -37,7 +36,6 @@ let default_config =
     classify = None;
     transport_mode = Transport.Windowed;
     telemetry = Dessim.Telemetry.disabled;
-    sched = None;
   }
 
 (* --- typed events ------------------------------------------------------
@@ -804,7 +802,7 @@ let create ?(config = default_config) topo ~scheme =
   (* Topologies may be reused across runs; links carry per-run queue
      state. *)
   Topology.iter_links topo Topo.Link.reset;
-  let engine = Engine.create ?sched:config.sched () in
+  let engine = Engine.create () in
   let rng = Rng.create config.seed in
   let params = Topology.params topo in
   let hosts = Topology.hosts topo in

@@ -38,11 +38,6 @@ type config = {
           {!Dessim.Telemetry.sample_interval}, and hands the collector
           to the scheme's {!Scheme.telemetry_hooks}. Instrumented runs
           are bit-identical to uninstrumented ones. *)
-  sched : Dessim.Engine.sched option;
-      (** scheduler backend for the event engine; [None] (the default)
-          defers to {!Dessim.Engine.default_sched} (the [REPRO_SCHED]
-          environment variable, wheel if unset). Both backends produce
-          byte-identical transcripts. *)
 }
 
 val default_config : config

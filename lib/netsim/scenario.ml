@@ -16,7 +16,6 @@
 module Fault = Dessim.Fault
 module Time_ns = Dessim.Time_ns
 module Rng = Dessim.Rng
-module Engine = Dessim.Engine
 module Topology = Topo.Topology
 module Params = Topo.Params
 module Flow = Netcore.Flow
@@ -66,7 +65,6 @@ type scheme_spec = { label : string option; kind : scheme_kind }
 
 type faults_arm = No_faults | Random of int | Literal of Fault.plan
 
-type sched_arm = Sched_default | Sched of Engine.sched
 type shards_arm = Shards_auto | Shards of int
 type horizon_arm = Horizon_auto | Horizon of Time_ns.t
 type classify_arm = No_classify | Vip_parity
@@ -79,7 +77,6 @@ type t = {
   faults : faults_arm;
   schemes : scheme_spec list;
   seed : int;
-  sched : sched_arm;
   shards : shards_arm;
   horizon : horizon_arm;
   gateways_used : int option;
@@ -156,9 +153,8 @@ let switchv2p ?(config = Switchv2p.Config.default) ?shares slots =
   Switchv2p { slots; config; shares }
 
 let make ~name ~topo ?(streams = []) ?churn ?(faults = No_faults)
-    ?(seed = 42) ?(sched = Sched_default) ?(shards = Shards_auto)
-    ?(horizon = Horizon_auto) ?gateways_used ?(classify = No_classify) schemes
-    =
+    ?(seed = 42) ?(shards = Shards_auto) ?(horizon = Horizon_auto)
+    ?gateways_used ?(classify = No_classify) schemes =
   {
     name;
     topo;
@@ -167,7 +163,6 @@ let make ~name ~topo ?(streams = []) ?churn ?(faults = No_faults)
     faults;
     schemes;
     seed;
-    sched;
     shards;
     horizon;
     gateways_used;
@@ -302,10 +297,7 @@ let to_string t =
       addf "topo preset family=%s scale=%s seed=%d" (family_name family)
         (scale_name scale) t.topo.topo_seed
   | Custom p -> addf "topo custom %s seed=%d" (params_fields p) t.topo.topo_seed);
-  addf "engine seed=%d sched=%s shards=%s horizon=%s" t.seed
-    (match t.sched with
-    | Sched_default -> "default"
-    | Sched s -> Engine.sched_name s)
+  addf "engine seed=%d shards=%s horizon=%s" t.seed
     (match t.shards with
     | Shards_auto -> "auto"
     | Shards n -> string_of_int n)
@@ -678,14 +670,10 @@ let parse_scheme ~line rest_of_line =
 let parse_engine ~line toks (t : t) =
   let f = fields_of ~line toks in
   let seed = take_int f "seed" ~default:t.seed in
-  let sched =
-    match take f "sched" with
-    | None | Some "default" -> Sched_default
-    | Some v ->
-        Sched
-          (parse_with ~line ~field:"sched" "sched (heap|wheel|default)"
-             Engine.sched_of_string v)
-  in
+  (* Accepted for older files; the engine has one scheduler. *)
+  (match take f "sched" with
+  | None | Some ("default" | "heap") -> ()
+  | Some v -> err ~line ~field:"sched" "sched %S: expected heap or default" v);
   let shards =
     match take f "shards" with
     | None | Some "auto" -> Shards_auto
@@ -701,7 +689,7 @@ let parse_engine ~line toks (t : t) =
              (parse_with ~line ~field:"horizon" "integer" int_of_string_opt v))
   in
   done_with f;
-  { t with seed; sched; shards; horizon }
+  { t with seed; shards; horizon }
 
 let parse_net ~line toks (t : t) =
   let f = fields_of ~line toks in
@@ -1168,7 +1156,6 @@ let net_config t =
           Some
             (fun (pkt : Netcore.Packet.t) ->
               Vip.to_int pkt.Netcore.Packet.dst_vip land 1));
-    sched = (match t.sched with Sched_default -> None | Sched s -> Some s);
   }
 
 let cache_slots t = function

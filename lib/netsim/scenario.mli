@@ -30,7 +30,7 @@
     {v
 scenario NAME
 topo preset family=ft8 scale=small seed=42
-engine seed=42 sched=default shards=auto horizon=auto
+engine seed=42 shards=auto horizon=auto
 net gateways=all classify=none
 workload trace=hadoop rate=0x1p+3 load=0x1.3333333333333p-2 ...
 churn kind=migration_storm rate=0x1.f4p+9 start_ns=0 duration_ns=10000000 batch=8
@@ -110,7 +110,6 @@ type faults_arm =
   | Random of int  (** {!Faultplan.generate} with this seed *)
   | Literal of Dessim.Fault.plan
 
-type sched_arm = Sched_default | Sched of Dessim.Engine.sched
 type shards_arm = Shards_auto | Shards of int
 type horizon_arm = Horizon_auto | Horizon of Dessim.Time_ns.t
 type classify_arm = No_classify | Vip_parity
@@ -125,7 +124,6 @@ type t = {
       (** alternatives sharing one topology/workload — a sweep axis,
           not a composition *)
   seed : int;  (** engine/network seed ({!Network.config.seed}) *)
-  sched : sched_arm;
   shards : shards_arm;  (** [Shards_auto] defers to [REPRO_SHARDS] *)
   horizon : horizon_arm;
   gateways_used : int option;
@@ -163,7 +161,6 @@ val make :
   ?churn:Workloads.Container_churn.t ->
   ?faults:faults_arm ->
   ?seed:int ->
-  ?sched:sched_arm ->
   ?shards:shards_arm ->
   ?horizon:horizon_arm ->
   ?gateways_used:int ->
@@ -249,7 +246,7 @@ val fault_plan :
   t -> Topo.Topology.t -> until:Dessim.Time_ns.t -> Dessim.Fault.plan option
 
 (** {!Network.default_config} with the spec's seed, gateway restriction,
-    classifier and scheduler backend applied. *)
+    and classifier applied. *)
 val net_config : t -> Network.config
 
 (** Resolve a {!slots} against the VIP-space size. *)

@@ -1,53 +1,24 @@
-(* Two scheduler backends share one engine, selected at [create] (or by
-   REPRO_SCHED, default "wheel"):
+(* One scheduler: a binary heap of fixed-stride records interleaved in
+   ONE unboxed int array: slot i occupies ev.[stride*i .. stride*i+4]
+   as (key, seq, code, a, b). Interleaving matters: a heap node is then
+   a single cache line, where parallel per-field arrays cost five cache
+   touches per node visited during a sift. O(log n) per operation.
 
-   - [Heap]: the original binary heap of fixed-stride records
-     interleaved in ONE unboxed int array: slot i occupies
-     ev.[stride*i .. stride*i+4] as (key, seq, code, a, b).
-     Interleaving matters: a heap node is then a single cache line,
-     where parallel per-field arrays cost five cache touches per node
-     visited during a sift. O(log n) per op; kept as the reference
-     oracle for differential tests.
+   Events execute in exactly (key, seq) order — FIFO among timestamp
+   ties, across both event forms — so transcripts are deterministic
+   (the golden tests and the QCheck model test in test_dessim.ml
+   enforce this).
 
-   - [Wheel]: a calendar queue / timing wheel over the same record
-     layout. Time is quantized into buckets of 2^shift ns; the window
-     [cur_bk, cur_bk + nbuckets) of quanta maps injectively onto the
-     bucket array (one quantum per bucket at a time), so an enqueue is
-     an append — five adjacent stores plus a length bump. Events
-     beyond the window land in an overflow heap (the same sift code as
-     the Heap backend) and are lazily demoted into buckets when the
-     cursor reaches them. Dequeue drains one whole bucket into a flat
-     scratch "run", sorts it once by (key, seq), and then dispatches
-     the run as a batch with the handler load hoisted out of the
-     per-event loop. Enqueue and dequeue are O(1) amortized for the
-     heavily time-clustered horizons a packet simulator produces.
-
-   Both backends execute events in exactly (key, seq) order — FIFO
-   among timestamp ties, across both event forms — so transcripts are
-   byte-identical between them (the golden tests and the QCheck
-   differential test in test_dessim.ml enforce this). The subtle
-   cases the wheel handles to keep that guarantee:
-
-   - A handler scheduling an event into the quantum currently being
-     dispatched (including at the current timestamp): the event goes
-     to a small (key, seq) side min-heap that dispatch merges
-     head-to-head with the sorted run, so a mid-batch enqueue is
-     O(log backlog) however wide the quantum.
-   - Overflow demotion appending into a bucket that already holds
-     events with equal keys but larger seqs: the drain sort compares
-     (key, seq), never relying on append order.
-
-   Closures never enter either queue: a thunk event stores its closure
-   in a free-listed side table and queues the slot index as an
-   operand. Keeping the queue all-int means sifting and sorting
-   perform no pointer stores, so the hot path never runs the GC write
-   barrier ([caml_modify]) — which profiling showed dominating a heap
-   with an in-line closure lane. *)
+   Closures never enter the queue: a thunk event stores its closure in
+   a free-listed side table and queues the slot index as an operand.
+   Keeping the queue all-int means sifting performs no pointer stores,
+   so the hot path never runs the GC write barrier ([caml_modify]) —
+   which profiling showed dominating a heap with an in-line closure
+   lane. *)
 
 type handler = code:int -> a:int -> b:int -> unit
 
-
-type sched = Heap | Wheel
+type sched = Heap
 
 (* Codes are >= 0 for typed events; [thunk_code] marks closure events
    (whose [a] operand is the thunk-table slot). *)
@@ -57,22 +28,7 @@ let stride = 5
 
 let nop () = ()
 
-let sched_name = function Heap -> "heap" | Wheel -> "wheel"
-
-let sched_of_string = function
-  | "heap" -> Some Heap
-  | "wheel" -> Some Wheel
-  | _ -> None
-
-let default_sched () =
-  match Sys.getenv_opt "REPRO_SCHED" with
-  | None | Some "" -> Wheel
-  | Some s -> (
-      match sched_of_string s with
-      | Some sched -> sched
-      | None ->
-          invalid_arg
-            (Printf.sprintf "REPRO_SCHED=%S: expected \"heap\" or \"wheel\"" s))
+let sched_name Heap = "heap"
 
 let no_handler ~code ~a:_ ~b:_ =
   invalid_arg
@@ -80,39 +36,13 @@ let no_handler ~code ~a:_ ~b:_ =
        "Engine: typed event %d scheduled but no handler installed" code)
 
 type t = {
-  sched : sched;
-  mutable size : int; (* total queued events, all structures *)
   mutable next_seq : int;
   mutable clock : Time_ns.t;
   mutable executed : int;
   mutable handler : handler;
-  (* Binary heap: the whole queue (Heap) or the far-future overflow
-     (Wheel). stride fields per event, see above. *)
+  (* Binary heap: stride fields per event, see above. *)
   mutable ev : int array;
   mutable heap_size : int;
-  (* Calendar wheel (zero-sized under Heap). [buckets.(i)]/
-     [bucket_len.(i)] is a growable record vector; [occ] is a
-     32-bits-per-word bitmap of non-empty buckets; [cur_bk] is the
-     monotone cursor in quantum units; [run]/[run_pos]/[run_len] is
-     the sorted batch currently being dispatched, holding quantum
-     [run_bk] (-1 when inactive); [scratch] is the merge-sort
-     buffer. *)
-  shift : int;
-  mask : int;
-  buckets : int array array;
-  bucket_len : int array;
-  occ : int array;
-  mutable cur_bk : int;
-  mutable run : int array;
-  mutable run_len : int;
-  mutable run_pos : int;
-  mutable run_bk : int;
-  mutable scratch : int array;
-  (* Same-quantum arrivals while the run is being dispatched: a small
-     (key, seq) min-heap merged head-to-head with the sorted run, so a
-     mid-batch enqueue is O(log backlog) however wide the quantum. *)
-  mutable side : int array;
-  mutable side_size : int;
   (* Side table for thunk events: slot -> closure, plus a stack of free
      slots. Both arrays grow together, so [thunk_free_top <= thunk_len
      <= capacity] always holds. *)
@@ -122,66 +52,15 @@ type t = {
   mutable thunk_free_top : int;
 }
 
-(* Default geometry: 2^14 ns (~16 us) quanta over 64 buckets — a
-   ~1 ms in-window horizon, sized so link/gateway/transport delays
-   (us-scale) and the 500 us RTO stay in the wheel while fault-plan
-   (ms-scale) events take the overflow path. Few wide buckets beat
-   many narrow ones here: the forwarding path's us-scale hop delays
-   then share buckets (bigger batches, fewer cursor steps) and the
-   bucket working set stays cache-resident. Swept on both the
-   scheduler microbench and `bench eventcore`; see BENCH_eventcore.json
-   and the REPRO_WHEEL_SHIFT / REPRO_WHEEL_BUCKETS overrides. *)
-let default_wheel_shift = 14
-let default_wheel_buckets = 64
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some v -> v
-      | None -> invalid_arg (Printf.sprintf "%s=%S: expected an integer" name s))
-
-let create ?(reserve = 4096) ?sched ?wheel_shift ?wheel_buckets () =
-  let sched = match sched with Some s -> s | None -> default_sched () in
-  let wheel_shift =
-    match wheel_shift with
-    | Some s -> s
-    | None -> env_int "REPRO_WHEEL_SHIFT" default_wheel_shift
-  in
-  let wheel_buckets =
-    match wheel_buckets with
-    | Some b -> b
-    | None -> env_int "REPRO_WHEEL_BUCKETS" default_wheel_buckets
-  in
-  if wheel_shift < 0 || wheel_shift > 30 then
-    invalid_arg "Engine.create: wheel_shift out of range";
-  if wheel_buckets < 32 || wheel_buckets land (wheel_buckets - 1) <> 0 then
-    invalid_arg "Engine.create: wheel_buckets must be a power of two >= 32";
+let create ?(reserve = 4096) () =
   let cap = max reserve 1 in
-  let nb = if sched = Wheel then wheel_buckets else 0 in
   {
-    sched;
-    size = 0;
     next_seq = 0;
     clock = Time_ns.zero;
     executed = 0;
     handler = no_handler;
     ev = Array.make (stride * cap) 0;
     heap_size = 0;
-    shift = wheel_shift;
-    mask = nb - 1;
-    buckets = Array.make nb [||];
-    bucket_len = Array.make nb 0;
-    occ = Array.make (nb lsr 5) 0;
-    cur_bk = 0;
-    run = (if sched = Wheel then Array.make (stride * 64) 0 else [||]);
-    run_len = 0;
-    run_pos = 0;
-    run_bk = -1;
-    scratch = [||];
-    side = [||];
-    side_size = 0;
     thunks = Array.make 64 nop;
     thunk_len = 0;
     thunk_free = Array.make 64 0;
@@ -190,7 +69,7 @@ let create ?(reserve = 4096) ?sched ?wheel_shift ?wheel_buckets () =
 
 let now t = t.clock
 let set_handler t h = t.handler <- h
-let sched t = t.sched
+let sched _ = Heap
 
 let thunk_grow t =
   let cap = Array.length t.thunks in
@@ -218,7 +97,7 @@ let thunk_store t f =
   t.thunks.(slot) <- f;
   slot
 
-(* --- binary heap (full queue under Heap, overflow under Wheel) -------
+(* --- binary heap -------------------------------------------------------
 
    The sift loops use unsafe array access, applied directly so the
    compiler emits the specialized inline load/store (an aliased
@@ -232,12 +111,10 @@ let thunk_store t f =
    array as a parameter are load-bearing: left unannotated the
    parameter generalizes to ['a array] and every key comparison
    compiles to a polymorphic-compare C call (measured 5x slower on
-   the scheduler microbench). *)
+   a scheduler-only loop). *)
 
 (* Sift up from record slot [idx], moving later events down into the
-   hole. Generic over the backing array: the Heap backend's queue, the
-   wheel's overflow heap, and the wheel's same-quantum side heap all
-   share this code. *)
+   hole. *)
 let sift_up (ev : int array) idx ~at ~seq ~code ~a ~b =
   let i = ref (stride * idx) in
   let continue = ref true in
@@ -326,306 +203,13 @@ let heap_remove_min t =
   t.heap_size <- n - 1;
   sift_delete_min t.ev n
 
-(* Side heap: events landing in the quantum currently being dispatched
-   (see [wheel_drain]). *)
-let side_push t ~at ~seq ~code ~a ~b =
-  if stride * t.side_size = Array.length t.side then begin
-    let ncap = max (2 * Array.length t.side) (stride * 8) in
-    let ns = Array.make ncap 0 in
-    Array.blit t.side 0 ns 0 (stride * t.side_size);
-    t.side <- ns
-  end;
-  let n = t.side_size in
-  t.side_size <- n + 1;
-  sift_up t.side n ~at ~seq ~code ~a ~b
-
-let side_remove_min t =
-  let n = t.side_size in
-  t.side_size <- n - 1;
-  sift_delete_min t.side n
-
-(* --- calendar wheel --------------------------------------------------- *)
-
-let occ_set t idx =
-  let w = idx lsr 5 in
-  t.occ.(w) <- t.occ.(w) lor (1 lsl (idx land 31))
-
-let occ_clear t idx =
-  let w = idx lsr 5 in
-  t.occ.(w) <- t.occ.(w) land lnot (1 lsl (idx land 31))
-
-(* Index of the (single) set bit of [b], for 32-bit words. *)
-let bit_index b =
-  let i = ref 0 and b = ref b in
-  if !b land 0xFFFF = 0 then begin
-    i := 16;
-    b := !b lsr 16
-  end;
-  if !b land 0xFF = 0 then begin
-    i := !i + 8;
-    b := !b lsr 8
-  end;
-  if !b land 0xF = 0 then begin
-    i := !i + 4;
-    b := !b lsr 4
-  end;
-  if !b land 0x3 = 0 then begin
-    i := !i + 2;
-    b := !b lsr 2
-  end;
-  if !b land 0x1 = 0 then incr i;
-  !i
-
-(* Smallest quantum >= cur_bk with a non-empty bucket. The caller
-   guarantees at least one bucket is occupied; the circular bitmap
-   scan touches at most nbuckets/32 + 1 words. Top-level recursion
-   with explicit parameters: a local [rec] closure would allocate its
-   environment on every batch. *)
-let rec occ_scan occ words w0 b0 k =
-  let wi =
-    let w = w0 + k in
-    if w >= words then w - words else w
-  in
-  let bits = Array.unsafe_get occ wi in
-  let bits =
-    if k = 0 then bits land ((-1) lsl b0)
-    else if k = words then bits land lnot ((-1) lsl b0)
-    else bits
-  in
-  if bits = 0 then occ_scan occ words w0 b0 (k + 1)
-  else (wi lsl 5) lor bit_index (bits land (-bits))
-
-let next_occupied t =
-  let start = t.cur_bk land t.mask in
-  let idx = occ_scan t.occ (Array.length t.occ) (start lsr 5) (start land 31) 0 in
-  t.cur_bk + ((idx - start) land t.mask)
-
-let bucket_push t ~bk ~at ~seq ~code ~a ~b =
-  let idx = bk land t.mask in
-  let len = t.bucket_len.(idx) in
-  let arr = t.buckets.(idx) in
-  let arr =
-    if stride * len = Array.length arr then begin
-      let ncap = if len = 0 then 8 else 2 * len in
-      let narr = Array.make (stride * ncap) 0 in
-      Array.blit arr 0 narr 0 (stride * len);
-      t.buckets.(idx) <- narr;
-      narr
-    end
-    else arr
-  in
-  if len = 0 then occ_set t idx;
-  let p = stride * len in
-  Array.unsafe_set arr p at;
-  Array.unsafe_set arr (p + 1) seq;
-  Array.unsafe_set arr (p + 2) code;
-  Array.unsafe_set arr (p + 3) a;
-  Array.unsafe_set arr (p + 4) b;
-  t.bucket_len.(idx) <- len + 1
-
-let run_reserve t n =
-  if stride * n > Array.length t.run then begin
-    let cap = ref (max (Array.length t.run) (stride * 64)) in
-    while !cap < stride * n do
-      cap := !cap * 2
-    done;
-    let nr = Array.make !cap 0 in
-    Array.blit t.run 0 nr 0 (stride * t.run_len);
-    t.run <- nr
-  end
-
-(* In-place insertion sort of records [lo..hi] (inclusive) by
-   (key, seq). Bucket appends are usually already in dispatch order,
-   which insertion sort exploits. *)
-let insertion_sort (a : int array) lo hi =
-  for i = lo + 1 to hi do
-    let p = stride * i in
-    let k = Array.unsafe_get a p
-    and s = Array.unsafe_get a (p + 1)
-    and c = Array.unsafe_get a (p + 2)
-    and x = Array.unsafe_get a (p + 3)
-    and y = Array.unsafe_get a (p + 4) in
-    let j = ref (i - 1) in
-    let continue = ref true in
-    while !continue && !j >= lo do
-      let q = stride * !j in
-      let kj = Array.unsafe_get a q in
-      if kj > k || (kj = k && Array.unsafe_get a (q + 1) > s) then begin
-        Array.unsafe_set a (q + stride) kj;
-        Array.unsafe_set a (q + stride + 1) (Array.unsafe_get a (q + 1));
-        Array.unsafe_set a (q + stride + 2) (Array.unsafe_get a (q + 2));
-        Array.unsafe_set a (q + stride + 3) (Array.unsafe_get a (q + 3));
-        Array.unsafe_set a (q + stride + 4) (Array.unsafe_get a (q + 4));
-        decr j
-      end
-      else continue := false
-    done;
-    let q = stride * (!j + 1) in
-    Array.unsafe_set a q k;
-    Array.unsafe_set a (q + 1) s;
-    Array.unsafe_set a (q + 2) c;
-    Array.unsafe_set a (q + 3) x;
-    Array.unsafe_set a (q + 4) y
-  done
-
-(* Stable (key, seq) merge of record ranges [lo,mid) and [mid,hi). *)
-let merge_records (src : int array) (dst : int array) lo mid hi =
-  let i = ref lo and j = ref mid in
-  for k = lo to hi - 1 do
-    let take_left =
-      if !i >= mid then false
-      else if !j >= hi then true
-      else begin
-        let pi = stride * !i and pj = stride * !j in
-        let ki = Array.unsafe_get src pi and kj = Array.unsafe_get src pj in
-        ki < kj
-        || (ki = kj && Array.unsafe_get src (pi + 1) < Array.unsafe_get src (pj + 1))
-      end
-    in
-    let s = if take_left then !i else !j in
-    let ps = stride * s and pk = stride * k in
-    Array.unsafe_set dst pk (Array.unsafe_get src ps);
-    Array.unsafe_set dst (pk + 1) (Array.unsafe_get src (ps + 1));
-    Array.unsafe_set dst (pk + 2) (Array.unsafe_get src (ps + 2));
-    Array.unsafe_set dst (pk + 3) (Array.unsafe_get src (ps + 3));
-    Array.unsafe_set dst (pk + 4) (Array.unsafe_get src (ps + 4));
-    if take_left then incr i else incr j
-  done
-
-(* Sort run.[0..n) by (key, seq): insertion sort for small batches,
-   bottom-up merge sort (16-record insertion-sorted blocks) above. The
-   scratch buffer is engine-owned, so steady state allocates
-   nothing. *)
-let sort_run t n =
-  if n <= 32 then insertion_sort t.run 0 (n - 1)
-  else begin
-    if stride * n > Array.length t.scratch then
-      t.scratch <- Array.make (max (stride * n) (2 * Array.length t.scratch)) 0;
-    let i = ref 0 in
-    while !i < n do
-      insertion_sort t.run !i (min (!i + 15) (n - 1));
-      i := !i + 16
-    done;
-    let src = ref t.run and dst = ref t.scratch in
-    let width = ref 16 in
-    while !width < n do
-      let lo = ref 0 in
-      while !lo < n do
-        let mid = min (!lo + !width) n in
-        let hi = min (!lo + (2 * !width)) n in
-        merge_records !src !dst !lo mid hi;
-        lo := hi
-      done;
-      let tmp = !src in
-      src := !dst;
-      dst := tmp;
-      width := !width * 2
-    done;
-    if !src != t.run then begin
-      (* The sorted records ended in the scratch buffer: swap roles. *)
-      t.scratch <- t.run;
-      t.run <- !src
-    end
-  end
-
-(* Load the next batch into the run. Returns false when no queued
-   event falls at or before [limit]. The cursor only ever advances to
-   a quantum actually being drained, so [cur_bk <= clock >> shift]
-   always holds — which is what keeps the window invariant
-   [resident bk ∈ [cur_bk, cur_bk + nbuckets)] for every enqueue
-   (enqueues require [at >= clock]). *)
-let ensure_run t ~limit =
-  if t.run_pos < t.run_len || t.side_size > 0 then true
-  else begin
-    t.run_pos <- 0;
-    t.run_len <- 0;
-    t.run_bk <- -1;
-    if t.size = 0 then false
-    else begin
-      let q =
-        if t.size - t.heap_size > 0 then begin
-          let bq = next_occupied t in
-          if t.heap_size > 0 then begin
-            let oq = Array.unsafe_get t.ev 0 lsr t.shift in
-            if oq < bq then oq else bq
-          end
-          else bq
-        end
-        else Array.unsafe_get t.ev 0 lsr t.shift
-      in
-      if q > limit lsr t.shift then begin
-        (* The next pending quantum starts beyond [limit]: park.
-           Advancing the cursor to limit's quantum is safe — it stays
-           at or below every pending event's quantum. *)
-        let lim_bk = limit lsr t.shift in
-        if lim_bk > t.cur_bk then t.cur_bk <- lim_bk;
-        false
-      end
-      else begin
-        t.cur_bk <- q;
-        (* Lazy demotion: far-future events now inside the window move
-           from the overflow heap into their buckets. *)
-        let horizon = q + t.mask + 1 in
-        while t.heap_size > 0 && Array.unsafe_get t.ev 0 lsr t.shift < horizon do
-          let ev = t.ev in
-          let at = ev.(0)
-          and seq = ev.(1)
-          and code = ev.(2)
-          and a = ev.(3)
-          and b = ev.(4) in
-          heap_remove_min t;
-          bucket_push t ~bk:(at lsr t.shift) ~at ~seq ~code ~a ~b
-        done;
-        (* Drain bucket q — non-empty by choice of q — and sort. *)
-        let idx = q land t.mask in
-        let len = t.bucket_len.(idx) in
-        run_reserve t len;
-        Array.blit t.buckets.(idx) 0 t.run 0 (stride * len);
-        t.bucket_len.(idx) <- 0;
-        occ_clear t idx;
-        t.run_len <- len;
-        t.run_pos <- 0;
-        t.run_bk <- q;
-        (* Bucket appends are chronological except around overflow
-           demotion, so the run is usually already in (key, seq)
-           order — detect that in one cheap pass and skip the sort. *)
-        if len > 1 then begin
-          let run = t.run in
-          let sorted = ref true in
-          let i = ref 1 in
-          while !sorted && !i < len do
-            let p = stride * !i in
-            let kp = Array.unsafe_get run (p - stride)
-            and k = Array.unsafe_get run p in
-            if
-              kp > k
-              || (kp = k
-                 && Array.unsafe_get run (p - stride + 1)
-                    > Array.unsafe_get run (p + 1))
-            then sorted := false
-            else incr i
-          done;
-          if not !sorted then sort_run t len
-        end;
-        true
-      end
-    end
-  end
-
-(* --- shared enqueue --------------------------------------------------- *)
+(* --- enqueue ---------------------------------------------------------- *)
 
 let enqueue t ~at ~code ~a ~b =
   if at < t.clock then invalid_arg "Engine.schedule: event in the past";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  t.size <- t.size + 1;
-  match t.sched with
-  | Heap -> heap_push t ~at ~seq ~code ~a ~b
-  | Wheel ->
-      let bk = at lsr t.shift in
-      if bk = t.run_bk then side_push t ~at ~seq ~code ~a ~b
-      else if bk - t.cur_bk <= t.mask then bucket_push t ~bk ~at ~seq ~code ~a ~b
-      else heap_push t ~at ~seq ~code ~a ~b
+  heap_push t ~at ~seq ~code ~a ~b
 
 let schedule t ~at f =
   (* Validate before storing the thunk so a rejected schedule does not
@@ -658,127 +242,27 @@ let heap_step t =
   let a = ev.(3) in
   let b = ev.(4) in
   heap_remove_min t;
-  t.size <- t.size - 1;
   t.clock <- at;
   t.executed <- t.executed + 1;
   if code >= 0 then t.handler ~code ~a ~b else exec_thunk t a
 
-(* Batched drain: dispatch whole same-quantum runs with the handler
-   load hoisted out of the per-event loop. The run array is fixed for
-   the whole batch (mid-batch arrivals go to the side heap, which a
-   handler's enqueue may grow/reallocate — hence [t.side] is re-read
-   every iteration). The side heap is consulted with a single length
-   test per event when empty, and merged head-to-head by (key, seq)
-   when not. A handler swap via [set_handler] mid-run takes effect at
-   the next batch. *)
-let wheel_drain t ~limit =
-  let more = ref true in
-  while !more && ensure_run t ~limit do
-    let h = t.handler in
-    let batch = ref true in
-    while !batch && (t.run_pos < t.run_len || t.side_size > 0) do
-      let run = t.run in
-      let p = stride * t.run_pos in
-      let from_side =
-        t.side_size > 0
-        && (t.run_pos >= t.run_len
-           ||
-           let side = t.side in
-           let sk = Array.unsafe_get side 0
-           and rk = Array.unsafe_get run p in
-           sk < rk
-           || (sk = rk
-              && Array.unsafe_get side 1 < Array.unsafe_get run (p + 1)))
-      in
-      if from_side then begin
-        let side = t.side in
-        let at = Array.unsafe_get side 0 in
-        if at > limit then begin
-          batch := false;
-          more := false
-        end
-        else begin
-          let code = Array.unsafe_get side 2 in
-          let a = Array.unsafe_get side 3 in
-          let b = Array.unsafe_get side 4 in
-          side_remove_min t;
-          t.size <- t.size - 1;
-          t.clock <- at;
-          t.executed <- t.executed + 1;
-          if code >= 0 then h ~code ~a ~b else exec_thunk t a
-        end
-      end
-      else begin
-        let at = Array.unsafe_get run p in
-        if at > limit then begin
-          batch := false;
-          more := false
-        end
-        else begin
-          let code = Array.unsafe_get run (p + 2) in
-          let a = Array.unsafe_get run (p + 3) in
-          let b = Array.unsafe_get run (p + 4) in
-          t.run_pos <- t.run_pos + 1;
-          t.size <- t.size - 1;
-          t.clock <- at;
-          t.executed <- t.executed + 1;
-          if code >= 0 then h ~code ~a ~b else exec_thunk t a
-        end
-      end
-    done
+let run t =
+  while t.heap_size > 0 do
+    heap_step t
   done
 
-let run t =
-  match t.sched with
-  | Heap ->
-      while t.heap_size > 0 do
-        heap_step t
-      done
-  | Wheel -> wheel_drain t ~limit:max_int
-
 let run_until t ~limit =
-  (match t.sched with
-  | Heap ->
-      (* Int comparison directly on the root key: the old polymorphic
-         [>] ran the generic comparison once per event. *)
-      while t.heap_size > 0 && t.ev.(0) <= limit do
-        heap_step t
-      done
-  | Wheel -> wheel_drain t ~limit);
+  (* Int comparison directly on the root key: the old polymorphic [>]
+     ran the generic comparison once per event. *)
+  while t.heap_size > 0 && t.ev.(0) <= limit do
+    heap_step t
+  done;
   t.clock <- Time_ns.max t.clock limit
 
-let pending t = t.size
+let pending t = t.heap_size
 let executed t = t.executed
 
 (* Earliest pending timestamp, or [max_int] when the queue is empty.
-   Under [Wheel] the minimum ranges over four structures: the sorted
-   run's head (a [run_until] can park mid-run), the same-quantum side
-   heap, the earliest occupied bucket (the window maps quanta onto
-   buckets injectively, so the first occupied bucket holds the
-   earliest bucketed event; a bucket itself is unsorted and must be
-   scanned), and the overflow heap's root (lazy demotion means an
-   overflow event can predate later-bucket events). Used by the
-   domain-sharded runtime to agree on the next conservative window —
-   never on the single-shard dispatch path. *)
-let next_at t =
-  if t.size = 0 then max_int
-  else
-    match t.sched with
-    | Heap -> t.ev.(0)
-    | Wheel ->
-        let m = ref max_int in
-        if t.run_pos < t.run_len then m := t.run.(stride * t.run_pos);
-        if t.side_size > 0 && t.side.(0) < !m then m := t.side.(0);
-        if t.heap_size > 0 && t.ev.(0) < !m then m := t.ev.(0);
-        let bucketed =
-          t.size - t.heap_size - (t.run_len - t.run_pos) - t.side_size
-        in
-        if bucketed > 0 then begin
-          let idx = next_occupied t land t.mask in
-          let arr = t.buckets.(idx) in
-          for i = 0 to t.bucket_len.(idx) - 1 do
-            let k = arr.(stride * i) in
-            if k < !m then m := k
-          done
-        end;
-        !m
+   Used by the domain-sharded runtime to agree on the next conservative
+   window — never on the single-shard dispatch path. *)
+let next_at t = if t.heap_size = 0 then max_int else t.ev.(0)

@@ -1,15 +1,15 @@
 (** Discrete-event simulation engine.
 
     Events execute in timestamp order (FIFO among ties, across both
-    event forms). The engine is single-threaded and deterministic:
-    both scheduler backends dispatch in exact (timestamp, sequence)
-    order, so transcripts are byte-identical regardless of backend.
+    event forms). The engine is single-threaded and deterministic: its
+    binary heap dispatches in exact (timestamp, sequence) order, so a
+    run's transcript depends only on what was scheduled.
 
     Two event forms share one queue:
 
     - {b Typed events}: a non-negative event [code] plus two integer
       operands [a]/[b], dispatched to the installed {!handler}.
-      Scheduling one writes into the engine's struct-of-arrays queue
+      Scheduling one writes into the engine's unboxed int-array queue
       and allocates nothing — this is the hot path for per-packet
       simulation events.
     - {b Thunks}: [(unit -> unit)] closures, for rare or irregular
@@ -20,49 +20,17 @@ type t
 (** Dispatch function for typed events. *)
 type handler = code:int -> a:int -> b:int -> unit
 
-(** Scheduler backend.
+(** Scheduler backend. There is one: a binary heap of stride-5
+    unboxed int records — O(log n) per operation. *)
+type sched = Heap
 
-    - [Heap]: the stride-5 binary heap — O(log n) per operation,
-      kept as the reference oracle for differential testing.
-    - [Wheel]: a calendar queue (timing wheel) over the same unboxed
-      int-array event records — O(1) amortized enqueue/dequeue for
-      the time-clustered horizons packet simulations produce, with
-      far-future events parked in an overflow heap and lazily demoted
-      into buckets as the cursor advances. Dispatch is batched: all
-      events in a time quantum drain into a flat run, sorted by
-      (timestamp, sequence), and dispatch with the handler load
-      hoisted out of the per-event loop. *)
-type sched = Heap | Wheel
-
-(** [default_sched ()] reads the [REPRO_SCHED] environment variable
-    ([heap] or [wheel]); unset or empty means [Wheel]. Raises
-    [Invalid_argument] on any other value. *)
-val default_sched : unit -> sched
-
-(** [sched_name s] is ["heap"] or ["wheel"]. *)
+(** [sched_name s] is ["heap"]. *)
 val sched_name : sched -> string
-
-(** [sched_of_string s] parses ["heap"] / ["wheel"]. *)
-val sched_of_string : string -> sched option
 
 (** [create ()] is a fresh engine at time zero. [reserve] pre-sizes
     the event queue (default 4096 events) so steady-state simulations
-    skip the initial doubling copies. [sched] selects the backend
-    (default {!default_sched}). [wheel_shift] is the log2 bucket
-    width in ns (default 14, i.e. ~16µs quanta); [wheel_buckets] is
-    the bucket count, a power of two >= 32 (default 64, giving a
-    ~1ms in-wheel window before events overflow to the heap). When
-    [wheel_shift] / [wheel_buckets] are omitted, the
-    [REPRO_WHEEL_SHIFT] / [REPRO_WHEEL_BUCKETS] environment variables
-    override the defaults — handy for geometry sweeps without
-    recompiling. *)
-val create :
-  ?reserve:int ->
-  ?sched:sched ->
-  ?wheel_shift:int ->
-  ?wheel_buckets:int ->
-  unit ->
-  t
+    skip the initial doubling copies. *)
+val create : ?reserve:int -> unit -> t
 
 (** [sched t] is the backend this engine runs on. *)
 val sched : t -> sched
@@ -72,8 +40,8 @@ val now : t -> Time_ns.t
 
 (** [set_handler t h] installs the typed-event dispatcher. Executing a
     typed event without a handler installed raises
-    [Invalid_argument]. Under the wheel backend a handler installed
-    mid-run takes effect at the next dispatch batch. *)
+    [Invalid_argument]. A handler installed mid-run dispatches the
+    next typed event. *)
 val set_handler : t -> handler -> unit
 
 (** [schedule t ~at f] queues [f] to run at absolute time [at].
@@ -110,6 +78,6 @@ val executed : t -> int
 
 (** [next_at t] is the timestamp of the earliest pending event, or
     [max_int] when the queue is empty. Read-only (never advances the
-    clock or cursor); used by the domain-sharded runtime
+    clock); used by the domain-sharded runtime
     ({!Shard.run}) to agree on the next conservative window. *)
 val next_at : t -> Time_ns.t

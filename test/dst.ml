@@ -55,23 +55,6 @@ let replay_byte_identical () =
         a.Dst.transcript b.Dst.transcript)
     Dst.default_schemes
 
-(* The two scheduler backends must be observationally identical: the
-   same (seed, scheme) run under the heap oracle and the calendar
-   wheel yields the same transcript byte-for-byte, including fault
-   injection, churn, retransmit timers, and the executed-event count. *)
-let backends_byte_identical () =
-  List.iter
-    (fun scheme ->
-      List.iter
-        (fun seed ->
-          let h = Dst.run_one ~sched:Dessim.Engine.Heap ~seed ~scheme () in
-          let w = Dst.run_one ~sched:Dessim.Engine.Wheel ~seed ~scheme () in
-          Alcotest.(check string)
-            (Printf.sprintf "heap vs wheel transcript (%s, seed %d)" scheme seed)
-            h.Dst.transcript w.Dst.transcript)
-        [ 2; 9 ])
-    Dst.default_schemes
-
 (* The plan embedded in an outcome round-trips through the textual
    form, so a transcript's plan line is a complete reproduction. *)
 let plan_roundtrip () =
@@ -99,8 +82,6 @@ let () =
             replay_byte_identical;
           Alcotest.test_case "churn run, byte-identical transcript" `Quick
             churn_replay_byte_identical;
-          Alcotest.test_case "heap vs wheel, byte-identical transcript" `Quick
-            backends_byte_identical;
           Alcotest.test_case "plan text round-trip" `Quick plan_roundtrip;
         ] );
     ]

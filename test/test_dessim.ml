@@ -1,8 +1,7 @@
-(* Tests for the discrete-event simulation substrate: RNG, heap,
-   engine, distributions, statistics, time. *)
+(* Tests for the discrete-event simulation substrate: RNG, the
+   engine and its heap, distributions, statistics, time. *)
 
 module Rng = Dessim.Rng
-module Heap = Dessim.Heap
 module Engine = Dessim.Engine
 module Dist = Dessim.Dist
 module Stats = Dessim.Stats
@@ -102,107 +101,101 @@ let test_rng_invalid () =
   Alcotest.check_raises "empty choose" (Invalid_argument "Rng.choose: empty array")
     (fun () -> ignore (Rng.choose rng [||]))
 
-(* --- Heap --- *)
+(* --- Heap ---
+
+   The engine's binary heap, driven as a priority queue: a typed event
+   at key [k] carrying payload [v] in its [a] operand. Dispatch order
+   must be a stable sort by key (FIFO among ties). *)
+
+let pq ?reserve () =
+  let eng = Engine.create ?reserve () in
+  let out = ref [] in
+  Engine.set_handler eng (fun ~code:_ ~a ~b:_ -> out := (Engine.now eng, a) :: !out);
+  let push k v = Engine.schedule_event eng ~at:k ~code:0 ~a:v ~b:0 in
+  let drain () =
+    Engine.run eng;
+    let r = List.rev !out in
+    out := [];
+    r
+  in
+  (eng, push, drain)
+
+let kv = Alcotest.(list (pair int int))
 
 let test_heap_ordering () =
-  let h = Heap.create () in
+  let _, push, drain = pq () in
   let rng = Rng.create 10 in
   let keys = List.init 1000 (fun _ -> Rng.int rng 10_000) in
-  List.iter (fun k -> Heap.push h k k) keys;
-  let out = ref [] in
-  while not (Heap.is_empty h) do
-    let k, _ = Heap.pop h in
-    out := k :: !out
-  done;
-  check
-    (Alcotest.list Alcotest.int)
-    "sorted ascending"
-    (List.sort compare keys)
-    (List.rev !out)
+  List.iter (fun k -> push k k) keys;
+  check (Alcotest.list Alcotest.int) "sorted ascending" (List.sort compare keys)
+    (List.map fst (drain ()))
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h 5 "a";
-  Heap.push h 5 "b";
-  Heap.push h 5 "c";
-  let _, x = Heap.pop h in
-  let _, y = Heap.pop h in
-  let _, z = Heap.pop h in
+  let eng = Engine.create () in
+  let log = ref [] in
+  List.iter
+    (fun s -> Engine.schedule eng ~at:5 (fun () -> log := s :: !log))
+    [ "a"; "b"; "c" ];
+  Engine.run eng;
   check (Alcotest.list Alcotest.string) "insertion order among ties"
-    [ "a"; "b"; "c" ] [ x; y; z ]
+    [ "a"; "b"; "c" ] (List.rev !log)
 
 let test_heap_empty () =
-  let h = Heap.create () in
-  checkb "is_empty" true (Heap.is_empty h);
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Heap.pop h));
-  Alcotest.check_raises "peek empty" Not_found (fun () ->
-      ignore (Heap.peek_key h))
+  let eng = Engine.create () in
+  checki "pending" 0 (Engine.pending eng);
+  checki "next_at of empty" max_int (Engine.next_at eng);
+  Engine.run eng;
+  checki "run on empty executes nothing" 0 (Engine.executed eng);
+  Engine.run_until eng ~limit:7;
+  checki "run_until on empty still advances the clock" 7 (Engine.now eng);
+  checki "nothing executed" 0 (Engine.executed eng)
 
 let test_heap_interleaved () =
-  let h = Heap.create () in
-  Heap.push h 3 3;
-  Heap.push h 1 1;
-  checki "peek min" 1 (Heap.peek_key h);
-  let k1, _ = Heap.pop h in
-  checki "pop 1" 1 k1;
-  Heap.push h 2 2;
-  let k2, _ = Heap.pop h in
-  checki "pop 2" 2 k2;
-  let k3, _ = Heap.pop h in
-  checki "pop 3" 3 k3
+  let eng, push, drain = pq () in
+  push 3 3;
+  push 1 1;
+  checki "peek min" 1 (Engine.next_at eng);
+  Engine.run_until eng ~limit:1;
+  checki "one popped" 1 (Engine.pending eng);
+  push 2 2;
+  Engine.run_until eng ~limit:2;
+  checki "next after 2" 3 (Engine.next_at eng);
+  check kv "pops in key order" [ (1, 1); (2, 2); (3, 3) ] (drain ())
 
-let test_heap_clear_resets_ties () =
-  let h = Heap.create () in
-  Heap.push h 5 "x";
-  Heap.push h 5 "y";
-  Heap.clear h;
-  checkb "cleared" true (Heap.is_empty h);
-  (* clear resets the insertion-order counter, so FIFO tie-breaking
-     after a clear matches a freshly created heap exactly. *)
-  Heap.push h 7 "a";
-  Heap.push h 7 "b";
-  Heap.push h 7 "c";
-  let _, x = Heap.pop h in
-  let _, y = Heap.pop h in
-  let _, z = Heap.pop h in
-  check (Alcotest.list Alcotest.string) "FIFO order restarts"
-    [ "a"; "b"; "c" ] [ x; y; z ]
+(* Tie order depends only on scheduling order, so it stays FIFO after
+   the queue has drained and refilled. *)
+let test_heap_ties_after_drain () =
+  let _, push, drain = pq () in
+  push 5 0;
+  push 5 1;
+  ignore (drain ());
+  List.iter (push 7) [ 10; 11; 12 ];
+  check kv "FIFO order after a drain" [ (7, 10); (7, 11); (7, 12) ] (drain ())
 
 let test_heap_reserve () =
-  (* reserve on an empty heap: pushes up to the hint must not shrink
-     behaviour; contents stay sorted. *)
-  let h = Heap.create () in
-  Heap.reserve h 512;
-  for i = 511 downto 0 do
-    Heap.push h i i
-  done;
-  checki "size after pushes" 512 (Heap.length h);
-  for i = 0 to 511 do
-    let k, _ = Heap.pop h in
-    checki "sorted" i k
-  done;
-  (* reserve on a non-empty heap keeps existing elements. *)
-  let h2 = Heap.create () in
-  Heap.push h2 2 "b";
-  Heap.push h2 1 "a";
-  Heap.reserve h2 1024;
-  let _, a = Heap.pop h2 in
-  let _, b = Heap.pop h2 in
-  check (Alcotest.list Alcotest.string) "survives reserve" [ "a"; "b" ] [ a; b ]
+  (* Growth from a one-record queue and a pre-sized one must both stay
+     sorted and keep every element across the doubling copies. *)
+  List.iter
+    (fun reserve ->
+      let _, push, drain = pq ~reserve () in
+      for i = 511 downto 0 do
+        push i i
+      done;
+      List.iteri (fun i (k, _) -> checki "sorted" i k) (drain ()))
+    [ 1; 512 ];
+  let _, push, drain = pq ~reserve:1 () in
+  push 2 20;
+  push 1 10;
+  push 3 30;
+  check kv "survives growth" [ (1, 10); (2, 20); (3, 30) ] (drain ())
 
 let heap_qcheck =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (int_bound 100_000))
     (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.push h k ()) keys;
-      let rec drain acc =
-        if Heap.is_empty h then List.rev acc
-        else
-          let k, () = Heap.pop h in
-          drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
+      let _, push, drain = pq () in
+      List.iter (fun k -> push k 0) keys;
+      List.map fst (drain ()) = List.sort compare keys)
 
 (* Pops must equal a *stable* sort by key: payloads tag each push with
    its position, so any tie broken out of insertion order shows up as a
@@ -211,102 +204,74 @@ let heap_qcheck_stable =
   QCheck.Test.make ~name:"heap pop order = stable sort by key" ~count:200
     QCheck.(list (int_bound 50))
     (fun keys ->
-      let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h k i) keys;
-      let rec drain acc =
-        if Heap.is_empty h then List.rev acc
-        else
-          let kv = Heap.pop h in
-          drain (kv :: acc)
-      in
-      let expected =
-        List.stable_sort
+      let _, push, drain = pq () in
+      List.iteri (fun i k -> push k i) keys;
+      drain ()
+      = List.stable_sort
           (fun (k1, _) (k2, _) -> compare k1 k2)
-          (List.mapi (fun i k -> (k, i)) keys)
-      in
-      drain [] = expected)
+          (List.mapi (fun i k -> (k, i)) keys))
 
 let heap_qcheck_fifo_ties =
   QCheck.Test.make ~name:"heap FIFO among equal keys" ~count:200
     QCheck.(pair (int_bound 1000) small_nat)
     (fun (key, n) ->
-      let h = Heap.create () in
+      let eng, push, drain = pq () in
       for i = 0 to n - 1 do
-        Heap.push h key i
+        push key i
       done;
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let k, v = Heap.pop h in
-        if k <> key || v <> i then ok := false
-      done;
-      !ok && Heap.is_empty h)
+      drain () = List.init n (fun i -> (key, i)) && Engine.pending eng = 0)
 
-(* Model-checked interleaving: run a random sequence of
-   push/pop/reserve/clear against a sorted-list reference queue with
-   the same (key, insertion seq) order. [reserve] must never change
-   observable behaviour; [clear] must reset both contents and the
-   FIFO tie counter. *)
+(* Random pushes interleaved with run_until windows, against a
+   stable-sorted reference list: after every step the dispatched
+   prefix, [pending] and [next_at] must agree with the model. *)
 let heap_qcheck_interleaved =
   let op =
     QCheck.(
       oneof
         [
           map (fun k -> `Push k) (int_bound 20);
-          always `Pop;
-          map (fun n -> `Reserve n) (int_bound 64);
-          (* clear is rare so runs usually accumulate state *)
-          frequency [ (1, always `Clear); (6, always `Pop) ];
+          map (fun d -> `Window d) (int_bound 8);
         ])
   in
-  QCheck.Test.make ~name:"heap interleaved push/pop/reserve/clear" ~count:300
-    (QCheck.list op)
-    (fun ops ->
-      let h = Heap.create () in
-      (* model: sorted (key, seq) list + next insertion seq *)
-      let model = ref [] and next = ref 0 in
-      let ok = ref true in
-      List.iter
+  QCheck.Test.make ~name:"heap interleaved schedule/run_until = model"
+    ~count:300 (QCheck.list op) (fun ops ->
+      let eng = Engine.create ~reserve:1 () in
+      let out = ref [] in
+      Engine.set_handler eng (fun ~code:_ ~a ~b:_ ->
+          out := (Engine.now eng, a) :: !out);
+      let model = ref [] and popped = ref [] and next = ref 0 in
+      let agrees () =
+        !out = !popped
+        && Engine.pending eng = List.length !model
+        && Engine.next_at eng = (match !model with [] -> max_int | (k, _) :: _ -> k)
+      in
+      List.for_all
         (fun o ->
-          match o with
-          | `Push k ->
-              Heap.push h k !next;
-              let seq = !next in
-              incr next;
+          (match o with
+          | `Push d ->
+              let k = Engine.now eng + d in
+              Engine.schedule_event eng ~at:k ~code:0 ~a:!next ~b:0;
               model :=
                 List.stable_sort
-                  (fun (k1, s1) (k2, s2) -> compare (k1, s1) (k2, s2))
-                  ((k, seq) :: !model)
-          | `Pop -> (
-              match (!model, Heap.is_empty h) with
-              | [], true -> ()
-              | [], false -> ok := false
-              | (mk, ms) :: rest, _ ->
-                  (match Heap.pop h with
-                  | k, v -> if k <> mk || v <> ms then ok := false
-                  | exception Not_found -> ok := false);
-                  model := rest)
-          | `Reserve n -> Heap.reserve h n
-          | `Clear ->
-              Heap.clear h;
-              model := [];
-              next := 0)
-        ops;
-      (* drain the tail: remaining contents must match the model *)
-      List.iter
-        (fun (mk, ms) ->
-          match Heap.pop h with
-          | k, v -> if k <> mk || v <> ms then ok := false
-          | exception Not_found -> ok := false)
-        !model;
-      !ok && Heap.is_empty h)
+                  (fun (k1, _) (k2, _) -> compare k1 k2)
+                  (!model @ [ (k, !next) ]);
+              incr next
+          | `Window d ->
+              let limit = Engine.now eng + d in
+              Engine.run_until eng ~limit;
+              let due, rest = List.partition (fun (k, _) -> k <= limit) !model in
+              popped := List.rev_append due !popped;
+              model := rest);
+          agrees ())
+        ops
+      &&
+      (Engine.run eng;
+       !out = List.rev_append !model !popped))
 
 (* --- Engine --- *)
 
-(* Every engine test runs on both scheduler backends: the heap is the
-   reference oracle, the calendar wheel must be indistinguishable. *)
-
-let test_engine_order sched () =
-  let eng = Engine.create ~sched () in
+let test_engine_order () =
+  let eng = Engine.create () in
   let log = ref [] in
   Engine.schedule eng ~at:30 (fun () -> log := 30 :: !log);
   Engine.schedule eng ~at:10 (fun () -> log := 10 :: !log);
@@ -316,8 +281,8 @@ let test_engine_order sched () =
     (List.rev !log);
   checki "clock at last event" 30 (Engine.now eng)
 
-let test_engine_nested_scheduling sched () =
-  let eng = Engine.create ~sched () in
+let test_engine_nested_scheduling () =
+  let eng = Engine.create () in
   let log = ref [] in
   Engine.schedule eng ~at:10 (fun () ->
       log := `A :: !log;
@@ -326,15 +291,15 @@ let test_engine_nested_scheduling sched () =
   Engine.run eng;
   checkb "nested event runs in order" true (List.rev !log = [ `A; `C; `B ])
 
-let test_engine_past_rejected sched () =
-  let eng = Engine.create ~sched () in
+let test_engine_past_rejected () =
+  let eng = Engine.create () in
   Engine.schedule eng ~at:10 (fun () ->
       Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: event in the past")
         (fun () -> Engine.schedule eng ~at:5 (fun () -> ())));
   Engine.run eng
 
-let test_engine_run_until sched () =
-  let eng = Engine.create ~sched () in
+let test_engine_run_until () =
+  let eng = Engine.create () in
   let log = ref [] in
   List.iter
     (fun t -> Engine.schedule eng ~at:t (fun () -> log := t :: !log))
@@ -348,56 +313,124 @@ let test_engine_run_until sched () =
   checki "drained" 0 (Engine.pending eng);
   checki "executed total" 4 (Engine.executed eng)
 
-(* Differential test: drive both backends through the same random
-   schedule and require byte-identical traces. The delay table is
-   chosen to hit every wheel path — 0-delay FIFO ties, sub-quantum
-   deltas that land in the current batch (the side heap), in-window
-   deltas across bucket boundaries, and multi-ms deltas far beyond the
-   wheel window (the overflow heap and its lazy demotion). Handler
-   respawns exercise mid-drain enqueues; thunk ops interleave the
-   closure lane with typed events; draining happens through several
-   run_until windows before the final run, exercising parking and
-   clock-advance-to-limit on a non-empty queue. *)
-let engine_differential =
-  let delays =
-    [|
-      0; 1; 3; 12; 900; 1_024; 16_383; 16_384; 65_537; 1_000_000; 5_000_000;
-      12_345_678;
-    |]
+(* The reference scheduler: a list kept stably sorted by timestamp, so
+   ties dispatch in scheduling order. Events are closures; typed events
+   become closures over the same handler. *)
+module Model = struct
+  type t = {
+    mutable q : (int * (unit -> unit)) list;
+    mutable now : int;
+    mutable executed : int;
+  }
+
+  let create () = { q = []; now = 0; executed = 0 }
+
+  let schedule m ~at f =
+    m.q <- List.stable_sort (fun (a, _) (b, _) -> compare a b) (m.q @ [ (at, f) ])
+
+  let rec drain m ~limit =
+    match m.q with
+    | (at, f) :: rest when at <= limit ->
+        m.q <- rest;
+        m.now <- at;
+        m.executed <- m.executed + 1;
+        f ();
+        drain m ~limit
+    | _ -> ()
+
+  let run_until m ~limit =
+    drain m ~limit;
+    m.now <- max m.now limit
+end
+
+(* A queue under test, seen through the operations the oracle drives. *)
+type queue = {
+  now : unit -> int;
+  typed : at:int -> code:int -> a:int -> b:int -> unit;
+  thunk : at:int -> (unit -> unit) -> unit;
+  run_until : limit:int -> unit;
+  run : unit -> unit;
+  counts : unit -> int * int;  (** executed, pending *)
+}
+
+let engine_queue on_typed =
+  let eng = Engine.create ~reserve:1 () in
+  Engine.set_handler eng on_typed;
+  {
+    now = (fun () -> Engine.now eng);
+    typed = (fun ~at ~code ~a ~b -> Engine.schedule_event eng ~at ~code ~a ~b);
+    thunk = (fun ~at f -> Engine.schedule eng ~at f);
+    run_until = (fun ~limit -> Engine.run_until eng ~limit);
+    run = (fun () -> Engine.run eng);
+    counts = (fun () -> (Engine.executed eng, Engine.pending eng));
+  }
+
+let model_queue on_typed =
+  let m = Model.create () in
+  {
+    now = (fun () -> m.Model.now);
+    typed =
+      (fun ~at ~code ~a ~b -> Model.schedule m ~at (fun () -> on_typed ~code ~a ~b));
+    thunk = (fun ~at f -> Model.schedule m ~at f);
+    run_until = (fun ~limit -> Model.run_until m ~limit);
+    run = (fun () -> Model.drain m ~limit:max_int);
+    counts = (fun () -> (m.Model.executed, List.length m.Model.q));
+  }
+
+(* The engine's oracle: a random schedule played on the engine and on
+   the model must give byte-identical traces. The delay table yields
+   equal-timestamp ties (0, and repeated delays from the same clock)
+   next to near and far futures; typed and thunk events interleave;
+   first-generation typed events respawn from inside the handler with
+   delay 0-2, and every thunk spawns a zero-delay typed event; and
+   run_until windows interleave with scheduling, so events are queued
+   on a parked, non-empty queue. *)
+let engine_model_oracle =
+  let delays = [| 0; 0; 1; 3; 12; 900; 16_384; 1_000_000; 5_000_000 |] in
+  let op =
+    QCheck.(
+      frequency
+        [
+          ( 4,
+            map
+              (fun (d, code, a) -> `Sched (delays.(d), code, a))
+              (triple (int_bound (Array.length delays - 1)) (int_bound 3) small_nat)
+          );
+          (1, map (fun w -> `Window w) (int_bound 20_000));
+        ])
   in
-  QCheck.Test.make ~name:"engine wheel trace = heap trace" ~count:150
-    QCheck.(list (triple (int_bound (Array.length delays - 1)) (int_bound 3) small_nat))
-    (fun ops ->
-      let run sched =
-        let eng = Engine.create ~sched () in
+  QCheck.Test.make ~name:"engine trace = stable-sort model" ~count:200
+    (QCheck.list op) (fun ops ->
+      let play make =
         let b = Buffer.create 1024 in
         let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-        Engine.set_handler eng (fun ~code ~a ~b:gen ->
-            addf "e t=%d c=%d a=%d\n" (Engine.now eng) code a;
-            (* First-generation events respawn once from inside the
-               handler: delay [a land 15] keeps most respawns inside
-               the batch being drained. *)
-            if gen = 0 then
-              Engine.schedule_event_after eng ~delay:(a land 15) ~code ~a ~b:1);
+        let self = ref None in
+        let on_typed ~code ~a ~b:gen =
+          let q = Option.get !self in
+          let now = q.now () in
+          addf "e t=%d c=%d a=%d\n" now code a;
+          if gen = 0 then q.typed ~at:(now + (a mod 3)) ~code ~a ~b:1
+        in
+        let q = make on_typed in
+        self := Some q;
         List.iter
-          (fun (d, code, a) ->
-            let delay = delays.(d) in
-            if code = 3 then
-              Engine.schedule_after eng ~delay (fun () ->
-                  addf "f t=%d a=%d\n" (Engine.now eng) a;
-                  Engine.schedule_event_after eng ~delay:0 ~code:9 ~a ~b:1)
-            else Engine.schedule_event_after eng ~delay ~code ~a ~b:0)
+          (function
+            | `Sched (delay, code, a) ->
+                let at = q.now () + delay in
+                if code = 3 then
+                  q.thunk ~at (fun () ->
+                      let now = q.now () in
+                      addf "f t=%d a=%d\n" now a;
+                      q.typed ~at:now ~code:9 ~a ~b:1)
+                else q.typed ~at ~code ~a ~b:0
+            | `Window w -> q.run_until ~limit:(q.now () + w))
           ops;
-        for _ = 1 to 3 do
-          Engine.run_until eng
-            ~limit:(Time_ns.add (Engine.now eng) 100_000)
-        done;
-        Engine.run eng;
-        addf "now=%d executed=%d pending=%d\n" (Engine.now eng)
-          (Engine.executed eng) (Engine.pending eng);
+        q.run ();
+        let executed, pending = q.counts () in
+        addf "now=%d executed=%d pending=%d\n" (q.now ()) executed pending;
         Buffer.contents b
       in
-      String.equal (run Engine.Heap) (run Engine.Wheel))
+      String.equal (play engine_queue) (play model_queue))
 
 (* --- Distributions --- *)
 
@@ -547,8 +580,8 @@ let () =
           Alcotest.test_case "FIFO among ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "empty behavior" `Quick test_heap_empty;
           Alcotest.test_case "interleaved push/pop" `Quick test_heap_interleaved;
-          Alcotest.test_case "clear resets tie order" `Quick
-            test_heap_clear_resets_ties;
+          Alcotest.test_case "ties stay FIFO after a drain" `Quick
+            test_heap_ties_after_drain;
           Alcotest.test_case "reserve" `Quick test_heap_reserve;
           QCheck_alcotest.to_alcotest heap_qcheck;
           QCheck_alcotest.to_alcotest heap_qcheck_stable;
@@ -556,22 +589,15 @@ let () =
           QCheck_alcotest.to_alcotest heap_qcheck_interleaved;
         ] );
       ( "engine",
-        (List.concat_map
-           (fun sched ->
-             let s = Engine.sched_name sched in
-             List.map
-               (fun (name, f) ->
-                 Alcotest.test_case
-                   (Printf.sprintf "%s (%s)" name s)
-                   `Quick (f sched))
-               [
-                 ("event order", test_engine_order);
-                 ("nested scheduling", test_engine_nested_scheduling);
-                 ("past events rejected", test_engine_past_rejected);
-                 ("run_until", test_engine_run_until);
-               ])
-           [ Engine.Heap; Engine.Wheel ])
-        @ [ QCheck_alcotest.to_alcotest engine_differential ] );
+        [
+          Alcotest.test_case "event order (heap)" `Quick test_engine_order;
+          Alcotest.test_case "nested scheduling (heap)" `Quick
+            test_engine_nested_scheduling;
+          Alcotest.test_case "past events rejected (heap)" `Quick
+            test_engine_past_rejected;
+          Alcotest.test_case "run_until (heap)" `Quick test_engine_run_until;
+          QCheck_alcotest.to_alcotest engine_model_oracle;
+        ] );
       ( "dist",
         [
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;

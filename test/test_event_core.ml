@@ -86,7 +86,7 @@ let dump_network b ~name net (scheme : Netsim.Scheme.t) =
    low ECN step threshold (so DCTCP reacts to real CE marks), a Hadoop
    TCP workload, two VM migrations (misdelivery + invalidation paths)
    and full telemetry (histograms, series, flight recorder). *)
-let scenario_switchv2p ~sched b =
+let scenario_switchv2p b =
   let params =
     {
       (Params.scaled ~pods:2 ~racks_per_pod:2 ~hosts_per_rack:2 ~vms_per_host:4
@@ -109,7 +109,6 @@ let scenario_switchv2p ~sched b =
       Network.default_config with
       transport_mode = Transport.Dctcp;
       telemetry;
-      sched;
     }
   in
   let net = Network.create ~config topo ~scheme in
@@ -140,7 +139,7 @@ let scenario_switchv2p ~sched b =
 (* Scenario B: gateway-only baseline under a UDP incast on 1G host
    links with 3-MTU buffers — guaranteed link_buffer drops (the
    packet-drop recycling path) and CE marks from a 1-MTU threshold. *)
-let scenario_incast ~sched b =
+let scenario_incast b =
   let params =
     {
       (Params.scaled ~pods:2 ~racks_per_pod:2 ~hosts_per_rack:2 ~vms_per_host:2
@@ -152,8 +151,7 @@ let scenario_incast ~sched b =
   let topo = Topology.build params in
   let scheme = Schemes.Baselines.nocache () in
   let net =
-    Network.create ~config:{ Network.default_config with Network.sched } topo
-      ~scheme
+    Network.create topo ~scheme
   in
   let flows =
     Workloads.Tracegen.incast (Dessim.Rng.create 77)
@@ -173,7 +171,7 @@ let scenario_incast ~sched b =
 
      REPRO_WRITE_GOLDEN_FAULTS=$PWD/test/golden_faults.txt \
        dune exec test/test_event_core.exe *)
-let scenario_faults ~sched b =
+let scenario_faults b =
   let module Fault = Dessim.Fault in
   let params =
     Params.scaled ~pods:2 ~racks_per_pod:2 ~hosts_per_rack:2 ~vms_per_host:2 ()
@@ -184,7 +182,7 @@ let scenario_faults ~sched b =
   in
   let net =
     Network.create
-      ~config:{ Network.default_config with Network.seed = 4242; Network.sched }
+      ~config:{ Network.default_config with Network.seed = 4242 }
       topo ~scheme
   in
   let pairs = Netsim.Faultplan.fabric_pairs topo in
@@ -247,15 +245,15 @@ let scenario_faults ~sched b =
     (Network.consumed_at_switch net)
     (Network.live_packets net)
 
-let render ~sched () =
+let render () =
   let b = Buffer.create (1 lsl 16) in
-  scenario_switchv2p ~sched b;
-  scenario_incast ~sched b;
+  scenario_switchv2p b;
+  scenario_incast b;
   Buffer.contents b
 
-let render_faults ~sched () =
+let render_faults () =
   let b = Buffer.create 4096 in
-  scenario_faults ~sched b;
+  scenario_faults b;
   Buffer.contents b
 
 let read_file path =
@@ -295,31 +293,22 @@ let check_golden ~env_var ~path ~what got =
         | None -> Alcotest.fail "length mismatch with identical lines?")
       end
 
-(* Both scheduler backends must reproduce the same golden bytes: the
-   wheel's batched dispatch preserves exact (timestamp, seq) order, so
-   the backend is unobservable from inside the simulation. *)
-let test_byte_identical sched () =
+let test_byte_identical () =
   check_golden ~env_var:"REPRO_WRITE_GOLDEN" ~path:golden_path
-    ~what:("event core/" ^ Dessim.Engine.sched_name sched)
-    (render ~sched:(Some sched) ())
+    ~what:"event core" (render ())
 
-let test_faults_byte_identical sched () =
+let test_faults_byte_identical () =
   check_golden ~env_var:"REPRO_WRITE_GOLDEN_FAULTS" ~path:"golden_faults.txt"
-    ~what:("fault scenario/" ^ Dessim.Engine.sched_name sched)
-    (render_faults ~sched:(Some sched) ())
+    ~what:"fault scenario" (render_faults ())
 
 let () =
-  let case name f =
-    List.map
-      (fun sched ->
-        Alcotest.test_case
-          (Printf.sprintf "%s (%s)" name (Dessim.Engine.sched_name sched))
-          `Quick (f sched))
-      [ Dessim.Engine.Heap; Dessim.Engine.Wheel ]
-  in
   Alcotest.run "event_core"
     [
       ( "determinism",
-        case "byte-identical golden run" test_byte_identical
-        @ case "byte-identical fault-plan run" test_faults_byte_identical );
+        [
+          Alcotest.test_case "byte-identical golden run (heap)" `Quick
+            test_byte_identical;
+          Alcotest.test_case "byte-identical fault-plan run (heap)" `Quick
+            test_faults_byte_identical;
+        ] );
     ]

@@ -153,14 +153,6 @@ let spec_of_seed n =
                      }));
           }
   in
-  let sched =
-    pick rng
-      [
-        Spec.Sched_default;
-        Spec.Sched Dessim.Engine.Heap;
-        Spec.Sched Dessim.Engine.Wheel;
-      ]
-  in
   let shards =
     if Rng.int rng 2 = 0 then Spec.Shards_auto else Spec.Shards (1 + Rng.int rng 3)
   in
@@ -170,7 +162,7 @@ let spec_of_seed n =
   in
   Spec.make
     ~name:(pick rng [ "qc"; "qc spec"; "multitenant/qc 50/50" ])
-    ~topo ~streams ?churn ~faults ~seed:(Rng.int rng 10_000) ~sched ~shards
+    ~topo ~streams ?churn ~faults ~seed:(Rng.int rng 10_000) ~shards
     ~horizon
     ?gateways_used:(if Rng.int rng 3 = 0 then Some 1 else None)
     ~classify:(if classified then Spec.Vip_parity else Spec.No_classify)
@@ -233,6 +225,49 @@ let golden_file_matches_constructor () =
     (read_file (Filename.concat examples_dir "golden_tiny.scn"))
 
 (* ------------------------------------------------------------------ *)
+(* Parse errors: the engine line still accepts the retired [sched]
+   field with the two values committed files carry, and blames any
+   other value on its line and field.                                 *)
+
+let with_engine_field field =
+  let lines = String.split_on_char '\n' (Spec.to_string (golden_spec ())) in
+  let line = ref 0 in
+  let lines =
+    List.mapi
+      (fun i l ->
+        if String.starts_with ~prefix:"engine " l then begin
+          line := i + 1;
+          l ^ " " ^ field
+        end
+        else l)
+      lines
+  in
+  (String.concat "\n" lines, !line)
+
+let sched_field_compat () =
+  List.iter
+    (fun v ->
+      let text, _ = with_engine_field ("sched=" ^ v) in
+      match Spec.of_string text with
+      | Ok t ->
+          checkb ("sched=" ^ v ^ " parses to the same spec") true
+            (t = golden_spec ())
+      | Error e -> Alcotest.failf "sched=%s: %s" v (Spec.error_to_string e))
+    [ "default"; "heap" ]
+
+let sched_field_rejected () =
+  List.iter
+    (fun v ->
+      let text, line = with_engine_field ("sched=" ^ v) in
+      match Spec.of_string text with
+      | Ok _ -> Alcotest.failf "sched=%s accepted" v
+      | Error e ->
+          checki ("sched=" ^ v ^ " error line") line e.Spec.line;
+          Alcotest.(check (option string))
+            ("sched=" ^ v ^ " error field") (Some "sched") e.Spec.field)
+    [ "wheel"; "fifo"; "" ]
+
+(* ------------------------------------------------------------------ *)
 (* Golden replay: running the committed file reproduces the
    programmatic run of the same spec, result-for-result.              *)
 
@@ -278,6 +313,13 @@ let () =
             examples_validate;
           Alcotest.test_case "golden file matches constructor" `Quick
             golden_file_matches_constructor;
+        ] );
+      ( "parse",
+        [
+          Alcotest.test_case "sched=default and sched=heap still parse" `Quick
+            sched_field_compat;
+          Alcotest.test_case "any other sched value is a located error" `Quick
+            sched_field_rejected;
         ] );
       ( "replay",
         [

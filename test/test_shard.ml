@@ -54,17 +54,15 @@ let spsc_fifo =
       !got = !expect && Spsc.pushed q = !next)
 
 (* ------------------------------------------------------------------ *)
-(* Engine.next_at against a sorted-list model, both backends. *)
+(* Engine.next_at against a sorted-list model. *)
 
-let next_at_model sched =
+let next_at_model =
   QCheck.Test.make ~count:150
-    ~name:
-      (Printf.sprintf "next_at (%s) tracks the pending minimum"
-         (Engine.sched_name sched))
+    ~name:"next_at (heap) tracks the pending minimum"
     QCheck.(
       pair (small_list (int_range 0 5_000)) (small_list (int_range 0 6_000)))
     (fun (keys, probes) ->
-      let e = Engine.create ~sched () in
+      let e = Engine.create () in
       List.iter (fun k -> Engine.schedule e ~at:k (fun () -> ())) keys;
       let pending = ref (List.sort compare keys) in
       let check () =
@@ -395,9 +393,7 @@ let () =
   Alcotest.run "shard"
     [
       ("spsc", [ qtest spsc_fifo ]);
-      ( "next_at",
-        [ qtest (next_at_model Engine.Heap); qtest (next_at_model Engine.Wheel) ]
-      );
+      ("next_at", [ qtest next_at_model ]);
       ( "metrics-merge",
         [
           qtest merge_split_equiv;
