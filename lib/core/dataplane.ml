@@ -17,8 +17,6 @@ type switch_state = {
       (* mutable: gateway migration reassigns ToR/spine roles (§4) *)
   caches : Geo_cache.t array; (* one private partition per tenant *)
   ts_vector : Ts_vector.t option; (* ToRs only *)
-  attached_hosts : (int, unit) Hashtbl.t;
-      (* front-panel table: node ids of attached non-gateway servers *)
 }
 
 type t = {
@@ -137,20 +135,6 @@ let create ?(partition = Partition.single) cfg topo ~total_cache_slots =
           ->
             None
       in
-      let attached_hosts = Hashtbl.create 8 in
-      (match role with
-      | Topo.Node.Regular_tor | Topo.Node.Gateway_tor ->
-          Array.iter
-            (fun ep ->
-              match Topo.Topology.kind topo ep with
-              | Topo.Node.Host _ -> Hashtbl.replace attached_hosts ep ()
-              | Topo.Node.Gateway _ -> ()
-              | Topo.Node.Tor _ | Topo.Node.Spine _ | Topo.Node.Core _ ->
-                  assert false)
-            (Topo.Topology.endpoints_of_tor topo sw)
-      | Topo.Node.Regular_spine | Topo.Node.Gateway_spine | Topo.Node.Core_switch
-        ->
-          ());
       let caches =
         Array.map
           (fun tenant_slots ->
@@ -159,7 +143,7 @@ let create ?(partition = Partition.single) cfg topo ~total_cache_slots =
           (Partition.split_slots partition ~slots)
       in
       states.(sw) <-
-        Some { sw_id = sw; role; caches; ts_vector; attached_hosts })
+        Some { sw_id = sw; role; caches; ts_vector })
     (Topo.Topology.switches topo);
   {
     cfg;
@@ -345,8 +329,9 @@ let maybe_send_learning_packet t env st (pkt : Packet.t) =
   then begin
     let sender = Topo.Topology.node_of_pip t.topo pkt.Packet.src_pip in
     if
-      sender < Topo.Topology.num_nodes t.topo
-      && Topo.Node.is_endpoint (Topo.Topology.kind t.topo sender)
+      sender >= 0
+      && sender < Topo.Topology.num_nodes t.topo
+      && Topo.Topology.is_endpoint t.topo sender
     then begin
       let sender_tor = Topo.Topology.tor_of t.topo sender in
       if sender_tor <> st.sw_id then begin
@@ -421,9 +406,8 @@ let regular_lookup t env st (pkt : Packet.t) =
       && pkt.Packet.promo = None
     then begin
       let dst_node = Topo.Topology.node_of_pip t.topo pip in
-      let own_pod = Topo.Node.pod_of (Topo.Topology.kind t.topo st.sw_id) in
-      let dst_pod = Topo.Node.pod_of (Topo.Topology.kind t.topo dst_node) in
-      if dst_pod <> own_pod then begin
+      if Topo.Topology.pod t.topo dst_node <> Topo.Topology.pod t.topo st.sw_id
+      then begin
         pkt.Packet.promo <- Some (pkt.Packet.dst_vip, pip);
         t.promotions <- t.promotions + 1;
         flight t env st pkt "promoted"
@@ -476,12 +460,6 @@ let learn t env st (pkt : Packet.t) =
           pkt.Packet.promo <- None
       | Some _ | None -> ())
 
-let is_tor st =
-  match st.role with
-  | Topo.Node.Regular_tor | Topo.Node.Gateway_tor -> true
-  | Topo.Node.Regular_spine | Topo.Node.Gateway_spine | Topo.Node.Core_switch ->
-      false
-
 (* The four pipeline stages (classify -> lookup -> learn -> emit).
    Each returns an int {!Verdict}; [Verdict.next] means "no final
    verdict, run the following stage". Control packets are fully
@@ -516,11 +494,12 @@ let classify t env ~switch ~from (pkt : Packet.t) =
       else Verdict.forward
   | Packet.Data | Packet.Ack ->
       (* Misdelivery tagging: a packet entering from an attached
-         server whose outer source is not that server was re-forwarded
-         by the hypervisor after a misdelivery. *)
+         server (a host, not a gateway, whose ToR is this switch) whose
+         outer source is not that server was re-forwarded by the
+         hypervisor after a misdelivery. *)
       if
-        is_tor st
-        && Hashtbl.mem st.attached_hosts from
+        Topo.Topology.tag t.topo from = Topo.Topology.tag_host
+        && Topo.Topology.tor_of t.topo from = switch
         && not (Pip.equal pkt.Packet.src_pip (Topo.Topology.pip t.topo from))
         && pkt.Packet.misdelivery < 0
       then begin

@@ -42,19 +42,21 @@ let default_config =
 
    The per-hop path schedules typed engine events instead of closures:
    an event code plus two int operands, with the packet referenced by
-   its pool slot in [b] and node ids packed into [a]. Node ids fit
-   comfortably in [node_bits] (a 24-bit id space is ~16M nodes; the
-   largest simulated fabrics here are a few thousand). *)
+   its pool slot in [b]. A hop's [a] is the edge (directed-link id,
+   {!Topology.edge}) the packet crossed: routing returned it, and the
+   link, its source and its destination are one array load away. Only
+   [ev_host_fwd] packs a node id with its action, in [node_bits] (a
+   24-bit id space is ~16M nodes). *)
 
 let node_bits = 24
 let node_mask = (1 lsl node_bits) - 1
-let ev_arrive = 0 (* a = (from lsl node_bits) lor node, b = slot *)
+let ev_arrive = 0 (* a = edge,                          b = slot *)
 let ev_gateway = 1 (* a = gateway node,                 b = slot *)
 let ev_forward = 2 (* a = switch node (scheme Delay),   b = slot *)
 let ev_loopback = 3 (* a unused,                        b = slot *)
 let ev_host_fwd = 4 (* a = (action lsl node_bits) lor node, b = slot *)
 let ev_fault = 5 (* a = index into the installed fault plan, b unused *)
-let ev_link_deq = 6 (* a = (from lsl node_bits) lor next, b = BYTES, no packet *)
+let ev_link_deq = 6 (* a = edge, b = BYTES, no packet *)
 let ev_arrive_remote = 7 (* like ev_arrive, but the link dequeue runs remotely *)
 
 (* ev_host_fwd actions; must be decided before the processing delay,
@@ -238,12 +240,12 @@ let pool_release t (pkt : Packet.t) =
 
 (* --- cross-shard handoff serialization --------------------------------- *)
 
-(* Record layout (all ints): 0 mode, 1 arrival, 2 packed from/next
-   (mode 0 only), 3 id, 4 flow_id, 5 kind+flags, 6 size, 7 seq,
-   8 src_vip, 9 dst_vip, 10 src_pip, 11 dst_pip, 12 misdelivery,
-   13 hit_switch, 14 hops, 15 sent_at, 16-21 the three optional
-   (vip, pip) riders (spill, promo, mapping payload), present iff the
-   matching flag bit is set. *)
+(* Record layout (all ints): 0 mode, 1 arrival, 2 edge (mode 0 only;
+   every shard shares one Topology.t, so edge ids agree), 3 id,
+   4 flow_id, 5 kind+flags, 6 size, 7 seq, 8 src_vip, 9 dst_vip,
+   10 src_pip, 11 dst_pip, 12 misdelivery, 13 hit_switch, 14 hops,
+   15 sent_at, 16-21 the three optional (vip, pip) riders (spill,
+   promo, mapping payload), present iff the matching flag bit is set. *)
 let hoff_stride = 22
 
 (* Word 5: 2-bit kind code below the flag bits. *)
@@ -392,12 +394,12 @@ let drop_faulted t ~site (pkt : Packet.t) =
   Metrics.packet_dropped t.metrics ~site pkt;
   pool_release t pkt
 
-let transmit t ~from ~next (pkt : Packet.t) =
-  if t.faults_on && next = Topo.Routing.blackhole then
+let transmit t ~edge (pkt : Packet.t) =
+  if t.faults_on && edge = Topo.Routing.blackhole then
     (* Every candidate next hop is behind a downed link. *)
     drop_faulted t ~site:Metrics.Fault_blackhole pkt
   else begin
-    let link = Topology.link t.topo ~src:from ~dst:next in
+    let link = Topology.link_of_edge t.topo edge in
     if t.faults_on && not link.Topo.Link.up then
       (* Forced first hop (host/gateway uplink) onto a dead link. *)
       drop_faulted t ~site:Metrics.Fault_blackhole pkt
@@ -416,7 +418,7 @@ let transmit t ~from ~next (pkt : Packet.t) =
       else begin
         if Topo.Link.packed_ce p then pkt.Packet.ecn <- true;
         let arrival = Topo.Link.packed_arrival p in
-        let a = (from lsl node_bits) lor next in
+        let next = link.Topo.Link.dst in
         match t.shard with
         | Some sc when sc.hs_owner.(next) <> sc.hs_my ->
             (* Cross-shard hop: the destination owner replays the
@@ -425,13 +427,14 @@ let transmit t ~from ~next (pkt : Packet.t) =
                one lookahead away (the lookahead is the minimum
                cross-shard propagation delay), which is what lets the
                window protocol drain mailboxes only at barriers. *)
-            Engine.schedule_event t.engine ~at:arrival ~code:ev_link_deq ~a
-              ~b:pkt.Packet.size;
-            hoff_push sc ~dst_shard:sc.hs_owner.(next) ~mode:0 ~arrival ~a pkt;
+            Engine.schedule_event t.engine ~at:arrival ~code:ev_link_deq
+              ~a:edge ~b:pkt.Packet.size;
+            hoff_push sc ~dst_shard:sc.hs_owner.(next) ~mode:0 ~arrival ~a:edge
+              pkt;
             pool_release t pkt
         | _ ->
             pool_adopt t pkt;
-            Engine.schedule_event t.engine ~at:arrival ~code:ev_arrive ~a
+            Engine.schedule_event t.engine ~at:arrival ~code:ev_arrive ~a:edge
               ~b:pkt.Packet.pool_slot
       end
     end
@@ -444,42 +447,44 @@ let forward_from t ~node (pkt : Packet.t) =
     pool_release t pkt
   end
   else
-    let next =
+    let edge =
       if t.faults_on then
-        Topo.Routing.next_hop_alive t.topo ~at:node ~dst ~salt:(salt_of pkt)
-      else Topo.Routing.next_hop t.topo ~at:node ~dst ~salt:(salt_of pkt)
+        Topo.Routing.next_edge_alive t.topo ~at:node ~dst ~salt:(salt_of pkt)
+      else Topo.Routing.next_edge t.topo ~at:node ~dst ~salt:(salt_of pkt)
     in
-    transmit t ~from:node ~next pkt
+    transmit t ~edge pkt
 
 let rec arrive t ~node ~from (pkt : Packet.t) =
-  match Topology.kind t.topo node with
-  | Topo.Node.Tor _ | Topo.Node.Spine _ | Topo.Node.Core _ -> (
-      Metrics.switch_processed t.metrics ~switch:node pkt;
-      pkt.Packet.hops <- pkt.Packet.hops + 1;
-      let v = Pipeline.run t.scheme.Scheme.pipeline t.env ~switch:node ~from pkt in
-      let tag = Verdict.tag v in
-      if tag = Verdict.tag_forward then forward_from t ~node pkt
-      else if tag = Verdict.tag_consume then begin
-        t.consumed_pkts <- t.consumed_pkts + 1;
-        pool_release t pkt
-      end
-      else if tag = Verdict.tag_delay then
-        Engine.schedule_event_after t.engine ~delay:(Verdict.delay_ns v)
-          ~code:ev_forward ~a:node ~b:pkt.Packet.pool_slot
-      else begin
-        Metrics.packet_dropped t.metrics ~site:Metrics.Failed_switch pkt;
-        pool_release t pkt
-      end)
-  | Topo.Node.Gateway _ ->
-      if t.faults_on && t.gw_down.(node) then
-        (* Outage window: the gateway black-holes arrivals. *)
-        drop_faulted t ~site:Metrics.Fault_gateway pkt
-      else begin
-        Metrics.gateway_arrival t.metrics pkt;
-        Engine.schedule_event_after t.engine ~delay:t.cfg.gw_proc_delay
-          ~code:ev_gateway ~a:node ~b:pkt.Packet.pool_slot
-      end
-  | Topo.Node.Host _ -> host_receive t ~node pkt
+  let node_tag = Topology.tag t.topo node in
+  if node_tag >= Topology.tag_tor then begin
+    Metrics.switch_processed t.metrics ~switch:node pkt;
+    pkt.Packet.hops <- pkt.Packet.hops + 1;
+    let v = Pipeline.run t.scheme.Scheme.pipeline t.env ~switch:node ~from pkt in
+    let tag = Verdict.tag v in
+    if tag = Verdict.tag_forward then forward_from t ~node pkt
+    else if tag = Verdict.tag_consume then begin
+      t.consumed_pkts <- t.consumed_pkts + 1;
+      pool_release t pkt
+    end
+    else if tag = Verdict.tag_delay then
+      Engine.schedule_event_after t.engine ~delay:(Verdict.delay_ns v)
+        ~code:ev_forward ~a:node ~b:pkt.Packet.pool_slot
+    else begin
+      Metrics.packet_dropped t.metrics ~site:Metrics.Failed_switch pkt;
+      pool_release t pkt
+    end
+  end
+  else if node_tag = Topology.tag_gateway then begin
+    if t.faults_on && t.gw_down.(node) then
+      (* Outage window: the gateway black-holes arrivals. *)
+      drop_faulted t ~site:Metrics.Fault_gateway pkt
+    else begin
+      Metrics.gateway_arrival t.metrics pkt;
+      Engine.schedule_event_after t.engine ~delay:t.cfg.gw_proc_delay
+        ~code:ev_gateway ~a:node ~b:pkt.Packet.pool_slot
+    end
+  end
+  else host_receive t ~node pkt
 
 and gateway_forward t ~node (pkt : Packet.t) =
   match Netcore.Mapping.lookup t.mapping pkt.Packet.dst_vip with
@@ -536,7 +541,7 @@ and host_forward t ~node ~action (pkt : Packet.t) =
       pkt.Packet.misdelivery <- Pip.to_int (Topology.pip t.topo node);
       pkt.Packet.hit_switch <- -1
     end;
-    transmit t ~from:node ~next:(Topology.tor_of t.topo node) pkt
+    transmit t ~edge:(Topology.uplink_edge t.topo node) pkt
   end
   else
     match Netcore.Mapping.lookup t.mapping pkt.Packet.dst_vip with
@@ -547,7 +552,7 @@ and host_forward t ~node ~action (pkt : Packet.t) =
         pkt.Packet.dst_pip <- pip;
         pkt.Packet.resolved <- true;
         pkt.Packet.misdelivery <- Pip.to_int (Topology.pip t.topo node);
-        transmit t ~from:node ~next:(Topology.tor_of t.topo node) pkt
+        transmit t ~edge:(Topology.uplink_edge t.topo node) pkt
 
 and deliver t (pkt : Packet.t) =
   let remote =
@@ -665,23 +670,20 @@ let handle_event t ~code ~a ~b =
     (* [b] is a byte count, not a pool slot — dispatched before the
        slot dereference below. Source-side half of a cross-shard hop:
        the packet itself arrives on the peer shard. *)
-    let link =
-      Topology.link t.topo ~src:(a lsr node_bits) ~dst:(a land node_mask)
-    in
-    Topo.Link.delivered link ~bytes:b
+    Topo.Link.delivered (Topology.link_of_edge t.topo a) ~bytes:b
   else begin
     let pkt = t.pool.(b) in
     if code = ev_arrive then begin
-      let from = a lsr node_bits in
-      let node = a land node_mask in
-      let link = Topology.link t.topo ~src:from ~dst:node in
+      let link = Topology.link_of_edge t.topo a in
       Topo.Link.delivered link ~bytes:pkt.Packet.size;
-      arrive t ~node ~from pkt
+      arrive t ~node:link.Topo.Link.dst ~from:link.Topo.Link.src pkt
     end
-    else if code = ev_arrive_remote then
+    else if code = ev_arrive_remote then begin
       (* Cross-shard arrival: the sender's shard already drained its
          link queue via [ev_link_deq]. *)
-      arrive t ~node:(a land node_mask) ~from:(a lsr node_bits) pkt
+      let link = Topology.link_of_edge t.topo a in
+      arrive t ~node:link.Topo.Link.dst ~from:link.Topo.Link.src pkt
+    end
     else if code = ev_gateway then gateway_forward t ~node:a pkt
     else if code = ev_forward then forward_from t ~node:a pkt
     else if code = ev_loopback then deliver t pkt
@@ -714,18 +716,16 @@ let send_tenant_body t ~src_host (pkt : Packet.t) =
     | Scheme.Send_resolved pip ->
         pkt.Packet.dst_pip <- pip;
         pkt.Packet.resolved <- true;
-        transmit t ~from:src_host ~next:(Topology.tor_of t.topo src_host) pkt
+        transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt
     | Scheme.Send_via_gateway ->
         pkt.Packet.dst_pip <-
           Topology.pip t.topo (gateway_for_flow t pkt.Packet.flow_id);
-        transmit t ~from:src_host ~next:(Topology.tor_of t.topo src_host) pkt
+        transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt
     | Scheme.Send_after (delay, pip) ->
         Engine.schedule_after t.engine ~delay (fun () ->
             pkt.Packet.dst_pip <- pip;
             pkt.Packet.resolved <- true;
-            transmit t ~from:src_host
-              ~next:(Topology.tor_of t.topo src_host)
-              pkt)
+            transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt)
   end
 
 let send_tenant_packet t ~src_host pkt =

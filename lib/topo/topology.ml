@@ -1,6 +1,47 @@
+(* Flat node coordinates: one packed int per node, so the per-hop path
+   reads a node's tier and position with one load instead of chasing
+   [Node.t] to its boxed [kind]. Layout, low bits first: 3-bit tag,
+   1 gateway bit (gateway ToR / gateway spine), 19-bit idx, 19-bit sub
+   (rack for endpoints and ToRs, group for spines and cores), and the
+   pod in the remaining high bits, signed so a core's pod reads -1. *)
+let tag_host = 0
+let tag_gateway = 1
+let tag_tor = 2
+let tag_spine = 3
+let tag_core = 4
+let gw_bit = 8
+let idx_shift = 4
+let sub_shift = 23
+let pod_shift = 42
+let field_mask = (1 lsl 19) - 1
+let coord_tag c = c land 7
+let coord_pod c = c asr pod_shift
+let coord_sub c = (c lsr sub_shift) land field_mask
+let coord_idx c = (c lsr idx_shift) land field_mask
+
+let pack_coord (kind : Node.kind) =
+  let pack tag ~gw ~pod ~sub ~idx =
+    if sub > field_mask || idx > field_mask || pod >= 1 lsl (62 - pod_shift)
+    then invalid_arg "Topology.build: coordinate out of range";
+    (pod lsl pod_shift) lor (sub lsl sub_shift) lor (idx lsl idx_shift)
+    lor (if gw then gw_bit else 0)
+    lor tag
+  in
+  match kind with
+  | Node.Host { pod; rack; idx } -> pack tag_host ~gw:false ~pod ~sub:rack ~idx
+  | Node.Gateway { pod; rack; idx } ->
+      pack tag_gateway ~gw:false ~pod ~sub:rack ~idx
+  | Node.Tor { pod; rack; gateway_tor } ->
+      pack tag_tor ~gw:gateway_tor ~pod ~sub:rack ~idx:0
+  | Node.Spine { pod; group; gateway_spine } ->
+      pack tag_spine ~gw:gateway_spine ~pod ~sub:group ~idx:0
+  | Node.Core { group; idx } ->
+      pack tag_core ~gw:false ~pod:(-1) ~sub:group ~idx
+
 type t = {
   params : Params.t;
-  nodes : Node.t array;
+  nodes : Node.t array; (* cold callers: [node], [kind] *)
+  coords : int array; (* node id -> packed coordinate (see above) *)
   hosts : int array;
   gateways : int array;
   tors : int array;
@@ -15,11 +56,9 @@ type t = {
   core_ids : int array array; (* group -> idx -> id *)
   (* CSR adjacency: node [id]'s row spans [csr_off.(id), csr_off.(id+1))
      in [csr_nbr] (neighbor ids, sorted ascending) and [csr_links] (the
-     directed link id -> neighbor at the same index). O(n + E) words at
-     any scale; [link] is a branch-free-bounds binary search over a
-     row of at most max-degree entries. This replaced both the links
-     hashtable and the n^2 dense table (which was silently dropped
-     above n = 1024, falling back to two hashtable probes per hop). *)
+     directed link to that neighbor at the same index). A position in
+     these arrays is an edge: the directed link's id. O(n + E) words at
+     any scale. *)
   csr_off : int array; (* length n+1 *)
   csr_nbr : int array; (* length E (directed edges) *)
   csr_links : Link.t array; (* length E, parallel to csr_nbr *)
@@ -31,6 +70,18 @@ type t = {
          (indexed by group), spine -> its group's cores (indexed by
          idx), [||] for endpoints and cores. Rows alias [spine_ids] /
          [core_ids]; never mutate. *)
+  (* Edge tables: CSR edge indices (directed-link ids), filled while
+     the CSR is flattened, so routing returns the egress edge and the
+     per-hop path never searches a row. *)
+  up_edges : int array array;
+      (* parallel to [uplinks] for switches; an endpoint's row holds its
+         one uplink (to its ToR) *)
+  down_edges : int array array;
+      (* spine -> edge to its pod's ToR of each rack (indexed by rack);
+         core -> edge to its group's spine in each pod (indexed by pod);
+         [||] otherwise *)
+  ep_down : int array;
+      (* endpoint id -> edge from its ToR to it; -1 for switches *)
 }
 
 let params t = t.params
@@ -43,6 +94,10 @@ let node t id =
   t.nodes.(id)
 
 let kind t id = (node t id).Node.kind
+let coord t id = t.coords.(id)
+let tag t id = coord_tag t.coords.(id)
+let pod t id = coord_pod t.coords.(id)
+let is_endpoint t id = coord_tag t.coords.(id) <= tag_gateway
 let pip (_ : t) id = Netcore.Addr.Pip.of_int id
 let node_of_pip (_ : t) pip = Netcore.Addr.Pip.to_int pip
 let hosts t = t.hosts
@@ -67,36 +122,52 @@ let spine_id t ~pod ~group = t.spine_ids.(pod).(group)
 let core_id t ~group ~idx = t.core_ids.(group).(idx)
 
 let role t id =
-  match Node.role_of_kind (kind t id) with
-  | Some r -> r
-  | None -> invalid_arg "Topology.role: not a switch"
+  if id < 0 || id >= Array.length t.coords then
+    invalid_arg "Topology.role: not a switch";
+  let c = t.coords.(id) in
+  let tag = coord_tag c and gw = c land gw_bit <> 0 in
+  if tag = tag_tor then if gw then Node.Gateway_tor else Node.Regular_tor
+  else if tag = tag_spine then
+    if gw then Node.Gateway_spine else Node.Regular_spine
+  else if tag = tag_core then Node.Core_switch
+  else invalid_arg "Topology.role: not a switch"
 
-(* Runs twice per hop (transmit + delivery): a bounded binary search of
-   the source's CSR row. Rows are short (max degree = max(hosts per
-   rack, pods)), so this is a handful of int compares on hot cache
-   lines — the same single code path at 10 nodes or 10^5. *)
-(* Top level with every operand passed explicitly: a local [let rec]
-   would capture [t] and [dst] and allocate a closure on each call —
-   measurable at two calls per event on the forwarding path. *)
-let rec csr_search nbr (links : Link.t array) dst lo hi =
+(* A bounded binary search of the source's CSR row, for cold callers
+   (fault actions, validation, tests): the per-hop path gets its edge
+   from routing instead. Top level with every operand passed
+   explicitly, so no closure is allocated per call. *)
+let rec csr_search (nbr : int array) dst lo hi =
   if lo >= hi then raise Not_found
   else
     let mid = (lo + hi) lsr 1 in
     let v = nbr.(mid) in
-    if v = dst then links.(mid)
-    else if v < dst then csr_search nbr links dst (mid + 1) hi
-    else csr_search nbr links dst lo mid
+    if v = dst then mid
+    else if v < dst then csr_search nbr dst (mid + 1) hi
+    else csr_search nbr dst lo mid
 
-let link t ~src ~dst =
+let edge t ~src ~dst =
   if src < 0 || src >= Array.length t.nodes then raise Not_found;
-  csr_search t.csr_nbr t.csr_links dst t.csr_off.(src) t.csr_off.(src + 1)
+  csr_search t.csr_nbr dst t.csr_off.(src) t.csr_off.(src + 1)
+
+let link t ~src ~dst = t.csr_links.(edge t ~src ~dst)
+let link_of_edge t e = t.csr_links.(e)
+let edge_dst t e = t.csr_nbr.(e)
+let up_edges t id = t.up_edges.(id)
+let down_edges t id = t.down_edges.(id)
+
+let uplink_edge t id =
+  if not (is_endpoint t id) then
+    invalid_arg "Topology.uplink_edge: not an endpoint";
+  t.up_edges.(id).(0)
+
+let downlink_edge t id =
+  let e = t.ep_down.(id) in
+  if e < 0 then invalid_arg "Topology.downlink_edge: not an endpoint";
+  e
 
 let iter_links t f = Array.iter f t.csr_links
 let neighbors t id = t.neighbors.(id)
 let uplinks t id = t.uplinks.(id)
-
-let attached_endpoint_pips t tor =
-  Array.map (pip t) (endpoints_of_tor t tor)
 
 let build (p : Params.t) =
   Params.validate p;
@@ -256,17 +327,58 @@ let build (p : Params.t) =
     | None -> [||]
     | Some l -> Array.make num_links l
   in
+  (* Fill the CSR and, in the same pass, the edge tables: each edge's
+     slot follows from the two endpoints' coordinates. *)
+  let coords = Array.map (fun node -> pack_coord node.Node.kind) nodes in
+  let up_edges =
+    Array.mapi
+      (fun id ups ->
+        if coord_tag coords.(id) <= tag_gateway then [| -1 |]
+        else Array.make (Array.length ups) (-1))
+      uplinks
+  in
+  let down_edges =
+    Array.map
+      (fun c ->
+        let tag = coord_tag c in
+        if tag = tag_spine then Array.make p.racks_per_pod (-1)
+        else if tag = tag_core then Array.make p.pods (-1)
+        else [||])
+      coords
+  in
+  let ep_down = Array.make n (-1) in
   Array.iteri
     (fun i row ->
+      let ci = coords.(i) in
+      let ti = coord_tag ci in
       Array.iteri
         (fun j (d, l) ->
-          csr_nbr.(csr_off.(i) + j) <- d;
-          csr_links.(csr_off.(i) + j) <- l)
+          let e = csr_off.(i) + j in
+          csr_nbr.(e) <- d;
+          csr_links.(e) <- l;
+          let cd = coords.(d) in
+          if ti <= tag_gateway then up_edges.(i).(0) <- e
+          else if ti = tag_tor then
+            if coord_tag cd <= tag_gateway then ep_down.(d) <- e
+            else up_edges.(i).(coord_sub cd) <- e (* spine, by group *)
+          else if ti = tag_spine then
+            if coord_tag cd = tag_tor then down_edges.(i).(coord_sub cd) <- e
+            else up_edges.(i).(coord_idx cd) <- e (* core, by idx *)
+          else down_edges.(i).(coord_pod cd) <- e (* core -> spine, by pod *))
         row)
     rows;
+  let filled = Array.for_all (Array.for_all (fun e -> e >= 0)) in
+  if not (filled up_edges && filled down_edges) then
+    invalid_arg "Topology.build: incomplete edge table";
+  Array.iteri
+    (fun id e ->
+      if (e < 0) <> (coord_tag coords.(id) > tag_gateway) then
+        invalid_arg "Topology.build: incomplete edge table")
+    ep_down;
   {
     params = p;
     nodes;
+    coords;
     hosts = Array.of_list (List.rev !hosts);
     gateways = Array.of_list (List.rev !gateways);
     tors;
@@ -284,4 +396,7 @@ let build (p : Params.t) =
     csr_links;
     neighbors = Array.map (Array.map fst) rows;
     uplinks;
+    up_edges;
+    down_edges;
+    ep_down;
   }

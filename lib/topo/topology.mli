@@ -61,17 +61,91 @@ val spine_id : t -> pod:int -> group:int -> int
 val core_id : t -> group:int -> idx:int -> int
 
 (** [role t id] is the switch category; raises [Invalid_argument] if
-    [id] is not a switch. *)
+    [id] is not a switch. Reads the flat coordinates. *)
 val role : t -> int -> Node.role
 
-(** [link t ~src ~dst] is the directed link between adjacent nodes.
-    Raises [Not_found] if they are not adjacent. One code path at every
-    scale: a binary search of [src]'s CSR adjacency row (a handful of
-    int compares — rows are at most max-degree long), no hashing, no
-    allocation, no n^2 table. *)
+(** {2 Flat node coordinates}
+
+    Every node's kind and position packed into one int, so the per-hop
+    path reads them with one array load instead of chasing {!node} to
+    its boxed {!Node.kind}. Decode with the [coord_*] functions. *)
+
+(** Node tags, in tier order: endpoints ([tag_host], [tag_gateway])
+    compare below switches ([tag_tor], [tag_spine], [tag_core]). *)
+val tag_host : int
+
+val tag_gateway : int
+val tag_tor : int
+val tag_spine : int
+val tag_core : int
+
+(** [coord t id] is node [id]'s packed coordinate. *)
+val coord : t -> int -> int
+
+val coord_tag : int -> int
+
+(** [coord_pod c] is the pod, or [-1] for a core switch. *)
+val coord_pod : int -> int
+
+(** [coord_sub c] is the rack of an endpoint or ToR, the group of a
+    spine or core. *)
+val coord_sub : int -> int
+
+(** [coord_idx c] is the index of an endpoint within its rack or of a
+    core within its group; [0] for ToRs and spines. *)
+val coord_idx : int -> int
+
+(** [tag t id] / [pod t id] are [coord_tag] / [coord_pod] of
+    [coord t id]. *)
+val tag : t -> int -> int
+
+val pod : t -> int -> int
+
+(** [is_endpoint t id] holds for hosts and gateways. *)
+val is_endpoint : t -> int -> bool
+
+(** {2 Links and edges}
+
+    An edge is a directed link's index in the CSR adjacency, in
+    [0, num_links t). Routing returns the egress edge ({!Routing.next_edge})
+    from the tables below, so forwarding never searches for a link. *)
+
+(** [edge t ~src ~dst] is the edge between adjacent nodes. Raises
+    [Not_found] if they are not adjacent. A binary search of [src]'s
+    CSR row (at most max-degree entries); for cold paths such as fault
+    actions. *)
+val edge : t -> src:int -> dst:int -> int
+
+(** [link t ~src ~dst] is [link_of_edge t (edge t ~src ~dst)]. *)
 val link : t -> src:int -> dst:int -> Link.t
 
-(** [iter_links t f] applies [f] to every directed link, in CSR order
+(** [link_of_edge t e] is edge [e]'s directed link: one array load. *)
+val link_of_edge : t -> int -> Link.t
+
+(** [edge_dst t e] is the node edge [e] leads to. *)
+val edge_dst : t -> int -> int
+
+(** [up_edges t id] is node [id]'s upward edges: for a ToR or spine,
+    parallel to {!uplinks} (the edge to [(uplinks t id).(i)] is
+    [(up_edges t id).(i)]); for an endpoint, its one uplink; [[||]] for
+    cores. Treat as read-only. *)
+val up_edges : t -> int -> int array
+
+(** [down_edges t id] is node [id]'s downward edges: a spine's row is
+    indexed by rack (the edge to its pod's ToR of that rack), a core's
+    row by pod (the edge to its group's spine in that pod); [[||]]
+    otherwise. Treat as read-only. *)
+val down_edges : t -> int -> int array
+
+(** [uplink_edge t ep] is the edge from endpoint [ep] to its ToR.
+    Raises [Invalid_argument] if [ep] is a switch. *)
+val uplink_edge : t -> int -> int
+
+(** [downlink_edge t ep] is the edge from endpoint [ep]'s ToR to
+    [ep]. Raises [Invalid_argument] if [ep] is a switch. *)
+val downlink_edge : t -> int -> int
+
+(** [iter_links t f] applies [f] to every directed link, in edge order
     (ascending source id, then ascending destination id). *)
 val iter_links : t -> (Link.t -> unit) -> unit
 
@@ -84,12 +158,6 @@ val neighbors : t -> int -> int array
     node [id]: a ToR's row is its pod's spines indexed by group, a
     spine's row is its group's core switches indexed by idx, and
     endpoints/cores have an empty row. Rows are shared with the
-    topology's internal indexes — treat them as read-only. This is the
-    forwarding hot path's lookup table; {!Routing.next_hop} uses it to
-    pick next hops without allocating. *)
+    topology's internal indexes — treat them as read-only. Forwarding
+    uses the parallel {!up_edges} rows. *)
 val uplinks : t -> int -> int array
-
-(** [attached_endpoint_pips t tor] is the set of PIPs of servers and
-    gateways directly attached to [tor] — the front-panel-port table
-    ToRs use to detect misdelivered packets (§3.3). *)
-val attached_endpoint_pips : t -> int -> Netcore.Addr.Pip.t array

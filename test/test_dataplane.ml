@@ -436,6 +436,32 @@ let test_no_tag_for_packets_from_own_host () =
   ignore (process h ~switch:rt ~from:host p);
   checkb "no tag for legitimate traffic" true (p.Packet.misdelivery < 0)
 
+(* The tag decision reads the topology's flat coordinates: only a
+   packet entering from a host attached to this very ToR is tagged. A
+   gateway hanging off the gateway ToR, a host of another rack and a
+   fabric switch never are. *)
+let test_tag_decision_by_ingress () =
+  let tagged ~switch ~from =
+    let h, _, _, p = misdelivery_setup () in
+    ignore (process h ~switch ~from p);
+    p.Packet.misdelivery >= 0
+  in
+  let h = harness () in
+  let rt = regular_tor h in
+  let attached = (Topology.endpoints_of_tor h.t rt).(0) in
+  let gt = gw_tor h in
+  let other_rack =
+    Array.to_list (Topology.hosts h.t)
+    |> List.find (fun host -> Topology.tor_of h.t host <> rt)
+  in
+  checkb "attached host" true (tagged ~switch:rt ~from:attached);
+  checkb "gateway at its gateway ToR" false
+    (tagged ~switch:gt ~from:(Topology.endpoints_of_tor h.t gt).(0));
+  checkb "host of another ToR" false (tagged ~switch:rt ~from:other_rack);
+  checkb "spine" false (tagged ~switch:rt ~from:(spine_in_pod h 0));
+  checkb "switch at a spine" false
+    (tagged ~switch:(spine_in_pod h 0) ~from:rt)
+
 let test_ts_vector_suppresses_repeat_invalidations () =
   let h, rt, old_host, p = misdelivery_setup () in
   ignore (process h ~switch:rt ~from:old_host p);
@@ -708,6 +734,8 @@ let () =
       ( "invalidation",
         [
           Alcotest.test_case "misdelivery tagging" `Quick test_misdelivery_tagging;
+          Alcotest.test_case "tag decision by ingress" `Quick
+            test_tag_decision_by_ingress;
           Alcotest.test_case "no tag for own traffic" `Quick
             test_no_tag_for_packets_from_own_host;
           Alcotest.test_case "timestamp vector suppression" `Quick

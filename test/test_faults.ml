@@ -10,6 +10,7 @@ module Params = Topo.Params
 module Topology = Topo.Topology
 module Routing = Topo.Routing
 module Link = Topo.Link
+module Node = Topo.Node
 module Flow = Netcore.Flow
 module Vip = Netcore.Addr.Vip
 module Network = Netsim.Network
@@ -93,14 +94,76 @@ let sample_table topo =
   done;
   !acc
 
+(* The node-level fault-aware router the edge version replaced: the
+   same case analysis over [Node.kind], each candidate's liveness looked
+   up by [Topology.link]. Kept here as the reference that
+   [next_edge_alive] must match, blackholes included. *)
+let node_level_alive topo ~at ~dst ~salt =
+  let up a b = (Topology.link topo ~src:a ~dst:b).Link.up in
+  let forced hop = if up at hop then hop else Routing.blackhole in
+  let ring cands start =
+    let n = Array.length cands in
+    let rec go i =
+      if i = n then Routing.blackhole
+      else
+        let c = cands.((start + i) mod n) in
+        if up at c then c else go (i + 1)
+    in
+    go 0
+  in
+  let hash a = Routing.ecmp_hash ~salt ~a ~b:dst in
+  let ups = Topology.uplinks topo at in
+  match (Topology.kind topo at, Topology.kind topo dst) with
+  | (Node.Host _ | Node.Gateway _), _ -> forced (Topology.tor_of topo at)
+  | Node.Tor _, (Node.Host _ | Node.Gateway _)
+    when Topology.tor_of topo dst = at ->
+      forced dst
+  | Node.Tor _, (Node.Spine { group; _ } | Node.Core { group; _ }) ->
+      forced ups.(group)
+  | Node.Tor _, _ -> ring ups (hash at mod Array.length ups)
+  | ( Node.Spine { pod; _ },
+      ( Node.Host { pod = dp; rack; _ }
+      | Node.Gateway { pod = dp; rack; _ }
+      | Node.Tor { pod = dp; rack; _ } ) )
+    when dp = pod ->
+      forced (Topology.tor_id topo ~pod ~rack)
+  | Node.Spine { group; _ }, Node.Core { group = g; idx } when g = group ->
+      forced ups.(idx)
+  | ( Node.Spine { pod; group; _ },
+      (Node.Core { group = g; _ } | Node.Spine { group = g; _ }) )
+    when g <> group ->
+      let racks = (Topology.params topo).Params.racks_per_pod in
+      ring
+        (Array.init racks (fun rack -> Topology.tor_id topo ~pod ~rack))
+        (hash at mod racks)
+  | Node.Spine _, _ -> ring ups (hash (at + dst) mod Array.length ups)
+  | Node.Core { group; _ }, (Node.Host { pod; _ } | Node.Gateway { pod; _ }
+                            | Node.Tor { pod; _ } | Node.Spine { pod; _ }) ->
+      forced (Topology.spine_id topo ~pod ~group)
+  | Node.Core _, Node.Core _ -> invalid_arg "core-to-core"
+
+(* [next_edge_alive] returns [blackhole] exactly when the node-level
+   router does, and otherwise leaves [at] on a live link to its hop;
+   [next_hop_alive] is that link's destination. *)
+let check_alive ~what topo ~at ~dst ~salt ~want =
+  let e = Routing.next_edge_alive topo ~at ~dst ~salt in
+  let hop = Routing.next_hop_alive topo ~at ~dst ~salt in
+  let ok =
+    if want = Routing.blackhole then e = Routing.blackhole && hop = want
+    else
+      e <> Routing.blackhole
+      &&
+      let l = Topology.link_of_edge topo e in
+      l.Link.src = at && l.Link.dst = want && l.Link.up && hop = want
+  in
+  if not ok then
+    QCheck.Test.fail_reportf
+      "%s: next_edge_alive(at=%d,dst=%d,salt=%d) = edge %d (hop %d), want hop %d"
+      what at dst salt e hop want
+
 let check_matches_oracle ~what topo samples =
   List.iter
-    (fun (at, dst, salt, hop) ->
-      let got = Routing.next_hop_alive topo ~at ~dst ~salt in
-      if got <> hop then
-        QCheck.Test.fail_reportf
-          "%s: next_hop_alive(at=%d,dst=%d,salt=%d) = %d, oracle says %d" what
-          at dst salt got hop)
+    (fun (at, dst, salt, want) -> check_alive ~what topo ~at ~dst ~salt ~want)
     samples
 
 (* Downing fabric links never routes onto a dead link, and restoring
@@ -122,12 +185,8 @@ let ecmp_restore_qcheck =
         downed;
       List.iter
         (fun (at, dst, salt, _) ->
-          let got = Routing.next_hop_alive topo ~at ~dst ~salt in
-          if got <> Routing.blackhole
-             && not (Topology.link topo ~src:at ~dst:got).Link.up
-          then
-            QCheck.Test.fail_reportf
-              "routed onto dead link %d->%d (dst=%d salt=%d)" at got dst salt)
+          check_alive ~what:"links down" topo ~at ~dst ~salt
+            ~want:(node_level_alive topo ~at ~dst ~salt))
         samples;
       Array.iter
         (fun (a, b) ->
@@ -136,6 +195,46 @@ let ecmp_restore_qcheck =
         downed;
       check_matches_oracle ~what:"after restore" topo samples;
       true)
+
+(* The per-hop router allocates nothing, fault-aware or not: 10k
+   random routable queries, with some fabric links down so the ring
+   probes and blackholes run too. The queries are drawn up front; the
+   loop itself only routes. *)
+let test_routing_allocates_nothing () =
+  let topo = Topology.build params in
+  let n = Topology.num_nodes topo in
+  let rng = Rng.create 5 in
+  let queries = Array.make (3 * 10_000) 0 in
+  let i = ref 0 in
+  while !i < 10_000 do
+    let at = Rng.int rng n and dst = Rng.int rng n in
+    let salt = Rng.int rng 1000 in
+    match Routing.next_hop_oracle topo ~at ~dst ~salt with
+    | _ ->
+        queries.(3 * !i) <- at;
+        queries.((3 * !i) + 1) <- dst;
+        queries.((3 * !i) + 2) <- salt;
+        incr i
+    | exception Invalid_argument _ -> ()
+  done;
+  let pairs = Faultplan.fabric_pairs topo in
+  for _ = 1 to 3 do
+    let a, b = Rng.choose rng pairs in
+    (Topology.link topo ~src:a ~dst:b).Link.up <- false
+  done;
+  let blackholes = ref 0 and sum = ref 0 in
+  let before = Gc.minor_words () in
+  for q = 0 to 9_999 do
+    let at = queries.(3 * q) and dst = queries.((3 * q) + 1) in
+    let salt = queries.((3 * q) + 2) in
+    sum := !sum + Routing.next_edge topo ~at ~dst ~salt;
+    let e = Routing.next_edge_alive topo ~at ~dst ~salt in
+    if e = Routing.blackhole then incr blackholes else sum := !sum + e
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "routed" true (!sum > 0);
+  Alcotest.(check bool) "some queries blackholed" true (!blackholes > 0);
+  Alcotest.(check (float 0.0)) "minor words across 20k queries" 0.0 words
 
 (* Killing every uplink of a ToR blackholes inter-rack traffic from
    that ToR (no silent misrouting). *)
@@ -250,6 +349,8 @@ let () =
           QCheck_alcotest.to_alcotest ecmp_restore_qcheck;
           Alcotest.test_case "all uplinks dead => blackhole" `Quick
             test_blackhole_when_all_uplinks_dead;
+          Alcotest.test_case "routing allocates nothing" `Quick
+            test_routing_allocates_nothing;
         ] );
       ( "plans",
         [ QCheck_alcotest.to_alcotest plan_roundtrip_qcheck ] );

@@ -262,9 +262,15 @@ let switch_pair_routing_qcheck =
       let path = Routing.path t ~src ~dst ~salt in
       List.nth path (List.length path - 1) = dst && List.length path <= 10)
 
-(* The table-based [next_hop] must agree with the coordinate-computed
-   oracle at every (at, dst, salt), over every node kind. Core-to-core
-   and at = dst are the two argument combinations both reject. *)
+(* [next_edge] leaves [at] on the link to the oracle's next hop. *)
+let edge_matches_oracle t ~at ~dst ~salt =
+  let l = Topology.link_of_edge t (Routing.next_edge t ~at ~dst ~salt) in
+  l.Link.src = at && l.Link.dst = Routing.next_hop_oracle t ~at ~dst ~salt
+
+(* The table-based [next_hop] and [next_edge] must agree with the
+   coordinate-computed oracle at every (at, dst, salt), over every node
+   kind. Core-to-core and at = dst are the two argument combinations
+   both reject. *)
 let next_hop_table_vs_oracle_qcheck =
   QCheck.Test.make ~name:"next_hop table agrees with oracle" ~count:1000
     QCheck.(triple small_nat small_nat small_nat)
@@ -279,7 +285,8 @@ let next_hop_table_vs_oracle_qcheck =
       at = dst
       || (is_core at && is_core dst)
       || Routing.next_hop t ~at ~dst ~salt
-         = Routing.next_hop_oracle t ~at ~dst ~salt)
+         = Routing.next_hop_oracle t ~at ~dst ~salt
+         && edge_matches_oracle t ~at ~dst ~salt)
 
 (* --- CSR adjacency vs a coordinate-derived Hashtbl oracle --- *)
 
@@ -379,6 +386,19 @@ let csr_vs_oracle_qcheck =
         if Topology.uplinks t id <> expected_uplinks then
           QCheck.Test.fail_reportf "uplinks of %d wrong" id
       done;
+      (* Every routable pair leaves on the oracle's link. *)
+      for at = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let is_core id = Topology.tag t id = Topology.tag_core in
+          if at <> dst && not (is_core at && is_core dst) then
+            for salt = 0 to 1 do
+              if not (edge_matches_oracle t ~at ~dst ~salt) then
+                QCheck.Test.fail_reportf
+                  "next_edge %d -> %d (salt %d) is off the oracle's link" at
+                  dst salt
+            done
+        done
+      done;
       (* Out-of-range sources raise rather than reading wild memory
          (lib/topo compiles with -unsafe; [link] guards explicitly). *)
       (match Topology.link t ~src:(-1) ~dst:0 with
@@ -388,6 +408,68 @@ let csr_vs_oracle_qcheck =
       | exception Not_found -> ()
       | _ -> QCheck.Test.fail_report "src n did not raise");
       true)
+
+(* Every edge is the one [edge] finds between its own endpoints, and
+   the edge tables point where the node-level indexes say: [up_edges]
+   parallel to [uplinks] (an endpoint's row is its uplink),
+   [down_edges] by rack / by pod, [downlink_edge] from the ToR. *)
+let check_edge_tables t =
+  let p = Topology.params t in
+  for e = 0 to Topology.num_links t - 1 do
+    let l = Topology.link_of_edge t e in
+    if Topology.edge t ~src:l.Link.src ~dst:l.Link.dst <> e then
+      QCheck.Test.fail_reportf "edge %d (%d -> %d) does not round-trip" e
+        l.Link.src l.Link.dst;
+    if Topology.edge_dst t e <> l.Link.dst then
+      QCheck.Test.fail_reportf "edge_dst %d disagrees with its link" e
+  done;
+  let leads ~src e dst =
+    let l = Topology.link_of_edge t e in
+    l.Link.src = src && l.Link.dst = dst
+  in
+  for id = 0 to Topology.num_nodes t - 1 do
+    let ups = Topology.up_edges t id and downs = Topology.down_edges t id in
+    let ups_parallel () =
+      let want = Topology.uplinks t id in
+      Array.length ups = Array.length want
+      && Array.for_all2 (fun e d -> leads ~src:id e d) ups want
+    in
+    let downs_by len dst_of =
+      Array.length downs = len
+      && Array.for_all Fun.id
+           (Array.mapi (fun i e -> leads ~src:id e (dst_of i)) downs)
+    in
+    let ok =
+      match Topology.kind t id with
+      | Node.Host _ | Node.Gateway _ ->
+          let tor = Topology.tor_of t id in
+          Array.length ups = 1
+          && leads ~src:id (Topology.uplink_edge t id) tor
+          && leads ~src:tor (Topology.downlink_edge t id) id
+          && downs = [||]
+      | Node.Tor _ -> ups_parallel () && downs = [||]
+      | Node.Spine { pod; _ } ->
+          ups_parallel ()
+          && downs_by p.Params.racks_per_pod (fun rack ->
+                 Topology.tor_id t ~pod ~rack)
+      | Node.Core { group; _ } ->
+          ups_parallel ()
+          && downs_by p.Params.pods (fun pod -> Topology.spine_id t ~pod ~group)
+    in
+    if not ok then QCheck.Test.fail_reportf "edge tables of node %d wrong" id
+  done;
+  true
+
+let edge_tables_qcheck =
+  QCheck.Test.make
+    ~name:"edges round-trip and edge tables agree with coordinates" ~count:12
+    QCheck.(
+      quad (int_range 1 4) (int_range 2 4) (int_range 1 3) (int_range 1 3))
+    (fun (pods, racks_per_pod, hosts_per_rack, spines_per_pod) ->
+      check_edge_tables
+        (Topology.build
+           (Params.scaled ~pods ~racks_per_pod ~hosts_per_rack ~spines_per_pod
+              ~vms_per_host:2 ())))
 
 (* The FT16-400K preset used to silently fall off the dense-table fast
    path (n > 1024); route it for real against the coordinate oracle. *)
@@ -406,7 +488,11 @@ let ft16_next_hop_qcheck =
       at = dst
       || (is_core at && is_core dst)
       || Routing.next_hop t ~at ~dst ~salt
-         = Routing.next_hop_oracle t ~at ~dst ~salt)
+         = Routing.next_hop_oracle t ~at ~dst ~salt
+         && edge_matches_oracle t ~at ~dst ~salt)
+
+let test_ft16_edge_tables () =
+  ignore (check_edge_tables (Lazy.force ft16) : bool)
 
 let ft16_link_qcheck =
   QCheck.Test.make ~name:"FT16-400K CSR link agrees with tor_of/uplinks"
@@ -459,11 +545,13 @@ let () =
           Alcotest.test_case "links bidirectional" `Quick test_links_bidirectional;
           Alcotest.test_case "link rates" `Quick test_link_rates;
           QCheck_alcotest.to_alcotest csr_vs_oracle_qcheck;
+          QCheck_alcotest.to_alcotest edge_tables_qcheck;
         ] );
       ( "ft16",
         [
           QCheck_alcotest.to_alcotest ft16_next_hop_qcheck;
           QCheck_alcotest.to_alcotest ft16_link_qcheck;
+          Alcotest.test_case "edge tables" `Quick test_ft16_edge_tables;
         ] );
       ( "routing",
         [
