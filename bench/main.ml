@@ -523,27 +523,29 @@ let eventcore () =
 
 (* Regression gate for CI: minor-heap words allocated per on-switch
    dispatch through the full SwitchV2P pipeline (classify -> lookup ->
-   learn -> emit) on a warm regular-ToR hit. The staged pipeline builds
-   its [Dataplane.env] once at network creation, so the steady state
-   must be exactly zero. Override with REPRO_SCHEME_WORDS_CEILING for
-   experiments. *)
+   learn -> emit), over two loops: a warm regular-ToR hit, and the miss
+   path (a gateway-ToR learn that evicts and attaches a spill, the next
+   hop absorbing it, a regular-spine promotion onto a core). Insert
+   results and riders are unboxed ints and the [Dataplane.env] is bound
+   once at [Pipeline.prepare], so both steady states must be exactly
+   zero. Override with REPRO_SCHEME_WORDS_CEILING for experiments. *)
 let scheme_words_ceiling () =
   match Sys.getenv_opt "REPRO_SCHEME_WORDS_CEILING" with
   | Some s -> float_of_string s
   | None -> 0.0
 
-let scheme_bench () =
-  let module Time_ns = Dessim.Time_ns in
+(* A SwitchV2P scheme over a 2-pod FatTree, prepared against a bare
+   env (no network), as the pipeline tests drive it. *)
+let scheme_rig ?config ~slots_per_switch () =
   let module Topology = Topo.Topology in
-  let module Packet = Netcore.Packet in
   let topo =
     Topology.build
       (Topo.Params.scaled ~pods:2 ~racks_per_pod:2 ~hosts_per_rack:2
          ~vms_per_host:2 ())
   in
   let scheme, dp =
-    Schemes.Switchv2p_scheme.make_with_dataplane topo
-      ~total_cache_slots:(64 * Array.length (Topology.switches topo))
+    Schemes.Switchv2p_scheme.make_with_dataplane ?config topo
+      ~total_cache_slots:(slots_per_switch * Array.length (Topology.switches topo))
   in
   let mapping = Netcore.Mapping.create () in
   Array.iteri
@@ -559,7 +561,7 @@ let scheme_bench () =
       rng = Dessim.Rng.create 11;
       topo;
       mapping;
-      base_rtt = Time_ns.of_us 12;
+      base_rtt = Dessim.Time_ns.of_us 12;
       fresh_packet_id =
         (fun () ->
           incr next_id;
@@ -567,10 +569,34 @@ let scheme_bench () =
       emit_at_switch = (fun ~src_switch:_ _ -> ());
     }
   in
-  Netsim.Pipeline.prepare scheme.Netsim.Scheme.pipeline env;
-  (* A regular ToR serving a cached destination to an attached sender:
-     the paper's steady-state hit path (classify no-op, lookup hit +
-     rewrite, source learning updates in place, nothing to emit). *)
+  let pl = scheme.Netsim.Scheme.pipeline in
+  Netsim.Pipeline.prepare pl env;
+  (topo, dp, pl, env)
+
+(* Warm [round] up, then time [rounds] calls; each round is
+   [per_round] pipeline dispatches. Returns (dispatches,
+   dispatches/sec, words/dispatch). *)
+let measure_dispatches ~rounds ~per_round round =
+  for _ = 1 to 1_000 do
+    round ()
+  done;
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  let n = rounds * per_round in
+  (n, float_of_int n /. wall, words /. float_of_int n)
+
+(* A regular ToR serving a cached destination to an attached sender:
+   the paper's steady-state hit path (classify no-op, lookup hit +
+   rewrite, source learning updates in place, nothing to emit). *)
+let scheme_hit_loop () =
+  let module Topology = Topo.Topology in
+  let module Packet = Netcore.Packet in
+  let topo, dp, pl, env = scheme_rig ~slots_per_switch:64 () in
   let tor =
     Array.to_list (Topology.tors topo)
     |> List.find (fun sw -> Topology.role topo sw = Topo.Node.Regular_tor)
@@ -591,46 +617,105 @@ let scheme_bench () =
       ~src_pip:(Topology.pip topo sender)
       ~dst_pip:gw_pip ~now:0
   in
-  let pl = scheme.Netsim.Scheme.pipeline in
-  let dispatch () =
-    pkt.Packet.resolved <- false;
-    pkt.Packet.dst_pip <- gw_pip;
-    pkt.Packet.hit_switch <- -1;
-    ignore (Netsim.Pipeline.run pl env ~switch:tor ~from:sender pkt : int)
+  measure_dispatches ~rounds:200_000 ~per_round:1 (fun () ->
+      pkt.Packet.resolved <- false;
+      pkt.Packet.dst_pip <- gw_pip;
+      pkt.Packet.hit_switch <- -1;
+      ignore (Netsim.Pipeline.run pl env ~switch:tor ~from:sender pkt : int))
+
+(* The miss path, one slot per switch so every learn evicts: a
+   gateway-ToR learn alternating two VIPs (evict + spill), the next-hop
+   spine absorbing the spill, a regular-spine hit on an access-bit-set
+   entry for an inter-pod destination (promotion), and a core absorbing
+   the promotion. Learning packets are off: emitting one allocates a
+   fresh control packet by design, at p_learn per resolved packet. *)
+let scheme_miss_loop () =
+  let module Topology = Topo.Topology in
+  let module Packet = Netcore.Packet in
+  let module Vip = Netcore.Addr.Vip in
+  let config = Switchv2p.Config.make ~learning_packets:false () in
+  let topo, dp, pl, env = scheme_rig ~config ~slots_per_switch:1 () in
+  let find arr role =
+    Array.to_list arr |> List.find (fun sw -> Topology.role topo sw = role)
   in
-  for _ = 1 to 1_000 do
-    dispatch () (* warm: first source-learning insert, cache lines *)
-  done;
-  let iters = 200_000 in
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    dispatch ()
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  let per_dispatch = words /. float_of_int iters in
-  let per_sec = float_of_int iters /. wall in
+  let gw_tor = find (Topology.tors topo) Topo.Node.Gateway_tor in
+  let gw = (Topology.gateways topo).(0) in
+  let next_hop = Topology.spine_id topo ~pod:(Topology.pod topo gw_tor) ~group:0 in
+  let spine = find (Topology.switches topo) Topo.Node.Regular_spine in
+  let core = (Topology.cores topo).(0) in
+  let hosts = Array.to_list (Topology.hosts topo) in
+  let pod = Topology.pod topo in
+  let local = List.find (fun h -> pod h = pod spine) hosts in
+  let remote_pip =
+    Topology.pip topo (List.find (fun h -> pod h <> pod spine) hosts)
+  in
+  let gw_pip = Topology.pip topo gw in
+  ignore
+    (Switchv2p.Geo_cache.insert
+       (Switchv2p.Dataplane.geo_cache dp ~switch:spine)
+       ~admission:`All (Vip.of_int 20) remote_pip
+      : int);
+  let mk dst =
+    Packet.make_data ~id:1 ~flow_id:1 ~seq:0 ~size:1500
+      ~src_vip:(Vip.of_int 1_000) ~dst_vip:(Vip.of_int dst)
+      ~src_pip:(Topology.pip topo local) ~dst_pip:gw_pip ~now:0
+  in
+  let learn = mk 12 and hit = mk 20 in
+  let i = ref 0 in
+  let r =
+    measure_dispatches ~rounds:50_000 ~per_round:4 (fun () ->
+        learn.Packet.dst_vip <- Vip.of_int (12 + (!i land 1));
+        learn.Packet.resolved <- true;
+        learn.Packet.dst_pip <- remote_pip;
+        learn.Packet.spill_vip <- -1;
+        learn.Packet.spill_pip <- -1;
+        ignore (Netsim.Pipeline.run pl env ~switch:gw_tor ~from:gw learn : int);
+        ignore
+          (Netsim.Pipeline.run pl env ~switch:next_hop ~from:gw_tor learn : int);
+        hit.Packet.resolved <- false;
+        hit.Packet.dst_pip <- gw_pip;
+        hit.Packet.hit_switch <- -1;
+        ignore (Netsim.Pipeline.run pl env ~switch:spine ~from:local hit : int);
+        ignore (Netsim.Pipeline.run pl env ~switch:core ~from:spine hit : int);
+        incr i)
+  in
+  (* The loop must really take the rider paths it claims to gate. *)
+  let module D = Switchv2p.Dataplane in
+  if D.spills_attached dp = 0 || D.spills_absorbed dp = 0 || D.promotions dp = 0
+  then begin
+    Printf.eprintf "scheme: miss loop no longer spills, absorbs and promotes\n";
+    exit 1
+  end;
+  r
+
+let scheme_bench () =
+  let hit_n, hit_rate, hit_words = scheme_hit_loop () in
+  let miss_n, miss_rate, miss_words = scheme_miss_loop () in
   Printf.printf
-    "\n== scheme pipeline (SwitchV2P hit path) ==\n\
-    \  dispatches        %d\n\
-    \  dispatches/sec    %.3e\n\
-    \  words/dispatch    %.2f\n"
-    iters per_sec per_dispatch;
+    "\n== scheme pipeline (SwitchV2P) ==\n\
+    \  hit path   dispatches %d  dispatches/sec %.3e  words/dispatch %.2f\n\
+    \  miss path  dispatches %d  dispatches/sec %.3e  words/dispatch %.2f\n"
+    hit_n hit_rate hit_words miss_n miss_rate miss_words;
   scheme_stats :=
     [
-      ("dispatches", float_of_int iters);
-      ("dispatches_per_sec", per_sec);
-      ("words_per_dispatch", per_dispatch);
+      ("dispatches", float_of_int hit_n);
+      ("dispatches_per_sec", hit_rate);
+      ("words_per_dispatch", hit_words);
+      ("miss_dispatches", float_of_int miss_n);
+      ("miss_dispatches_per_sec", miss_rate);
+      ("miss_words_per_dispatch", miss_words);
     ];
   let ceiling = scheme_words_ceiling () in
-  if per_dispatch > ceiling then begin
-    Printf.eprintf
-      "scheme: words/dispatch %.2f exceeds ceiling %.2f — the on-switch \
-       path regressed into allocating per hop\n"
-      per_dispatch ceiling;
-    exit 1
-  end
+  List.iter
+    (fun (path, words) ->
+      if words > ceiling then begin
+        Printf.eprintf
+          "scheme: %s words/dispatch %.2f exceeds ceiling %.2f — the \
+           on-switch path regressed into allocating per hop\n"
+          path words ceiling;
+        exit 1
+      end)
+    [ ("hit-path", hit_words); ("miss-path", miss_words) ]
 
 (* --- FT16-400K scale run -------------------------------------------- *)
 

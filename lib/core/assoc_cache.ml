@@ -11,6 +11,7 @@ type t = {
   mutable occupancy : int;
   mutable hits : int;
   mutable misses : int;
+  mutable evicted_pip : int; (* PIP of the last insert's victim *)
 }
 
 let create ~ways ~slots =
@@ -29,29 +30,14 @@ let create ~ways ~slots =
     occupancy = 0;
     hits = 0;
     misses = 0;
+    evicted_pip = -1;
   }
 
 let slots t = t.n
 let ways t = t.ways
 
-(* Same mix hash as the direct-mapped cache, for comparability (see
-   [Cache.mix] for why it is int-limb arithmetic, not Int64). *)
-let mix v =
-  let a = v * 0x9E3779B9 in
-  let lo = a land 0xFFFFFFFF and hi = (a asr 32) land 0xFFFFFFFF in
-  let lo1 = (lo lxor ((hi lsl 2) lor (lo lsr 30))) land 0xFFFFFFFF in
-  let hi1 = hi lxor (hi lsr 30) in
-  let cl = 0x1CE4E5B9 and ch = 0xBF58476D in
-  let carry = (lo1 * cl) lsr 32 in
-  let mid =
-    ((((lo1 lsr 16) * ch) land 0xFFFF) lsl 16)
-    + ((lo1 land 0xFFFF) * ch)
-    + (hi1 * cl)
-    + carry
-  in
-  (mid land 0xFFFFFFFF) lsr 1
-
-let set_of t vip = mix (Vip.to_int vip) mod Array.length t.sets
+(* Same hash as the direct-mapped cache, for comparability. *)
+let set_of t vip = Cache.mix (Vip.to_int vip) mod Array.length t.sets
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -117,8 +103,10 @@ let victim_key t vip =
     end
   end
 
+let evicted_pip t = Pip.of_int t.evicted_pip
+
 let insert t vip pip =
-  if t.n = 0 then ()
+  if t.n = 0 then Cache.ins_rejected
   else begin
     let set = t.sets.(set_of t vip) in
     let k = Vip.to_int vip in
@@ -126,18 +114,24 @@ let insert t vip pip =
     let target = ref set.(0) in
     let found = ref false in
     Array.iter (fun l -> if l.key = k then begin target := l; found := true end) set;
-    if not !found then begin
-      let empty = Array.fold_left (fun acc l -> if acc = None && l.key < 0 then Some l else acc) None set in
-      match empty with
-      | Some l ->
-          target := l;
-          t.occupancy <- t.occupancy + 1
-      | None ->
-          Array.iter (fun l -> if l.stamp < !target.stamp then target := l) set
-    end;
+    let result =
+      if !found then Cache.ins_updated
+      else
+        let empty = Array.fold_left (fun acc l -> if acc = None && l.key < 0 then Some l else acc) None set in
+        match empty with
+        | Some l ->
+            target := l;
+            t.occupancy <- t.occupancy + 1;
+            Cache.ins_fresh
+        | None ->
+            Array.iter (fun l -> if l.stamp < !target.stamp then target := l) set;
+            t.evicted_pip <- !target.value;
+            !target.key
+    in
     !target.key <- k;
     !target.value <- Pip.to_int pip;
-    !target.stamp <- tick t
+    !target.stamp <- tick t;
+    result
   end
 
 let occupancy t = t.occupancy

@@ -42,8 +42,15 @@ val victim_key : t -> Netcore.Addr.Vip.t -> int
 
 (** [insert t vip pip] — installs the mapping, evicting the set's
     least-recently-used line if full. Re-inserting an existing key
-    refreshes value and recency. *)
-val insert : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> unit
+    refreshes value and recency. Returns {!Cache.insert}'s int code:
+    {!Cache.ins_updated}, {!Cache.ins_fresh}, or the evicted VIP with
+    its PIP in {!evicted_pip}; a zero-slot cache returns
+    {!Cache.ins_rejected}. *)
+val insert : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> int
+
+(** [evicted_pip t] is the PIP of the line evicted by the most recent
+    {!insert} that returned a VIP. *)
+val evicted_pip : t -> Netcore.Addr.Pip.t
 
 val occupancy : t -> int
 val hits : t -> int

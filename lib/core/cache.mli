@@ -19,13 +19,6 @@ type t
     admits). *)
 type admission = [ `All | `A_bit_clear ]
 
-type insert_result =
-  | Inserted of (Netcore.Addr.Vip.t * Netcore.Addr.Pip.t) option
-      (** admitted; payload is the evicted valid entry, if any — the
-          candidate for spillover *)
-  | Updated  (** key already present; value refreshed *)
-  | Rejected  (** admission policy kept the occupant *)
-
 (** [create ~slots] is an empty cache with [slots] lines. [slots = 0]
     is a legal degenerate cache on which every lookup misses and every
     insert is rejected. Raises [Invalid_argument] if [slots < 0]. *)
@@ -65,9 +58,29 @@ val peek : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t option
 (** [access_bit t vip] is the line's access bit if [vip] is cached. *)
 val access_bit : t -> Netcore.Addr.Vip.t -> bool option
 
+(** Negative {!insert} codes; every other result is an evicted VIP. *)
+
+val ins_rejected : int
+(** the admission policy (or a zero-slot cache) kept the occupant *)
+
+val ins_updated : int
+(** the key was already present; its value was refreshed *)
+
+val ins_fresh : int
+(** admitted into an empty line; nothing was evicted *)
+
 (** [insert t ~admission vip pip] attempts to install the mapping.
-    A freshly admitted entry has its access bit clear. *)
-val insert : t -> admission:admission -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> insert_result
+    A freshly admitted entry has its access bit clear. Returns
+    {!ins_rejected}, {!ins_updated} or {!ins_fresh}, or — when the
+    insert evicted a valid occupant, the candidate for spillover — that
+    occupant's VIP as a non-negative int, with its PIP readable via
+    {!evicted_pip} until the next insert. Int-packed like {!lookup}, so
+    an eviction on the per-hop learn stage allocates nothing. *)
+val insert : t -> admission:admission -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> int
+
+(** [evicted_pip t] is the PIP of the occupant evicted by the most
+    recent {!insert} that returned a VIP. *)
+val evicted_pip : t -> Netcore.Addr.Pip.t
 
 (** [victim_key t vip] is the key (as an int) that
     [insert ~admission:`All t vip _] would evict right now, or [-1]

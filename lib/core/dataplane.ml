@@ -23,7 +23,8 @@ type t = {
   cfg : Config.t;
   topo : Topo.Topology.t;
   partition : Partition.t;
-  states : switch_state option array; (* indexed by node id *)
+  states : switch_state array;
+      (* indexed by node id; endpoints hold [no_switch] *)
   mutable telemetry : Dessim.Telemetry.t; (* flight recorder; off by default *)
   mutable learning_packets_sent : int;
   mutable invalidation_packets_sent : int;
@@ -37,6 +38,12 @@ type t = {
 type verdict = Forward | Consume
 
 let config t = t.cfg
+
+(* The [states] entry of every non-switch node: a flat array with a
+   sentinel instead of [switch_state option], so the per-hop [state]
+   fetch is one load and one compare. *)
+let no_switch =
+  { sw_id = -1; role = Topo.Node.Core_switch; caches = [||]; ts_vector = None }
 
 let role_weight (alloc : Config.allocation) (role : Topo.Node.role) =
   match alloc with
@@ -115,7 +122,7 @@ let create ?(partition = Partition.single) cfg topo ~total_cache_slots =
   let slots_for = distribute_slots cfg topo ~total:total_cache_slots in
   let num_nodes = Topo.Topology.num_nodes topo in
   let base_rtt = Topo.Params.base_rtt (Topo.Topology.params topo) in
-  let states = Array.make num_nodes None in
+  let states = Array.make num_nodes no_switch in
   (* Switch ids are contiguous above the endpoints; size timestamp
      vectors to the switch range, not the whole node space. *)
   let all_switches = Topo.Topology.switches topo in
@@ -142,8 +149,7 @@ let create ?(partition = Partition.single) cfg topo ~total_cache_slots =
               ~slots:tenant_slots)
           (Partition.split_slots partition ~slots)
       in
-      states.(sw) <-
-        Some { sw_id = sw; role; caches; ts_vector })
+      states.(sw) <- { sw_id = sw; role; caches; ts_vector })
     (Topo.Topology.switches topo);
   {
     cfg;
@@ -161,9 +167,9 @@ let create ?(partition = Partition.single) cfg topo ~total_cache_slots =
   }
 
 let state t switch =
-  match t.states.(switch) with
-  | Some s -> s
-  | None -> invalid_arg "Dataplane: node is not a switch"
+  let st = t.states.(switch) in
+  if st.sw_id < 0 then invalid_arg "Dataplane: node is not a switch";
+  st
 
 let set_telemetry t tel = t.telemetry <- tel
 
@@ -188,26 +194,25 @@ let probe_telemetry t tel ~now_sec =
     let tiers = Hashtbl.create 5 in
     Array.iter
       (fun st ->
-        match st with
-        | None -> ()
-        | Some st ->
-            let acc =
-              match Hashtbl.find_opt tiers st.role with
-              | Some acc -> acc
-              | None ->
-                  let acc = Array.make 6 0 in
-                  Hashtbl.add tiers st.role acc;
-                  acc
-            in
-            Array.iter
-              (fun c ->
-                acc.(0) <- acc.(0) + Geo_cache.occupancy c;
-                acc.(1) <- acc.(1) + Geo_cache.hits c;
-                acc.(2) <- acc.(2) + Geo_cache.misses c;
-                acc.(3) <- acc.(3) + Geo_cache.evictions c;
-                acc.(4) <- acc.(4) + Geo_cache.rejections c;
-                acc.(5) <- acc.(5) + Geo_cache.insertions c)
-              st.caches)
+        if st.sw_id >= 0 then begin
+          let acc =
+            match Hashtbl.find_opt tiers st.role with
+            | Some acc -> acc
+            | None ->
+                let acc = Array.make 6 0 in
+                Hashtbl.add tiers st.role acc;
+                acc
+          in
+          Array.iter
+            (fun c ->
+              acc.(0) <- acc.(0) + Geo_cache.occupancy c;
+              acc.(1) <- acc.(1) + Geo_cache.hits c;
+              acc.(2) <- acc.(2) + Geo_cache.misses c;
+              acc.(3) <- acc.(3) + Geo_cache.evictions c;
+              acc.(4) <- acc.(4) + Geo_cache.rejections c;
+              acc.(5) <- acc.(5) + Geo_cache.insertions c)
+            st.caches
+        end)
       t.states;
     List.iter
       (fun role ->
@@ -256,9 +261,9 @@ let invalidation_packets_sent t = t.invalidation_packets_sent
 let invalidations_suppressed t =
   Array.fold_left
     (fun acc st ->
-      match st with
-      | Some { ts_vector = Some v; _ } -> acc + Ts_vector.suppressed v
-      | Some _ | None -> acc)
+      match st.ts_vector with
+      | Some v -> acc + Ts_vector.suppressed v
+      | None -> acc)
     0 t.states
 
 let promotions t = t.promotions
@@ -274,24 +279,25 @@ let admission_of_role = function
 
 (* Insert a mapping and, when enabled and the packet has room, turn the
    evicted occupant into a spillover rider. Takes the packet directly
-   (not an option): this runs on the per-hop path, where a [Some pkt]
-   box would cost two minor words per dispatch. Install paths with no
-   carrier packet use [insert_no_spill]. *)
+   (not an option), and both the insert result and the rider are
+   unboxed ints: this runs on the per-hop path, which must not
+   allocate. Install paths with no carrier packet use
+   [insert_no_spill]. *)
 let insert_with_spill t env st (pkt : Packet.t) ~admission vip pip =
-  match Geo_cache.insert (cache_for t st vip) ~admission vip pip with
-  | Cache.Inserted (Some evicted) ->
-      if t.cfg.Config.spillover && pkt.Packet.spill = None then begin
-        pkt.Packet.spill <- Some evicted;
-        t.spills_attached <- t.spills_attached + 1;
-        flight t env st pkt "spilled"
-      end
-  | Cache.Inserted None | Cache.Updated | Cache.Rejected -> ()
+  let cache = cache_for t st vip in
+  let evicted = Geo_cache.insert cache ~admission vip pip in
+  if evicted >= 0 && t.cfg.Config.spillover && pkt.Packet.spill_vip < 0 then
+  begin
+    pkt.Packet.spill_vip <- evicted;
+    pkt.Packet.spill_pip <- Pip.to_int (Geo_cache.evicted_pip cache);
+    t.spills_attached <- t.spills_attached + 1;
+    flight t env st pkt "spilled"
+  end
 
 (* Same insert, but with no carrier packet to attach spillover to
    (learning-packet installs). *)
 let insert_no_spill t st ~admission vip pip =
-  match Geo_cache.insert (cache_for t st vip) ~admission vip pip with
-  | Cache.Inserted _ | Cache.Updated | Cache.Rejected -> ()
+  ignore (Geo_cache.insert (cache_for t st vip) ~admission vip pip : int)
 
 let rewrite_to st (pkt : Packet.t) pip =
   pkt.Packet.dst_pip <- pip;
@@ -403,12 +409,13 @@ let regular_lookup t env st (pkt : Packet.t) =
     if
       t.cfg.Config.promotion && st.role = Topo.Node.Regular_spine
       && Cache.hit_bit r
-      && pkt.Packet.promo = None
+      && pkt.Packet.promo_vip < 0
     then begin
       let dst_node = Topo.Topology.node_of_pip t.topo pip in
       if Topo.Topology.pod t.topo dst_node <> Topo.Topology.pod t.topo st.sw_id
       then begin
-        pkt.Packet.promo <- Some (pkt.Packet.dst_vip, pip);
+        pkt.Packet.promo_vip <- Vip.to_int pkt.Packet.dst_vip;
+        pkt.Packet.promo_pip <- Pip.to_int pip;
         t.promotions <- t.promotions + 1;
         flight t env st pkt "promoted"
       end
@@ -416,20 +423,21 @@ let regular_lookup t env st (pkt : Packet.t) =
   end
 
 let absorb_spill t env st (pkt : Packet.t) =
-  match pkt.Packet.spill with
-  | Some (vip, pip) when t.cfg.Config.spillover -> (
-      let cache = cache_for t st vip in
-      if Geo_cache.slots cache = 0 then ()
-      else
-        match
-          Geo_cache.insert cache ~admission:(admission_of_role st.role) vip pip
-        with
-        | Cache.Inserted _ | Cache.Updated ->
-            pkt.Packet.spill <- None;
-            t.spills_absorbed <- t.spills_absorbed + 1;
-            flight t env st pkt "spill_absorbed"
-        | Cache.Rejected -> ())
-  | Some _ | None -> ()
+  if pkt.Packet.spill_vip >= 0 && t.cfg.Config.spillover then begin
+    let vip = Vip.of_int pkt.Packet.spill_vip in
+    let cache = cache_for t st vip in
+    if
+      Geo_cache.slots cache > 0
+      && Geo_cache.insert cache ~admission:(admission_of_role st.role) vip
+           (Pip.of_int pkt.Packet.spill_pip)
+         <> Cache.ins_rejected
+    then begin
+      pkt.Packet.spill_vip <- -1;
+      pkt.Packet.spill_pip <- -1;
+      t.spills_absorbed <- t.spills_absorbed + 1;
+      flight t env st pkt "spill_absorbed"
+    end
+  end
 
 (* Role-dependent learning (Table 1). The gateway-ToR's learning
    packet is NOT sent here — that is the emit stage's job, so the
@@ -453,12 +461,14 @@ let learn t env st (pkt : Packet.t) =
       if pkt.Packet.resolved then
         insert_with_spill t env st pkt ~admission:`A_bit_clear
           pkt.Packet.dst_vip pkt.Packet.dst_pip
-  | Topo.Node.Core_switch -> (
-      match pkt.Packet.promo with
-      | Some (vip, pip) when t.cfg.Config.promotion ->
-          insert_with_spill t env st pkt ~admission:`A_bit_clear vip pip;
-          pkt.Packet.promo <- None
-      | Some _ | None -> ())
+  | Topo.Node.Core_switch ->
+      if pkt.Packet.promo_vip >= 0 && t.cfg.Config.promotion then begin
+        insert_with_spill t env st pkt ~admission:`A_bit_clear
+          (Vip.of_int pkt.Packet.promo_vip)
+          (Pip.of_int pkt.Packet.promo_pip);
+        pkt.Packet.promo_vip <- -1;
+        pkt.Packet.promo_pip <- -1
+      end
 
 (* The four pipeline stages (classify -> lookup -> learn -> emit).
    Each returns an int {!Verdict}; [Verdict.next] means "no final
@@ -474,21 +484,24 @@ let classify t env ~switch ~from (pkt : Packet.t) =
   | Packet.Learning ->
       if Pip.equal pkt.Packet.dst_pip (Topo.Topology.pip t.topo switch)
       then begin
-        (match pkt.Packet.mapping_payload with
-        | Some (vip, pip) ->
-            insert_no_spill t st ~admission:`All vip pip
-        | None -> ());
+        if pkt.Packet.mapping_vip >= 0 then
+          insert_no_spill t st ~admission:`All
+            (Vip.of_int pkt.Packet.mapping_vip)
+            (Pip.of_int pkt.Packet.mapping_pip);
         Verdict.consume
       end
       else Verdict.forward
   | Packet.Invalidation ->
-      (match pkt.Packet.mapping_payload with
-      | Some (vip, stale) ->
-          if Geo_cache.invalidate (cache_for t st vip) vip ~stale then begin
-            t.entries_invalidated <- t.entries_invalidated + 1;
-            flight t env st pkt "invalidated"
-          end
-      | None -> ());
+      if pkt.Packet.mapping_vip >= 0 then begin
+        let vip = Vip.of_int pkt.Packet.mapping_vip in
+        if
+          Geo_cache.invalidate (cache_for t st vip) vip
+            ~stale:(Pip.of_int pkt.Packet.mapping_pip)
+        then begin
+          t.entries_invalidated <- t.entries_invalidated + 1;
+          flight t env st pkt "invalidated"
+        end
+      end;
       if Pip.equal pkt.Packet.dst_pip (Topo.Topology.pip t.topo switch)
       then Verdict.consume
       else Verdict.forward

@@ -26,6 +26,7 @@ type t = {
   mutable insertions : int;
   mutable evictions : int;
   mutable rejections : int;
+  mutable evicted_pip : int; (* PIP of the last insert's victim *)
 }
 
 (* Way 0 hashes with seed 0, i.e. exactly [Cache.mix] — a d=1 table is
@@ -53,6 +54,7 @@ let create ~d ~slots =
     insertions = 0;
     evictions = 0;
     rejections = 0;
+    evicted_pip = -1;
   }
 
 let slots t = t.n
@@ -61,6 +63,7 @@ let ways t = t.d
 let miss = Cache.miss
 let hit_pip = Cache.hit_pip
 let hit_bit = Cache.hit_bit
+let evicted_pip t = Pip.of_int t.evicted_pip
 
 (* Line index of key [v] in way [i]. *)
 let idx_of t v i = (i * t.sub) + (Cache.mix (v lxor t.seeds.(i)) mod t.sub)
@@ -126,7 +129,8 @@ let access_bit t vip =
 
 (* The three int-returning scans below are separate passes rather than
    one pass with a composite result: insert runs on the learn stage of
-   the per-hop path, and a tuple/variant result would allocate. d is
+   the per-hop path, and a tuple/variant result would allocate (the
+   same reason [insert] returns [Cache]'s int codes). d is
    small (2-4) and [Cache.mix] is a handful of int ops. *)
 
 let rec find_key t v i =
@@ -151,14 +155,14 @@ let rec find_clear t v i =
 let insert t ~admission vip pip =
   if t.n = 0 then begin
     t.rejections <- t.rejections + 1;
-    Cache.Rejected
+    Cache.ins_rejected
   end
   else begin
     let v = Vip.to_int vip in
     let found = find_key t v 0 in
     if found >= 0 then begin
       t.values.(found) <- Pip.to_int pip;
-      Cache.Updated
+      Cache.ins_updated
     end
     else begin
       let empty = find_empty t v 0 in
@@ -168,7 +172,7 @@ let insert t ~admission vip pip =
         Bytes.set t.access empty '\000';
         t.occupancy <- t.occupancy + 1;
         t.insertions <- t.insertions + 1;
-        Cache.Inserted None
+        Cache.ins_fresh
       end
       else begin
         (* All d candidate lines occupied. [`A_bit_clear] only replaces
@@ -182,18 +186,17 @@ let insert t ~admission vip pip =
         in
         if victim < 0 then begin
           t.rejections <- t.rejections + 1;
-          Cache.Rejected
+          Cache.ins_rejected
         end
         else begin
-          let evicted =
-            (Vip.of_int t.keys.(victim), Pip.of_int t.values.(victim))
-          in
+          let evicted = t.keys.(victim) in
+          t.evicted_pip <- t.values.(victim);
           t.keys.(victim) <- v;
           t.values.(victim) <- Pip.to_int pip;
           Bytes.set t.access victim '\000';
           t.insertions <- t.insertions + 1;
           t.evictions <- t.evictions + 1;
-          Cache.Inserted (Some evicted)
+          evicted
         end
       end
     end

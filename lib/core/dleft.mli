@@ -14,10 +14,11 @@
     bits, counters and admission outcomes all coincide. The QCheck
     equivalence suite pins this.
 
-    Same int-packed sentinel conventions as {!Cache} ({!miss},
-    {!hit_pip}, {!hit_bit}); results reuse {!Cache.insert_result} so
-    the dataplane can switch geometry without touching its match
-    arms. *)
+    Same int-packed conventions as {!Cache}: {!miss}, {!hit_pip} and
+    {!hit_bit} for lookups, {!Cache.ins_rejected} /
+    {!Cache.ins_updated} / {!Cache.ins_fresh} or an evicted VIP for
+    inserts, so the dataplane can switch geometry without touching its
+    branches. *)
 
 type t
 
@@ -50,13 +51,15 @@ val access_bit : t -> Netcore.Addr.Vip.t -> bool option
 (** [insert t ~admission vip pip] — update, else first empty way, else
     evict per policy: [`A_bit_clear] replaces the first way whose
     access bit is clear (rejecting when all d are set); [`All] prefers
-    a clear-bit way and falls back to way 0. *)
+    a clear-bit way and falls back to way 0. Returns {!Cache.insert}'s
+    int codes: a negative code, or the evicted VIP (its PIP via
+    {!evicted_pip}). *)
 val insert :
-  t ->
-  admission:Cache.admission ->
-  Netcore.Addr.Vip.t ->
-  Netcore.Addr.Pip.t ->
-  Cache.insert_result
+  t -> admission:Cache.admission -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> int
+
+(** [evicted_pip t] is the PIP of the occupant evicted by the most
+    recent {!insert} that returned a VIP. *)
+val evicted_pip : t -> Netcore.Addr.Pip.t
 
 (** [victim_key t vip] — the key an [insert ~admission:`All] would
     evict right now, or [-1] (update, empty way available, or zero

@@ -2,8 +2,8 @@
    branch-only variant match in front of the concrete cache modules,
    so [Dataplane] selects an organization from [Config.geometry]
    without allocating on the per-hop path. All arms share [Cache]'s
-   int-packed lookup convention ([Cache.miss] / [hit_pip] / [hit_bit])
-   and [Cache.insert_result]. *)
+   int-packed conventions: [Cache.miss] / [hit_pip] / [hit_bit] for
+   lookups, [Cache.ins_*] codes or an evicted VIP for inserts. *)
 
 type t = Direct of Cache.t | Dleft of Dleft.t | Lfu of Tinylfu.t
 
@@ -29,6 +29,12 @@ let insert t ~admission vip pip =
   | Direct c -> Cache.insert c ~admission vip pip
   | Dleft c -> Dleft.insert c ~admission vip pip
   | Lfu c -> Tinylfu.insert c ~admission vip pip
+
+let evicted_pip t =
+  match t with
+  | Direct c -> Cache.evicted_pip c
+  | Dleft c -> Dleft.evicted_pip c
+  | Lfu c -> Tinylfu.evicted_pip c
 
 let invalidate t vip ~stale =
   match t with

@@ -9,7 +9,9 @@
     All arms share {!Cache}'s int-packed conventions: {!lookup}
     returns {!Cache.miss} or the packed [(pip lsl 1) lor was_set]
     form (decode with {!Cache.hit_pip} / {!Cache.hit_bit}), and
-    {!insert} returns {!Cache.insert_result}. *)
+    {!insert} returns {!Cache.insert}'s int code: {!Cache.ins_rejected},
+    {!Cache.ins_updated}, {!Cache.ins_fresh}, or the evicted VIP with
+    its PIP in {!evicted_pip}. *)
 
 type t = Direct of Cache.t | Dleft of Dleft.t | Lfu of Tinylfu.t
 
@@ -22,11 +24,11 @@ val create : Config.geometry -> tinylfu:bool -> slots:int -> t
 val lookup : t -> Netcore.Addr.Vip.t -> int
 
 val insert :
-  t ->
-  admission:Cache.admission ->
-  Netcore.Addr.Vip.t ->
-  Netcore.Addr.Pip.t ->
-  Cache.insert_result
+  t -> admission:Cache.admission -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> int
+
+(** [evicted_pip t] is the PIP of the occupant evicted by the most
+    recent {!insert} that returned a VIP. *)
+val evicted_pip : t -> Netcore.Addr.Pip.t
 
 val invalidate : t -> Netcore.Addr.Vip.t -> stale:Netcore.Addr.Pip.t -> bool
 val peek : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t option

@@ -158,7 +158,7 @@ let insert t ~admission vip pip =
   in
   if not admit then begin
     t.denied <- t.denied + 1;
-    Cache.Rejected
+    Cache.ins_rejected
   end
   else begin
     t.admitted <- t.admitted + 1;
@@ -166,13 +166,17 @@ let insert t ~admission vip pip =
     | Direct c -> Cache.insert c ~admission vip pip
     | Dleft c -> Dleft.insert c ~admission vip pip
     | Assoc c ->
-        (* The LRU backing reports no eviction payload (no spillover
-           rider from this geometry); classify update-vs-insert for
-           the caller's accounting. *)
-        let present = Assoc_cache.peek c vip <> None in
-        Assoc_cache.insert c vip pip;
-        if present then Cache.Updated else Cache.Inserted None
+        (* The LRU backing's evictions are not reported (no spillover
+           rider from this geometry, and no eviction counters). *)
+        let r = Assoc_cache.insert c vip pip in
+        if r >= 0 then Cache.ins_fresh else r
   end
+
+let evicted_pip t =
+  match t.backing with
+  | Direct c -> Cache.evicted_pip c
+  | Dleft c -> Dleft.evicted_pip c
+  | Assoc c -> Assoc_cache.evicted_pip c
 
 let invalidate t vip ~stale =
   match t.backing with

@@ -49,14 +49,15 @@ val peek : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t option
 (** [insert t ~admission vip pip] — counts the candidate, probes the
     backing's would-be victim, and delegates unless the filter vetoes
     (victim exists, not [always_admit], candidate estimate <= victim
-    estimate), in which case it returns [Rejected] without touching
-    the backing. [admission] is passed through to the backing. *)
+    estimate), in which case it returns {!Cache.ins_rejected} without
+    touching the backing. [admission] is passed through to the
+    backing; the result is {!Cache.insert}'s int code. An [Assoc]
+    backing never reports an evicted VIP. *)
 val insert :
-  t ->
-  admission:Cache.admission ->
-  Netcore.Addr.Vip.t ->
-  Netcore.Addr.Pip.t ->
-  Cache.insert_result
+  t -> admission:Cache.admission -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> int
+
+(** [evicted_pip t] is the backing's [evicted_pip]. *)
+val evicted_pip : t -> Netcore.Addr.Pip.t
 
 val victim_key : t -> Netcore.Addr.Vip.t -> int
 val invalidate : t -> Netcore.Addr.Vip.t -> stale:Netcore.Addr.Pip.t -> bool

@@ -140,7 +140,7 @@ let assoc_sim ~ways ~slots =
       (fun vip ->
         if Switchv2p.Assoc_cache.lookup c vip >= 0 then true
         else begin
-          Switchv2p.Assoc_cache.insert c vip (Pip.of_int 1);
+          ignore (Switchv2p.Assoc_cache.insert c vip (Pip.of_int 1) : int);
           false
         end);
     used_slots = slots;

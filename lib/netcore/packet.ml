@@ -14,9 +14,12 @@ type t = {
   mutable misdelivery : int;
   mutable gw_pinned : bool;
   mutable hit_switch : int;
-  mutable spill : (Addr.Vip.t * Addr.Pip.t) option;
-  mutable promo : (Addr.Vip.t * Addr.Pip.t) option;
-  mutable mapping_payload : (Addr.Vip.t * Addr.Pip.t) option;
+  mutable spill_vip : int;
+  mutable spill_pip : int;
+  mutable promo_vip : int;
+  mutable promo_pip : int;
+  mutable mapping_vip : int;
+  mutable mapping_pip : int;
   mutable ecn : bool;
   mutable hops : int;
   mutable gw_visited : bool;
@@ -30,7 +33,7 @@ let ack_size = 64
 let control_size = 64
 
 let base ~id ~flow_id ~kind ~size ~seq ~src_vip ~dst_vip ~src_pip ~dst_pip
-    ~mapping_payload ~now =
+    ~now =
   {
     id;
     flow_id;
@@ -45,9 +48,12 @@ let base ~id ~flow_id ~kind ~size ~seq ~src_vip ~dst_vip ~src_pip ~dst_pip
     misdelivery = -1;
     gw_pinned = false;
     hit_switch = -1;
-    spill = None;
-    promo = None;
-    mapping_payload;
+    spill_vip = -1;
+    spill_pip = -1;
+    promo_vip = -1;
+    promo_pip = -1;
+    mapping_vip = -1;
+    mapping_pip = -1;
     ecn = false;
     hops = 0;
     gw_visited = false;
@@ -74,9 +80,12 @@ let reset t ~id ~flow_id ~kind ~size ~seq ~src_vip ~dst_vip ~src_pip ~dst_pip
   t.misdelivery <- -1;
   t.gw_pinned <- false;
   t.hit_switch <- -1;
-  t.spill <- None;
-  t.promo <- None;
-  t.mapping_payload <- None;
+  t.spill_vip <- -1;
+  t.spill_pip <- -1;
+  t.promo_vip <- -1;
+  t.promo_pip <- -1;
+  t.mapping_vip <- -1;
+  t.mapping_pip <- -1;
   t.ecn <- false;
   t.hops <- 0;
   t.gw_visited <- false;
@@ -86,21 +95,23 @@ let reset t ~id ~flow_id ~kind ~size ~seq ~src_vip ~dst_vip ~src_pip ~dst_pip
 let make_data ~id ~flow_id ~seq ~size ~src_vip ~dst_vip ~src_pip ~dst_pip ~now
     =
   base ~id ~flow_id ~kind:Data ~size ~seq ~src_vip ~dst_vip ~src_pip ~dst_pip
-    ~mapping_payload:None ~now
+    ~now
 
 let make_ack ~id ~flow_id ~seq ~src_vip ~dst_vip ~src_pip ~dst_pip ~now =
   base ~id ~flow_id ~kind:Ack ~size:ack_size ~seq ~src_vip ~dst_vip ~src_pip
-    ~dst_pip ~mapping_payload:None ~now
+    ~dst_pip ~now
 
 let make_control ~id ~kind ~mapping ~src_pip ~dst_pip ~now =
   (match kind with
   | Learning | Invalidation -> ()
   | Data | Ack -> invalid_arg "Packet.make_control: not a control kind");
-  let vip, _ = mapping in
+  let vip, pip = mapping in
   let p =
     base ~id ~flow_id:(-1) ~kind ~size:control_size ~seq:0 ~src_vip:vip
-      ~dst_vip:vip ~src_pip ~dst_pip ~mapping_payload:(Some mapping) ~now
+      ~dst_vip:vip ~src_pip ~dst_pip ~now
   in
+  p.mapping_vip <- Addr.Vip.to_int vip;
+  p.mapping_pip <- Addr.Pip.to_int pip;
   (* Control packets travel on physical addresses only; they are
      "resolved" so no cache ever rewrites them. *)
   p.resolved <- true;

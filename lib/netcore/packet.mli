@@ -42,10 +42,18 @@ type t = {
           be translated from any cache, only by the gateway, which
           breaks ping-pong loops between two stale entries *)
   mutable hit_switch : int;  (** node id of the switch that served the hit; -1 if none *)
-  mutable spill : (Addr.Vip.t * Addr.Pip.t) option;  (** spilled entry riding along *)
-  mutable promo : (Addr.Vip.t * Addr.Pip.t) option;  (** promotion riding along *)
-  mutable mapping_payload : (Addr.Vip.t * Addr.Pip.t) option;
-      (** payload of [Learning]/[Invalidation] packets *)
+  mutable spill_vip : int;
+      (** spilled entry riding along, as a raw (VIP, PIP) int pair with
+          [spill_pip]; [-1] = no rider. Riders are unboxed ints, like
+          [misdelivery], so attaching or absorbing one on the per-hop
+          path never allocates (and a store into a pooled, long-lived
+          packet runs no write barrier) *)
+  mutable spill_pip : int;
+  mutable promo_vip : int;  (** promotion riding along; [-1] = none *)
+  mutable promo_pip : int;
+  mutable mapping_vip : int;
+      (** payload of [Learning]/[Invalidation] packets; [-1] = none *)
+  mutable mapping_pip : int;
   mutable ecn : bool;
       (** congestion-experienced mark (set by links past their ECN
           threshold); on ACKs this is the echo bit the DCTCP sender

@@ -94,15 +94,12 @@ let encode (pkt : Packet.t) =
   in
   if pkt.Packet.misdelivery >= 0 then
     tlv tlv_misdelivery [ pkt.Packet.misdelivery ];
-  (match pkt.Packet.spill with
-  | Some (v, p) -> tlv tlv_spill [ Addr.Vip.to_int v; Addr.Pip.to_int p ]
-  | None -> ());
-  (match pkt.Packet.promo with
-  | Some (v, p) -> tlv tlv_promo [ Addr.Vip.to_int v; Addr.Pip.to_int p ]
-  | None -> ());
-  (match pkt.Packet.mapping_payload with
-  | Some (v, p) -> tlv tlv_mapping [ Addr.Vip.to_int v; Addr.Pip.to_int p ]
-  | None -> ());
+  if pkt.Packet.spill_vip >= 0 then
+    tlv tlv_spill [ pkt.Packet.spill_vip; pkt.Packet.spill_pip ];
+  if pkt.Packet.promo_vip >= 0 then
+    tlv tlv_promo [ pkt.Packet.promo_vip; pkt.Packet.promo_pip ];
+  if pkt.Packet.mapping_vip >= 0 then
+    tlv tlv_mapping [ pkt.Packet.mapping_vip; pkt.Packet.mapping_pip ];
   put_u8 buf 0 (* end of options *);
   (* Inner IPv4: virtual addresses. *)
   put_ipv4 buf
@@ -122,27 +119,34 @@ let decode b =
   let hit_switch_raw = get_u32 b (off + 2) in
   let off = off + 6 in
   (* TLVs until the 0 terminator. *)
-  let misdelivery = ref (-1) and spill = ref None in
-  let promo = ref None and mapping = ref None in
+  let misdelivery = ref (-1) in
+  let spill_vip = ref (-1) and spill_pip = ref (-1) in
+  let promo_vip = ref (-1) and promo_pip = ref (-1) in
+  let mapping_vip = ref (-1) and mapping_pip = ref (-1) in
   let rec tlvs off =
     let ty = get_u8 b off in
     if ty = 0 then off + 1
     else begin
       let len = get_u8 b (off + 1) in
       let word i = get_u32 b (off + 2 + (4 * i)) in
+      (* A (vip, pip) rider TLV. Its words are signed 32-bit, as
+         [put_u32] writes a negative int; in memory -1 marks an absent
+         rider, so a negative word is malformed, not a rider to drop. *)
+      let rider name vr pr =
+        if len <> 8 then invalid_arg ("Wire.decode: bad " ^ name ^ " TLV");
+        let v = word 0 and p = word 1 in
+        if v land 0x8000_0000 <> 0 || p land 0x8000_0000 <> 0 then
+          invalid_arg ("Wire.decode: bad " ^ name ^ " TLV");
+        vr := v;
+        pr := p
+      in
       (match ty with
       | t when t = tlv_misdelivery ->
           if len <> 4 then invalid_arg "Wire.decode: bad misdelivery TLV";
           misdelivery := word 0
-      | t when t = tlv_spill ->
-          if len <> 8 then invalid_arg "Wire.decode: bad spill TLV";
-          spill := Some (Addr.Vip.of_int (word 0), Addr.Pip.of_int (word 1))
-      | t when t = tlv_promo ->
-          if len <> 8 then invalid_arg "Wire.decode: bad promo TLV";
-          promo := Some (Addr.Vip.of_int (word 0), Addr.Pip.of_int (word 1))
-      | t when t = tlv_mapping ->
-          if len <> 8 then invalid_arg "Wire.decode: bad mapping TLV";
-          mapping := Some (Addr.Vip.of_int (word 0), Addr.Pip.of_int (word 1))
+      | t when t = tlv_spill -> rider "spill" spill_vip spill_pip
+      | t when t = tlv_promo -> rider "promo" promo_vip promo_pip
+      | t when t = tlv_mapping -> rider "mapping" mapping_vip mapping_pip
       | t -> invalid_arg (Printf.sprintf "Wire.decode: unknown TLV %d" t));
       tlvs (off + 2 + len)
     end
@@ -164,13 +168,13 @@ let decode b =
         Packet.make_ack ~id ~flow_id ~seq ~src_vip:(Addr.Vip.of_int src_vip)
           ~dst_vip:(Addr.Vip.of_int dst_vip) ~src_pip:(Addr.Pip.of_int src_pip)
           ~dst_pip:(pip_unwire dst_pip) ~now:0
-    | Packet.Learning | Packet.Invalidation -> (
-        match !mapping with
-        | Some m ->
-            Packet.make_control ~id ~kind ~mapping:m
-              ~src_pip:(Addr.Pip.of_int src_pip) ~dst_pip:(pip_unwire dst_pip)
-              ~now:0
-        | None -> invalid_arg "Wire.decode: control packet without mapping TLV")
+    | Packet.Learning | Packet.Invalidation ->
+        if !mapping_vip < 0 then
+          invalid_arg "Wire.decode: control packet without mapping TLV";
+        Packet.make_control ~id ~kind
+          ~mapping:(Addr.Vip.of_int !mapping_vip, Addr.Pip.of_int !mapping_pip)
+          ~src_pip:(Addr.Pip.of_int src_pip) ~dst_pip:(pip_unwire dst_pip)
+          ~now:0
   in
   base.Packet.resolved <- flags land flag_resolved <> 0;
   base.Packet.gw_visited <- flags land flag_gw_visited <> 0;
@@ -180,8 +184,12 @@ let decode b =
     base.Packet.misdelivery <- !misdelivery;
   base.Packet.hit_switch <-
     (if hit_switch_raw = 0xffff_ffff then -1 else hit_switch_raw);
-  base.Packet.spill <- !spill;
-  base.Packet.promo <- !promo;
+  base.Packet.spill_vip <- !spill_vip;
+  base.Packet.spill_pip <- !spill_pip;
+  base.Packet.promo_vip <- !promo_vip;
+  base.Packet.promo_pip <- !promo_pip;
+  base.Packet.mapping_vip <- !mapping_vip;
+  base.Packet.mapping_pip <- !mapping_pip;
   base
 
 let header_bytes pkt = Bytes.length (encode pkt)

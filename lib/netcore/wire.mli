@@ -31,7 +31,9 @@ val encode : Packet.t -> bytes
 
 (** [decode b] parses a packet back. [sent_at] is restored as zero and
     [hops] as 0 (not wire state). Raises [Invalid_argument] on
-    malformed input (truncation, unknown kind or TLV, bad lengths). *)
+    malformed input (truncation, unknown kind or TLV, bad lengths, a
+    spill/promotion/mapping TLV carrying a negative signed 32-bit
+    word — [-1] is the in-memory "no rider" mark). *)
 val decode : bytes -> Packet.t
 
 (** [header_bytes pkt] is the encoded size — the tunnel overhead the

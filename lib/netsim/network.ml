@@ -229,11 +229,8 @@ let pool_acquire t =
 let pool_release t (pkt : Packet.t) =
   let slot = pkt.Packet.pool_slot in
   if slot >= 0 then begin
-    (* Drop rider payloads now so a parked packet doesn't pin them. *)
-    pkt.Packet.misdelivery <- -1;
-    pkt.Packet.spill <- None;
-    pkt.Packet.promo <- None;
-    pkt.Packet.mapping_payload <- None;
+    (* Riders are unboxed ints, so a parked packet pins nothing; the
+       next [pool_acquire] caller resets every field. *)
     t.free_slots.(t.free_top) <- slot;
     t.free_top <- t.free_top + 1
   end
@@ -244,8 +241,8 @@ let pool_release t (pkt : Packet.t) =
    every shard shares one Topology.t, so edge ids agree), 3 id,
    4 flow_id, 5 kind+flags, 6 size, 7 seq, 8 src_vip, 9 dst_vip,
    10 src_pip, 11 dst_pip, 12 misdelivery, 13 hit_switch, 14 hops,
-   15 sent_at, 16-21 the three optional (vip, pip) riders (spill,
-   promo, mapping payload), present iff the matching flag bit is set. *)
+   15 sent_at, 16-21 the three (vip, pip) riders (spill, promo,
+   mapping payload) as the packet's raw ints, -1 when absent. *)
 let hoff_stride = 22
 
 (* Word 5: 2-bit kind code below the flag bits. *)
@@ -254,9 +251,6 @@ let hf_gw_pinned = 8
 let hf_ecn = 16
 let hf_gw_visited = 32
 let hf_retransmit = 64
-let hf_spill = 128
-let hf_promo = 256
-let hf_mp = 512
 
 let kind_code = function
   | Packet.Data -> 0
@@ -270,60 +264,37 @@ let kind_of_code = function
   | 2 -> Packet.Learning
   | _ -> Packet.Invalidation
 
-let hoff_push sc ~dst_shard ~mode ~arrival ~a (pkt : Packet.t) =
-  let buf = sc.hs_buf in
-  buf.(0) <- mode;
-  buf.(1) <- Time_ns.to_ns arrival;
-  buf.(2) <- a;
-  buf.(3) <- pkt.Packet.id;
-  buf.(4) <- pkt.Packet.flow_id;
-  buf.(6) <- pkt.Packet.size;
-  buf.(7) <- pkt.Packet.seq;
-  buf.(8) <- Vip.to_int pkt.Packet.src_vip;
-  buf.(9) <- Vip.to_int pkt.Packet.dst_vip;
-  buf.(10) <- Pip.to_int pkt.Packet.src_pip;
-  buf.(11) <- Pip.to_int pkt.Packet.dst_pip;
-  buf.(12) <- pkt.Packet.misdelivery;
-  buf.(13) <- pkt.Packet.hit_switch;
-  buf.(14) <- pkt.Packet.hops;
-  buf.(15) <- Time_ns.to_ns pkt.Packet.sent_at;
+(* The packet half of a record: words [off+3 .. off+21]. Every flight
+   field is written, so [hoff_decode] fully re-initializes a recycled
+   packet (all but its [pool_slot]). *)
+let hoff_encode buf off (pkt : Packet.t) =
+  buf.(off + 3) <- pkt.Packet.id;
+  buf.(off + 4) <- pkt.Packet.flow_id;
   let fl = ref (kind_code pkt.Packet.kind) in
   if pkt.Packet.resolved then fl := !fl lor hf_resolved;
   if pkt.Packet.gw_pinned then fl := !fl lor hf_gw_pinned;
   if pkt.Packet.ecn then fl := !fl lor hf_ecn;
   if pkt.Packet.gw_visited then fl := !fl lor hf_gw_visited;
   if pkt.Packet.retransmit then fl := !fl lor hf_retransmit;
-  (match pkt.Packet.spill with
-  | Some (v, p) ->
-      fl := !fl lor hf_spill;
-      buf.(16) <- Vip.to_int v;
-      buf.(17) <- Pip.to_int p
-  | None ->
-      buf.(16) <- 0;
-      buf.(17) <- 0);
-  (match pkt.Packet.promo with
-  | Some (v, p) ->
-      fl := !fl lor hf_promo;
-      buf.(18) <- Vip.to_int v;
-      buf.(19) <- Pip.to_int p
-  | None ->
-      buf.(18) <- 0;
-      buf.(19) <- 0);
-  (match pkt.Packet.mapping_payload with
-  | Some (v, p) ->
-      fl := !fl lor hf_mp;
-      buf.(20) <- Vip.to_int v;
-      buf.(21) <- Pip.to_int p
-  | None ->
-      buf.(20) <- 0;
-      buf.(21) <- 0);
-  buf.(5) <- !fl;
-  sc.hs_sent <- sc.hs_sent + 1;
-  Spsc.push sc.hs_out.(dst_shard) buf
+  buf.(off + 5) <- !fl;
+  buf.(off + 6) <- pkt.Packet.size;
+  buf.(off + 7) <- pkt.Packet.seq;
+  buf.(off + 8) <- Vip.to_int pkt.Packet.src_vip;
+  buf.(off + 9) <- Vip.to_int pkt.Packet.dst_vip;
+  buf.(off + 10) <- Pip.to_int pkt.Packet.src_pip;
+  buf.(off + 11) <- Pip.to_int pkt.Packet.dst_pip;
+  buf.(off + 12) <- pkt.Packet.misdelivery;
+  buf.(off + 13) <- pkt.Packet.hit_switch;
+  buf.(off + 14) <- pkt.Packet.hops;
+  buf.(off + 15) <- Time_ns.to_ns pkt.Packet.sent_at;
+  buf.(off + 16) <- pkt.Packet.spill_vip;
+  buf.(off + 17) <- pkt.Packet.spill_pip;
+  buf.(off + 18) <- pkt.Packet.promo_vip;
+  buf.(off + 19) <- pkt.Packet.promo_pip;
+  buf.(off + 20) <- pkt.Packet.mapping_vip;
+  buf.(off + 21) <- pkt.Packet.mapping_pip
 
-(* Materialize a handoff record into a pooled packet. *)
-let hoff_read t buf off =
-  let pkt = pool_acquire t in
+let hoff_decode buf off (pkt : Packet.t) =
   let fl = buf.(off + 5) in
   pkt.Packet.id <- buf.(off + 3);
   pkt.Packet.flow_id <- buf.(off + 4);
@@ -343,18 +314,26 @@ let hoff_read t buf off =
   pkt.Packet.ecn <- fl land hf_ecn <> 0;
   pkt.Packet.gw_visited <- fl land hf_gw_visited <> 0;
   pkt.Packet.retransmit <- fl land hf_retransmit <> 0;
-  pkt.Packet.spill <-
-    (if fl land hf_spill <> 0 then
-       Some (Vip.of_int buf.(off + 16), Pip.of_int buf.(off + 17))
-     else None);
-  pkt.Packet.promo <-
-    (if fl land hf_promo <> 0 then
-       Some (Vip.of_int buf.(off + 18), Pip.of_int buf.(off + 19))
-     else None);
-  pkt.Packet.mapping_payload <-
-    (if fl land hf_mp <> 0 then
-       Some (Vip.of_int buf.(off + 20), Pip.of_int buf.(off + 21))
-     else None);
+  pkt.Packet.spill_vip <- buf.(off + 16);
+  pkt.Packet.spill_pip <- buf.(off + 17);
+  pkt.Packet.promo_vip <- buf.(off + 18);
+  pkt.Packet.promo_pip <- buf.(off + 19);
+  pkt.Packet.mapping_vip <- buf.(off + 20);
+  pkt.Packet.mapping_pip <- buf.(off + 21)
+
+let hoff_push sc ~dst_shard ~mode ~arrival ~a (pkt : Packet.t) =
+  let buf = sc.hs_buf in
+  buf.(0) <- mode;
+  buf.(1) <- Time_ns.to_ns arrival;
+  buf.(2) <- a;
+  hoff_encode buf 0 pkt;
+  sc.hs_sent <- sc.hs_sent + 1;
+  Spsc.push sc.hs_out.(dst_shard) buf
+
+(* Materialize a handoff record into a pooled packet. *)
+let hoff_read t buf off =
+  let pkt = pool_acquire t in
+  hoff_decode buf off pkt;
   pkt
 
 (* The shard holding a tenant packet's transport endpoint: the
@@ -386,9 +365,12 @@ let corrupt_seq_offset = 1 lsl 40
 
 let corrupt_packet (pkt : Packet.t) =
   pkt.Packet.seq <- pkt.Packet.seq + corrupt_seq_offset;
-  pkt.Packet.mapping_payload <- None;
-  pkt.Packet.promo <- None;
-  pkt.Packet.spill <- None
+  pkt.Packet.mapping_vip <- -1;
+  pkt.Packet.mapping_pip <- -1;
+  pkt.Packet.promo_vip <- -1;
+  pkt.Packet.promo_pip <- -1;
+  pkt.Packet.spill_vip <- -1;
+  pkt.Packet.spill_pip <- -1
 
 let drop_faulted t ~site (pkt : Packet.t) =
   Metrics.packet_dropped t.metrics ~site pkt;
@@ -984,6 +966,8 @@ let live_packets t = t.pool_len - t.free_top
 (* --- sharded execution hooks ------------------------------------------- *)
 
 let handoff_stride = hoff_stride
+let handoff_encode = hoff_encode
+let handoff_decode = hoff_decode
 
 let set_shard t ~my ~owner ~out ~lookahead ~send_home ~recv_home =
   (match t.shard with

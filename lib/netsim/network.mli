@@ -139,6 +139,16 @@ val live_packets : t -> int
 (** Ints per serialized handoff record. *)
 val handoff_stride : int
 
+(** [handoff_encode buf off pkt] writes [pkt]'s flight state into the
+    packet half of the record at [off] (ints [off+3] to
+    [off+handoff_stride-1]; the first three hold mode, arrival time and
+    edge). [handoff_decode buf off pkt] reads it back, overwriting
+    every field of [pkt] but [pool_slot]. Riders travel as their raw
+    ints, [-1] when absent. *)
+val handoff_encode : int array -> int -> Netcore.Packet.t -> unit
+
+val handoff_decode : int array -> int -> Netcore.Packet.t -> unit
+
 (** [set_shard t ~my ~owner ~out ~lookahead ~send_home ~recv_home]
     turns [t] into shard [my]: [owner] maps node id to owning shard,
     [out.(s)] is the outbound mailbox to shard [s] (stride

@@ -58,12 +58,14 @@ val stage :
 
 (** [make ?attach ?prepare ?reset stages] builds a pipeline. [prepare]
     runs once per {!Network.create} with the network's [env] — the
-    place to build per-run state (e.g. the memoized [Dataplane.env])
-    instead of on the per-hop path. [attach] hands the run's telemetry
-    collector to the scheme (flight recorder). [reset ~switch] models
-    a switch failure/reboot: the scheme must discard all soft state it
-    holds for [switch] (cached mappings, installed table entries);
-    defaults to a no-op for stateless schemes. *)
+    place to bind per-run state (SwitchV2P binds its [Dataplane.env]
+    there) instead of on the per-hop path; a harness that calls {!run}
+    without a network must call {!prepare} first. [attach] hands the
+    run's telemetry collector to the scheme (flight recorder).
+    [reset ~switch] models a switch failure/reboot: the scheme must
+    discard all soft state it holds for [switch] (cached mappings,
+    installed table entries); defaults to a no-op for stateless
+    schemes. *)
 val make :
   ?attach:(Dessim.Telemetry.t -> unit) ->
   ?prepare:(env -> unit) ->

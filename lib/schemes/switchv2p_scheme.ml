@@ -5,48 +5,46 @@ module Dataplane = Switchv2p.Dataplane
 let make_with_dataplane ?(config = Switchv2p.Config.default) ?partition topo
     ~total_cache_slots =
   let dp = Dataplane.create ?partition config topo ~total_cache_slots in
-  (* The [Dataplane.env] record is built once per network
-     ([Pipeline.prepare]) and memoized on the scheme env's identity —
-     the old adapter rebuilt it (four closures) on every switch visit.
-     The physical-equality fallback keeps harnesses that drive the
-     pipeline without a [Network.create] (unit tests) working, and
-     rebuilds correctly when one scheme value is reused across
-     networks. *)
-  let memo : (Scheme.env * Dataplane.env) option ref = ref None in
-  let dp_env (env : Scheme.env) =
-    match !memo with
-    | Some (e, de) when e == env -> de
-    | Some _ | None ->
-        let de =
-          {
-            Dataplane.now = (fun () -> Dessim.Engine.now env.Scheme.engine);
-            emit = env.Scheme.emit_at_switch;
-            fresh_packet_id = env.Scheme.fresh_packet_id;
-            rng = env.Scheme.rng;
-          }
-        in
-        memo := Some (env, de);
-        de
+  (* The [Dataplane.env] record is bound once per network, in
+     [Pipeline.prepare] (which [Network.create] calls), so a stage runs
+     with one load and no per-hop lookup. Harnesses that drive the
+     pipeline directly call [Pipeline.prepare] first; a scheme value
+     reused across networks is rebound by each network's prepare. *)
+  let bound : Dataplane.env option ref = ref None in
+  let dp_env () =
+    match !bound with
+    | Some de -> de
+    | None -> invalid_arg "Switchv2p_scheme: pipeline run before Pipeline.prepare"
+  in
+  let prepare (env : Scheme.env) =
+    bound :=
+      Some
+        {
+          Dataplane.now = (fun () -> Dessim.Engine.now env.Scheme.engine);
+          emit = env.Scheme.emit_at_switch;
+          fresh_packet_id = env.Scheme.fresh_packet_id;
+          rng = env.Scheme.rng;
+        }
   in
   let pipeline =
     Pipeline.make
       ~attach:(fun tel -> Dataplane.set_telemetry dp tel)
-      ~prepare:(fun env -> ignore (dp_env env : Dataplane.env))
+      ~prepare
       ~reset:(fun ~switch -> Dataplane.fail_switch dp ~switch)
       [
         Pipeline.stage ~kind:Pipeline.Classify "classify"
-          (fun env ~switch ~from pkt ->
-            Dataplane.classify dp (dp_env env) ~switch ~from pkt);
+          (fun _env ~switch ~from pkt ->
+            Dataplane.classify dp (dp_env ()) ~switch ~from pkt);
         Pipeline.stage ~kind:Pipeline.Lookup "lookup"
           ~probe:(fun tel ~now_sec -> Dataplane.probe_telemetry dp tel ~now_sec)
-          (fun env ~switch ~from pkt ->
-            Dataplane.lookup dp (dp_env env) ~switch ~from pkt);
+          (fun _env ~switch ~from pkt ->
+            Dataplane.lookup dp (dp_env ()) ~switch ~from pkt);
         Pipeline.stage ~kind:Pipeline.Learn "learn"
-          (fun env ~switch ~from pkt ->
-            Dataplane.admit dp (dp_env env) ~switch ~from pkt);
+          (fun _env ~switch ~from pkt ->
+            Dataplane.admit dp (dp_env ()) ~switch ~from pkt);
         Pipeline.stage ~kind:Pipeline.Emit "emit"
-          (fun env ~switch ~from pkt ->
-            Dataplane.emit dp (dp_env env) ~switch ~from pkt);
+          (fun _env ~switch ~from pkt ->
+            Dataplane.emit dp (dp_env ()) ~switch ~from pkt);
       ]
   in
   let scheme =

@@ -28,18 +28,17 @@ let colliding_pair cache =
     else begin
       let c = Cache.create ~slots:Cache.(slots cache) in
       ignore (Cache.insert c ~admission:`All (vip 0) (pip 100));
-      match Cache.insert c ~admission:`All (vip v) (pip 200) with
-      | Cache.Inserted (Some (e, _)) when Vip.to_int e = 0 -> v
-      | _ -> find (v + 1)
+      (* An eviction returns the evicted VIP: here VIP 0. *)
+      if Cache.insert c ~admission:`All (vip v) (pip 200) = 0 then v
+      else find (v + 1)
     end
   in
   find 1
 
 let test_lookup_after_insert () =
   let c = Cache.create ~slots:64 in
-  (match Cache.insert c ~admission:`All (vip 1) (pip 10) with
-  | Cache.Inserted None -> ()
-  | _ -> Alcotest.fail "expected clean insert");
+  checki "expected clean insert" Cache.ins_fresh
+    (Cache.insert c ~admission:`All (vip 1) (pip 10));
   let r = Cache.lookup c (vip 1) in
   checkb "hit" true (r <> Cache.miss);
   checki "value" 10 (Pip.to_int (Cache.hit_pip r));
@@ -71,11 +70,8 @@ let test_admission_all_evicts () =
   ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   ignore (Cache.lookup c (vip 0));
   (* Even with the bit set, `All admits and reports the eviction. *)
-  (match Cache.insert c ~admission:`All (vip v2) (pip 20) with
-  | Cache.Inserted (Some (e, p)) ->
-      checki "evicted key" 0 (Vip.to_int e);
-      checki "evicted value" 10 (Pip.to_int p)
-  | _ -> Alcotest.fail "expected eviction");
+  checki "evicted key" 0 (Cache.insert c ~admission:`All (vip v2) (pip 20));
+  checki "evicted value" 10 (Pip.to_int (Cache.evicted_pip c));
   checkb "old gone" true (Cache.peek c (vip 0) = None);
   checkb "new present" true (Cache.peek c (vip v2) <> None)
 
@@ -85,22 +81,19 @@ let test_admission_conservative_respects_bit () =
   ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   ignore (Cache.lookup c (vip 0));
   (* Occupant bit is set: conservative admission refuses. *)
-  (match Cache.insert c ~admission:`A_bit_clear (vip v2) (pip 20) with
-  | Cache.Rejected -> ()
-  | _ -> Alcotest.fail "expected rejection");
+  checki "expected rejection" Cache.ins_rejected
+    (Cache.insert c ~admission:`A_bit_clear (vip v2) (pip 20));
   (* After a conflicting lookup clears the bit, admission succeeds. *)
   ignore (Cache.lookup c (vip v2));
-  (match Cache.insert c ~admission:`A_bit_clear (vip v2) (pip 20) with
-  | Cache.Inserted (Some _) -> ()
-  | _ -> Alcotest.fail "expected admitted with eviction");
+  checki "expected admitted with eviction of VIP 0" 0
+    (Cache.insert c ~admission:`A_bit_clear (vip v2) (pip 20));
   checkb "replaced" true (Cache.peek c (vip v2) <> None)
 
 let test_update_in_place () =
   let c = Cache.create ~slots:8 in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
-  (match Cache.insert c ~admission:`All (vip 1) (pip 99) with
-  | Cache.Updated -> ()
-  | _ -> Alcotest.fail "expected update");
+  checki "expected update" Cache.ins_updated
+    (Cache.insert c ~admission:`All (vip 1) (pip 99));
   checki "new value" 99 (Pip.to_int (Option.get (Cache.peek c (vip 1))));
   checki "occupancy still 1" 1 (Cache.occupancy c)
 
@@ -116,9 +109,8 @@ let test_invalidate_matching_only () =
 let test_zero_slot_cache () =
   let c = Cache.create ~slots:0 in
   checkb "lookup misses" true (Cache.lookup c (vip 1) = Cache.miss);
-  (match Cache.insert c ~admission:`All (vip 1) (pip 1) with
-  | Cache.Rejected -> ()
-  | _ -> Alcotest.fail "zero-slot insert must reject");
+  checki "zero-slot insert must reject" Cache.ins_rejected
+    (Cache.insert c ~admission:`All (vip 1) (pip 1));
   checkb "invalidate no-op" false (Cache.invalidate c (vip 1) ~stale:(pip 1));
   checki "misses counted" 1 (Cache.misses c)
 
@@ -201,7 +193,7 @@ let test_assoc_basic () =
   let c = Assoc.create ~ways:2 ~slots:8 in
   checki "slots" 8 (Assoc.slots c);
   checki "ways" 2 (Assoc.ways c);
-  Assoc.insert c (vip 1) (pip 10);
+  checki "fresh insert" Cache.ins_fresh (Assoc.insert c (vip 1) (pip 10));
   checkb "hit" true (Assoc.lookup c (vip 1) = 10);
   checkb "miss" true (Assoc.lookup c (vip 2) = Assoc.miss);
   checki "hits" 1 (Assoc.hits c);
@@ -209,18 +201,19 @@ let test_assoc_basic () =
 
 let test_assoc_update_in_place () =
   let c = Assoc.create ~ways:2 ~slots:8 in
-  Assoc.insert c (vip 1) (pip 10);
-  Assoc.insert c (vip 1) (pip 99);
+  checki "fresh insert" Cache.ins_fresh (Assoc.insert c (vip 1) (pip 10));
+  checki "update" Cache.ins_updated (Assoc.insert c (vip 1) (pip 99));
   checkb "updated" true (Assoc.lookup c (vip 1) = 99);
   checki "occupancy" 1 (Assoc.occupancy c)
 
 let test_assoc_lru_eviction () =
   (* Fully associative, 2 lines: the least recently used line goes. *)
   let c = Assoc.create ~ways:2 ~slots:2 in
-  Assoc.insert c (vip 1) (pip 1);
-  Assoc.insert c (vip 2) (pip 2);
+  ignore (Assoc.insert c (vip 1) (pip 1) : int);
+  ignore (Assoc.insert c (vip 2) (pip 2) : int);
   ignore (Assoc.lookup c (vip 1)) (* 1 is now the most recent *);
-  Assoc.insert c (vip 3) (pip 3) (* evicts 2 *);
+  checki "evicts 2" 2 (Assoc.insert c (vip 3) (pip 3));
+  checki "evicted PIP" 2 (Pip.to_int (Assoc.evicted_pip c));
   checkb "recent survives" true (Assoc.lookup c (vip 1) <> Assoc.miss);
   checkb "lru evicted" true (Assoc.lookup c (vip 2) = Assoc.miss);
   checkb "new present" true (Assoc.lookup c (vip 3) <> Assoc.miss)
@@ -236,7 +229,7 @@ let test_assoc_validation () =
 let test_assoc_zero_slots () =
   let c = Assoc.create ~ways:1 ~slots:0 in
   checkb "always miss" true (Assoc.lookup c (vip 1) = Assoc.miss);
-  Assoc.insert c (vip 1) (pip 1);
+  checki "insert rejected" Cache.ins_rejected (Assoc.insert c (vip 1) (pip 1));
   checkb "insert no-op" true (Assoc.lookup c (vip 1) = Assoc.miss)
 
 (* Fully-associative cache agrees with a reference LRU model. *)
@@ -267,9 +260,16 @@ let assoc_lru_model_qcheck =
       List.for_all
         (fun (is_insert, k) ->
           if is_insert then begin
-            Assoc.insert c (vip k) (pip k);
+            (* The model's LRU victim is its last entry (values = keys). *)
+            let expect =
+              if List.mem_assoc k !model then Cache.ins_updated
+              else if List.length !model >= capacity then
+                fst (List.nth !model (capacity - 1))
+              else Cache.ins_fresh
+            in
+            let got = Assoc.insert c (vip k) (pip k) in
             model_insert k k;
-            true
+            got = expect && (got < 0 || Pip.to_int (Assoc.evicted_pip c) = got)
           end
           else
             let got = Assoc.lookup c (vip k) in
@@ -296,12 +296,13 @@ let assoc_ways1_equiv_direct_qcheck =
           if is_insert then begin
             let occ_before = Assoc.occupancy ac in
             let r = Cache.insert dm ~admission:`All (vip k) (pip v) in
-            Assoc.insert ac (vip k) (pip v);
+            let ra = Assoc.insert ac (vip k) (pip v) in
             let delta = Assoc.occupancy ac - occ_before in
-            match r with
-            | Cache.Inserted None -> delta = 1
-            | Cache.Inserted (Some _) | Cache.Updated -> delta = 0
-            | Cache.Rejected -> false
+            r = ra
+            && (r < 0 || Pip.equal (Cache.evicted_pip dm) (Assoc.evicted_pip ac))
+            && (if r = Cache.ins_fresh then delta = 1
+                else if r >= 0 || r = Cache.ins_updated then delta = 0
+                else false)
           end
           else begin
             let rd = Cache.lookup dm (vip k) in

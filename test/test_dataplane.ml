@@ -78,6 +78,18 @@ let mk_data ?(resolved = false) ?(id = 1) h ~src_host ~dst_vip ~dst_node =
   p
 
 let process h ~switch ~from pkt = Dataplane.process h.dp h.env ~switch ~from pkt
+
+(* Riders are unboxed (vip, pip) int pairs; -1 in both marks "none". *)
+let set_spill (p : Packet.t) v pip =
+  p.Packet.spill_vip <- Vip.to_int v;
+  p.Packet.spill_pip <- Pip.to_int pip
+
+let set_promo (p : Packet.t) v pip =
+  p.Packet.promo_vip <- Vip.to_int v;
+  p.Packet.promo_pip <- Pip.to_int pip
+
+let no_spill (p : Packet.t) = p.Packet.spill_vip = -1 && p.Packet.spill_pip = -1
+let no_promo (p : Packet.t) = p.Packet.promo_vip = -1 && p.Packet.promo_pip = -1
 let cache h sw = Dataplane.cache h.dp ~switch:sw
 
 (* --- learning rules (Table 1) --- *)
@@ -147,10 +159,10 @@ let test_core_learns_only_from_promotions () =
     (Cache.peek (cache h core) (vip 7) = None);
   (* Now ride a promotion through. *)
   let p2 = mk_data ~id:2 ~resolved:true h ~src_host:sender ~dst_vip:(vip 9) ~dst_node:dst_host in
-  p2.Packet.promo <- Some (vip 9, Topology.pip h.t dst_host);
+  set_promo p2 (vip 9) (Topology.pip h.t dst_host);
   ignore (process h ~switch:core ~from:(spine_in_pod h 0) p2);
   checkb "promotion absorbed" true (Cache.peek (cache h core) (vip 9) <> None);
-  checkb "promo field cleared" true (p2.Packet.promo = None)
+  checkb "promo field cleared" true (no_promo p2)
 
 (* --- lookup and rewrite --- *)
 
@@ -195,8 +207,10 @@ let test_learning_packet_generation () =
       checki "addressed to sender's ToR"
         (Topology.tor_of h.t sender)
         (Pip.to_int lp.Packet.dst_pip);
-      checkb "carries the destination mapping" true
-        (lp.Packet.mapping_payload = Some (vip 7, Topology.pip h.t dst_host))
+      checki "carries the destination VIP" 7 lp.Packet.mapping_vip;
+      checki "carries the destination PIP"
+        (Pip.to_int (Topology.pip h.t dst_host))
+        lp.Packet.mapping_pip
   | l -> Alcotest.failf "expected exactly one learning packet, got %d" (List.length l));
   checki "stat counted" 1 (Dataplane.learning_packets_sent h.dp)
 
@@ -254,9 +268,8 @@ let test_spill_attached_on_eviction () =
   ignore (process h ~switch:gt ~from:(gateway h) p1);
   let p2 = mk_data ~id:2 ~resolved:true h ~src_host:sender ~dst_vip:(vip 8) ~dst_node:d2 in
   ignore (process h ~switch:gt ~from:(gateway h) p2);
-  (match p2.Packet.spill with
-  | Some (v, _) -> checki "evicted entry rides along" 7 (Vip.to_int v)
-  | None -> Alcotest.fail "expected spill");
+  checki "evicted entry rides along" 7 p2.Packet.spill_vip;
+  checki "with its PIP" (Pip.to_int (Topology.pip h.t d1)) p2.Packet.spill_pip;
   checki "stat" 1 (Dataplane.spills_attached h.dp)
 
 let test_spill_absorbed_downstream () =
@@ -265,10 +278,10 @@ let test_spill_absorbed_downstream () =
   let sender = host_in h ~pod:1 ~rack:0 ~idx:0 in
   let d1 = host_in h ~pod:1 ~rack:1 ~idx:0 in
   let p = mk_data ~resolved:true h ~src_host:sender ~dst_vip:(vip 8) ~dst_node:d1 in
-  p.Packet.spill <- Some (vip 7, Topology.pip h.t d1);
+  set_spill p (vip 7) (Topology.pip h.t d1);
   ignore (process h ~switch:sp ~from:(gw_tor h) p);
   checkb "spill installed" true (Cache.peek (cache h sp) (vip 7) <> None);
-  checkb "spill cleared" true (p.Packet.spill = None);
+  checkb "spill cleared" true (no_spill p);
   checki "stat" 1 (Dataplane.spills_absorbed h.dp)
 
 let test_spill_disabled () =
@@ -281,7 +294,7 @@ let test_spill_disabled () =
             (mk_data ~resolved:true h ~src_host:sender ~dst_vip:(vip 7) ~dst_node:d1));
   let p2 = mk_data ~id:2 ~resolved:true h ~src_host:sender ~dst_vip:(vip 8) ~dst_node:d2 in
   ignore (process h ~switch:gt ~from:(gateway h) p2);
-  checkb "no spill when disabled" true (p2.Packet.spill = None)
+  checkb "no spill when disabled" true (no_spill p2)
 
 (* --- promotion --- *)
 
@@ -297,13 +310,13 @@ let test_promotion_on_popular_interpod_hit () =
   (* First hit sets the access bit but must not promote. *)
   let p1 = mk_data h ~src_host:sender ~dst_vip:(vip 7) ~dst_node:(gateway h) in
   ignore (process h ~switch:sp ~from:sender p1);
-  checkb "first hit, no promo" true (p1.Packet.promo = None);
+  checkb "first hit, no promo" true (no_promo p1);
   (* Second hit finds the bit set and the destination is inter-pod. *)
   let p2 = mk_data ~id:2 h ~src_host:sender ~dst_vip:(vip 7) ~dst_node:(gateway h) in
   ignore (process h ~switch:sp ~from:sender p2);
-  (match p2.Packet.promo with
-  | Some (v, _) -> checki "promoted mapping" 7 (Vip.to_int v)
-  | None -> Alcotest.fail "expected promotion");
+  checki "promoted mapping" 7 p2.Packet.promo_vip;
+  checki "promoted PIP" (Pip.to_int (Topology.pip h.t dst_host))
+    p2.Packet.promo_pip;
   checki "stat" 1 (Dataplane.promotions h.dp)
 
 let test_no_promotion_intra_pod () =
@@ -319,7 +332,7 @@ let test_no_promotion_intra_pod () =
   in
   ignore (hit ());
   let p2 = hit () in
-  checkb "no promo for intra-pod destination" true (p2.Packet.promo = None)
+  checkb "no promo for intra-pod destination" true (no_promo p2)
 
 let test_no_promotion_at_gateway_spine () =
   let h = harness () in
@@ -336,7 +349,7 @@ let test_no_promotion_at_gateway_spine () =
   in
   ignore (hit ());
   let p2 = hit () in
-  checkb "gateway spines never promote" true (p2.Packet.promo = None)
+  checkb "gateway spines never promote" true (no_promo p2)
 
 let test_promo_cleared_even_when_rejected () =
   (* A promotion that loses admission at the core is still consumed:
@@ -347,7 +360,7 @@ let test_promo_cleared_even_when_rejected () =
   let d1 = host_in h ~pod:1 ~rack:0 ~idx:0 in
   (* Occupy the single slot and set its access bit. *)
   let p0 = mk_data ~resolved:true h ~src_host:sender ~dst_vip:(vip 1) ~dst_node:d1 in
-  p0.Packet.promo <- Some (vip 1, Topology.pip h.t d1);
+  set_promo p0 (vip 1) (Topology.pip h.t d1);
   ignore (process h ~switch:core ~from:(spine_in_pod h 0) p0);
   let _ = Cache.lookup (cache h core) (vip 1) in
   (* A colliding promotion arrives: rejected by A-bit-clear admission. *)
@@ -356,10 +369,10 @@ let test_promo_cleared_even_when_rejected () =
     vip 2
   in
   let p1 = mk_data ~id:2 ~resolved:true h ~src_host:sender ~dst_vip:collide ~dst_node:d1 in
-  p1.Packet.promo <- Some (collide, Topology.pip h.t d1);
+  set_promo p1 collide (Topology.pip h.t d1);
   ignore (process h ~switch:core ~from:(spine_in_pod h 0) p1);
   checkb "original survives" true (Cache.peek (cache h core) (vip 1) <> None);
-  checkb "promo consumed regardless" true (p1.Packet.promo = None)
+  checkb "promo consumed regardless" true (no_promo p1)
 
 let test_ack_packets_teach_gateway_tor () =
   (* ACKs are tunneled tenant packets: destination learning applies. *)
@@ -389,16 +402,15 @@ let test_spill_thrash_is_bounded () =
   let p0 = mk_data h ~src_host:sender ~dst_vip:(vip 40) ~dst_node:(gateway h) in
   ignore (process h ~switch:rt ~from:(spine_in_pod h 0) p0);
   let p1 = mk_data ~id:2 ~resolved:true h ~src_host:sender ~dst_vip:(vip 41) ~dst_node:d1 in
-  p1.Packet.spill <- Some (vip 42, Topology.pip h.t d1);
+  set_spill p1 (vip 42) (Topology.pip h.t d1);
   ignore (process h ~switch:rt ~from:(spine_in_pod h 0) p1);
   checki "exactly one absorption" 1 (Dataplane.spills_absorbed h.dp);
   (* The slot now holds the last inserted mapping (source learning). *)
   checkb "slot holds the source mapping" true
     (Cache.peek (cache h rt) p1.Packet.src_vip <> None);
   (* If anything rides on, it is the single displaced entry. *)
-  (match p1.Packet.spill with
-  | Some (v, _) -> checki "displaced absorbee rides on" 42 (Vip.to_int v)
-  | None -> Alcotest.fail "expected the displaced entry to ride on")
+  checki "displaced absorbee rides on" 42 p1.Packet.spill_vip;
+  checki "with its PIP" (Pip.to_int (Topology.pip h.t d1)) p1.Packet.spill_pip
 
 (* --- misdelivery and invalidation --- *)
 

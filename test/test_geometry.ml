@@ -42,9 +42,8 @@ let test_dleft_create_validation () =
 
 let test_dleft_lookup_after_insert () =
   let c = Dleft.create ~d:4 ~slots:64 in
-  (match Dleft.insert c ~admission:`All (vip 1) (pip 10) with
-  | Cache.Inserted None -> ()
-  | _ -> Alcotest.fail "expected clean insert");
+  checki "expected clean insert" Cache.ins_fresh
+    (Dleft.insert c ~admission:`All (vip 1) (pip 10));
   let r = Dleft.lookup c (vip 1) in
   checkb "hit" true (r <> Dleft.miss);
   checki "value" 10 (Pip.to_int (Dleft.hit_pip r));
@@ -80,9 +79,8 @@ let test_dleft_fills_ways_before_evicting () =
      all d ways of the bucket are valid. *)
   List.iter
     (fun k ->
-      match Dleft.insert c ~admission:`All (vip k) (pip k) with
-      | Cache.Inserted None -> ()
-      | _ -> Alcotest.fail "expected empty-way fill")
+      checki "expected empty-way fill" Cache.ins_fresh
+        (Dleft.insert c ~admission:`All (vip k) (pip k)))
     ks;
   checki "all ways occupied" d (Dleft.occupancy c);
   List.iter
@@ -103,16 +101,16 @@ let test_dleft_admission_and_victims () =
   ignore (Dleft.lookup c (vip k1));
   ignore (Dleft.lookup c (vip k0));
   checkb "A-bit-clear rejects when all set" true
-    (Dleft.insert c ~admission:`A_bit_clear (vip k2) (pip 3) = Cache.Rejected);
+    (Dleft.insert c ~admission:`A_bit_clear (vip k2) (pip 3) = Cache.ins_rejected);
   checki "rejection counted" 1 (Dleft.rejections c);
   (* `All falls back to way 0's occupant; victim_key agrees with the
      eviction the insert then reports. *)
   let victim = Dleft.victim_key c (vip k2) in
   checkb "victim is a resident collider" true (victim = k0 || victim = k1);
-  (match Dleft.insert c ~admission:`All (vip k2) (pip 3) with
-  | Cache.Inserted (Some (evicted, _)) ->
-      checki "victim_key predicted the eviction" victim (Vip.to_int evicted)
-  | _ -> Alcotest.fail "expected eviction");
+  checki "victim_key predicted the eviction" victim
+    (Dleft.insert c ~admission:`All (vip k2) (pip 3));
+  checki "evicted PIP is the victim's" (if victim = k0 then 1 else 2)
+    (Pip.to_int (Dleft.evicted_pip c));
   (* A conflict probe cleared k1's bit on the way: now A_bit_clear can
      admit into a clear-bit way. *)
   checkb "no victim for resident key" true (Dleft.victim_key c (vip k2) = -1)
@@ -134,7 +132,7 @@ let test_dleft_zero_slots () =
   let c = Dleft.create ~d:1 ~slots:0 in
   checkb "always miss" true (Dleft.lookup c (vip 1) = Dleft.miss);
   checkb "insert rejected" true
-    (Dleft.insert c ~admission:`All (vip 1) (pip 1) = Cache.Rejected);
+    (Dleft.insert c ~admission:`All (vip 1) (pip 1) = Cache.ins_rejected);
   checkb "no victim" true (Dleft.victim_key c (vip 1) = -1)
 
 (* --- Degenerate equivalence: d = 1 d-left IS the direct cache --- *)
@@ -152,14 +150,10 @@ let dleft1_equiv_direct_qcheck =
       let slots = 16 in
       let dm = Cache.create ~slots in
       let dl = Dleft.create ~d:1 ~slots in
+      (* Same code, and on an eviction the same evicted PIP. *)
       let same_insert_result a b =
-        match (a, b) with
-        | Cache.Inserted None, Cache.Inserted None -> true
-        | Cache.Inserted (Some (va, pa)), Cache.Inserted (Some (vb, pb)) ->
-            Vip.equal va vb && Pip.equal pa pb
-        | Cache.Updated, Cache.Updated -> true
-        | Cache.Rejected, Cache.Rejected -> true
-        | _ -> false
+        a = b
+        && (a < 0 || Pip.equal (Cache.evicted_pip dm) (Dleft.evicted_pip dl))
       in
       List.for_all
         (fun (op, (flag, (k, v))) ->
@@ -208,8 +202,12 @@ let lfu_always_admit_equiv_direct_qcheck =
             match op with
             | 0 ->
                 let admission = if flag then `All else `A_bit_clear in
-                Cache.insert bare ~admission (vip k) (pip v)
-                = Tinylfu.insert wrapped ~admission (vip k) (pip v)
+                let a = Cache.insert bare ~admission (vip k) (pip v) in
+                let b = Tinylfu.insert wrapped ~admission (vip k) (pip v) in
+                a = b
+                && (a < 0
+                   || Pip.equal (Cache.evicted_pip bare)
+                        (Tinylfu.evicted_pip wrapped))
             | 1 -> Cache.lookup bare (vip k) = Tinylfu.lookup wrapped (vip k)
             | _ ->
                 Cache.invalidate bare (vip k) ~stale:(pip v)
@@ -242,8 +240,12 @@ let lfu_always_admit_equiv_dleft_qcheck =
             match op with
             | 0 ->
                 let admission = if flag then `All else `A_bit_clear in
-                Dleft.insert bare ~admission (vip k) (pip v)
-                = Tinylfu.insert wrapped ~admission (vip k) (pip v)
+                let a = Dleft.insert bare ~admission (vip k) (pip v) in
+                let b = Tinylfu.insert wrapped ~admission (vip k) (pip v) in
+                a = b
+                && (a < 0
+                   || Pip.equal (Dleft.evicted_pip bare)
+                        (Tinylfu.evicted_pip wrapped))
             | 1 -> Dleft.lookup bare (vip k) = Tinylfu.lookup wrapped (vip k)
             | _ ->
                 Dleft.invalidate bare (vip k) ~stale:(pip v)
@@ -270,14 +272,13 @@ let lfu_always_admit_equiv_assoc_qcheck =
         (fun (is_insert, (k, v)) ->
           if is_insert then begin
             let present = Assoc.peek bare (vip k) <> None in
-            Assoc.insert bare (vip k) (pip v);
+            ignore (Assoc.insert bare (vip k) (pip v) : int);
             let r = Tinylfu.insert wrapped ~admission:`All (vip k) (pip v) in
-            (* No eviction payload from the LRU backing: the wrapper
-               only classifies update-vs-insert. *)
-            (match r with
-            | Cache.Inserted None -> not present
-            | Cache.Updated -> present
-            | _ -> false)
+            (* No evicted VIP from the LRU backing: the wrapper only
+               classifies update-vs-insert. *)
+            (if r = Cache.ins_fresh then not present
+             else if r = Cache.ins_updated then present
+             else false)
             && Assoc.occupancy bare = Tinylfu.occupancy wrapped
           end
           else
@@ -324,18 +325,19 @@ let differential_ledger geo_name make =
           | 0 -> begin
               Hashtbl.replace truth k v;
               let admission = if flag then `All else `A_bit_clear in
-              (match Geo.insert c ~admission (vip k) (pip v) with
-              | Cache.Inserted None ->
-                  incr occ;
-                  incr ins
-              | Cache.Inserted (Some (ev, _)) ->
-                  incr ins;
-                  incr evs;
-                  (* the evicted key is gone *)
-                  if Geo.peek c (Vip.of_int (Vip.to_int ev)) <> None then
-                    ok := Vip.to_int ev = k
-              | Cache.Updated -> ()
-              | Cache.Rejected -> incr rejs);
+              let r = Geo.insert c ~admission (vip k) (pip v) in
+              if r = Cache.ins_fresh then begin
+                incr occ;
+                incr ins
+              end
+              else if r >= 0 then begin
+                incr ins;
+                incr evs;
+                (* the evicted key is gone *)
+                if Geo.peek c (vip r) <> None then ok := r = k
+              end
+              else if r = Cache.ins_rejected then incr rejs
+              else if r <> Cache.ins_updated then ok := false;
               if Geo.occupancy c <> !occ then ok := false
             end
           | 1 ->
@@ -361,6 +363,283 @@ let differential_ledger geo_name make =
       && Geo.evictions c = !evs
       && Geo.rejections c >= !rejs
       && Geo.hits c - hits0 + (Geo.misses c - misses0) = !lookups)
+
+(* --- Int-packed insert against a reference model --- *)
+
+(* Reference model of one cache geometry, written from the documented
+   semantics rather than the implementations: [lines v] lists the lines
+   key [v] may occupy, in probe order. [lru = false] is the
+   access-bit table (direct-mapped = one way, d-left = d ways): a hit
+   sets the line's bit, a probed non-matching occupant loses it, and a
+   full bucket evicts the first clear-bit line ([`All] falls back to
+   the first line, [`A_bit_clear] rejects). [lru = true] is the
+   set-associative LRU table, which keeps no insertion/eviction
+   counters; under TinyLFU ([reports = false]) its evictions read as
+   fresh inserts. *)
+type model = {
+  lines : int -> int list;
+  lru : bool;
+  reports : bool;
+  keys : int array;
+  vals : int array;
+  bits : bool array;
+  stamps : int array;
+  mutable clock : int;
+  mutable occ : int;
+  mutable ins : int;
+  mutable evs : int;
+  mutable rejs : int;
+}
+
+let model_create ?(reports = true) ~lru ~slots lines =
+  {
+    lines;
+    lru;
+    reports;
+    keys = Array.make slots (-1);
+    vals = Array.make slots (-1);
+    bits = Array.make slots false;
+    stamps = Array.make slots 0;
+    clock = 0;
+    occ = 0;
+    ins = 0;
+    evs = 0;
+    rejs = 0;
+  }
+
+let dleft_model ~d ~slots =
+  let sub = slots / d in
+  model_create ~lru:false ~slots (fun v ->
+      List.init d (fun i -> (i * sub) + (Cache.mix (v lxor (i * 0x27220A95)) mod sub)))
+
+let lru_model ?reports ~ways ~slots () =
+  model_create ?reports ~lru:true ~slots (fun v ->
+      let set = Cache.mix v mod (slots / ways) in
+      List.init ways (fun i -> (set * ways) + i))
+
+let tick m =
+  m.clock <- m.clock + 1;
+  m.clock
+
+let model_lookup m v =
+  let rec go = function
+    | [] -> Cache.miss
+    | l :: rest ->
+        if m.keys.(l) = v then
+          if m.lru then begin
+            m.stamps.(l) <- tick m;
+            m.vals.(l)
+          end
+          else begin
+            let was = if m.bits.(l) then 1 else 0 in
+            m.bits.(l) <- true;
+            (m.vals.(l) lsl 1) lor was
+          end
+        else begin
+          if (not m.lru) && m.keys.(l) >= 0 then m.bits.(l) <- false;
+          go rest
+        end
+  in
+  go (m.lines v)
+
+(* The line an insert of [v] would overwrite under [admission], and
+   whether it is an eviction; [None] = rejected. *)
+let model_target m ~admission v =
+  let ls = m.lines v in
+  match List.find_opt (fun l -> m.keys.(l) = v) ls with
+  | Some l -> Some (`Update l)
+  | None -> (
+      match List.find_opt (fun l -> m.keys.(l) < 0) ls with
+      | Some l -> Some (`Fill l)
+      | None ->
+          if m.lru then
+            Some
+              (`Evict
+                (List.fold_left
+                   (fun a l -> if m.stamps.(l) < m.stamps.(a) then l else a)
+                   (List.hd ls) ls))
+          else
+            match List.find_opt (fun l -> not m.bits.(l)) ls with
+            | Some l -> Some (`Evict l)
+            | None -> (
+                match admission with
+                | `All -> Some (`Evict (List.hd ls))
+                | `A_bit_clear -> None))
+
+let model_victim m v =
+  match model_target m ~admission:`All v with
+  | Some (`Evict l) -> m.keys.(l)
+  | Some (`Update _ | `Fill _) | None -> -1
+
+(* Returns the expected (code, evicted pip or -1). *)
+let model_insert m ~admission v p =
+  let write l =
+    m.keys.(l) <- v;
+    m.vals.(l) <- p;
+    m.bits.(l) <- false;
+    m.stamps.(l) <- tick m
+  in
+  match model_target m ~admission v with
+  | None ->
+      m.rejs <- m.rejs + 1;
+      (Cache.ins_rejected, -1)
+  | Some (`Update l) ->
+      m.vals.(l) <- p;
+      if m.lru then m.stamps.(l) <- tick m;
+      (Cache.ins_updated, -1)
+  | Some (`Fill l) ->
+      write l;
+      m.occ <- m.occ + 1;
+      if not m.lru then m.ins <- m.ins + 1;
+      (Cache.ins_fresh, -1)
+  | Some (`Evict l) ->
+      let ev = (m.keys.(l), m.vals.(l)) in
+      write l;
+      if not m.lru then begin
+        m.ins <- m.ins + 1;
+        m.evs <- m.evs + 1
+      end;
+      if m.reports then ev else (Cache.ins_fresh, -1)
+
+let model_invalidate m v ~stale =
+  (not m.lru)
+  &&
+  match List.find_opt (fun l -> m.keys.(l) = v) (m.lines v) with
+  | Some l when m.vals.(l) = stale ->
+      m.keys.(l) <- -1;
+      m.vals.(l) <- -1;
+      m.bits.(l) <- false;
+      m.occ <- m.occ - 1;
+      true
+  | Some _ | None -> false
+
+(* A cache under test, seen through the operations the model checks. *)
+type sut = {
+  insert : admission:Cache.admission -> int -> int -> int;
+  evicted_pip : unit -> int;
+  lookup : int -> int;
+  invalidate : int -> stale:int -> bool;
+  counters : unit -> int * int * int * int;
+      (* occupancy, insertions, evictions, rejections *)
+  estimate : (int -> int) option;  (** TinyLFU sketch, when wrapped *)
+  always_admit : bool;
+}
+
+let geo_sut (c : Geo.t) =
+  let estimate, always_admit =
+    match c with
+    | Geo.Lfu l ->
+        (Some (fun v -> Tinylfu.estimate_vip l (vip v)), Tinylfu.always_admit l)
+    | Geo.Direct _ | Geo.Dleft _ -> (None, false)
+  in
+  {
+    insert = (fun ~admission v p -> Geo.insert c ~admission (vip v) (pip p));
+    evicted_pip = (fun () -> Pip.to_int (Geo.evicted_pip c));
+    lookup = (fun v -> Geo.lookup c (vip v));
+    invalidate = (fun v ~stale -> Geo.invalidate c (vip v) ~stale:(pip stale));
+    counters =
+      (fun () ->
+        (Geo.occupancy c, Geo.insertions c, Geo.evictions c, Geo.rejections c));
+    estimate;
+    always_admit;
+  }
+
+let assoc_sut (c : Switchv2p.Assoc_cache.t) =
+  let module Assoc = Switchv2p.Assoc_cache in
+  {
+    insert = (fun ~admission:_ v p -> Assoc.insert c (vip v) (pip p));
+    evicted_pip = (fun () -> Pip.to_int (Assoc.evicted_pip c));
+    lookup = (fun v -> Assoc.lookup c (vip v));
+    invalidate = (fun _ ~stale:_ -> false) (* no invalidation in LRU *);
+    counters = (fun () -> (Assoc.occupancy c, 0, 0, 0));
+    estimate = None;
+    always_admit = false;
+  }
+
+let lfu_sut (l : Tinylfu.t) =
+  {
+    insert = (fun ~admission v p -> Tinylfu.insert l ~admission (vip v) (pip p));
+    evicted_pip = (fun () -> Pip.to_int (Tinylfu.evicted_pip l));
+    lookup = (fun v -> Tinylfu.lookup l (vip v));
+    invalidate = (fun v ~stale -> Tinylfu.invalidate l (vip v) ~stale:(pip stale));
+    counters =
+      (fun () ->
+        ( Tinylfu.occupancy l,
+          Tinylfu.insertions l,
+          Tinylfu.evictions l,
+          Tinylfu.rejections l ));
+    estimate = Some (fun v -> Tinylfu.estimate_vip l (vip v));
+    always_admit = Tinylfu.always_admit l;
+  }
+
+(* Every insert's code, its evicted (VIP, PIP) pair and the occupancy,
+   insertion, eviction and rejection counters agree with the model on
+   random op streams; lookups and invalidations keep the two in step.
+   Under TinyLFU the model decides admission from the wrapper's own
+   sketch estimates (read after the insert, which is when the filter
+   compared them: the insert's only sketch update precedes the
+   comparison) and its own victim. *)
+let insert_model_qcheck name (make : unit -> sut * model) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "int-packed insert agrees with model: %s" name)
+    ~count:300
+    QCheck.(
+      list
+        (pair (int_bound 2) (pair bool (pair (int_bound 40) (int_bound 1000)))))
+    (fun ops ->
+      let c, m = make () in
+      List.for_all
+        (fun (op, (flag, (k, v))) ->
+          let agree =
+            match op with
+            | 0 ->
+                let admission = if flag then `All else `A_bit_clear in
+                let victim = model_victim m k in
+                let code = c.insert ~admission k v in
+                let admit =
+                  match c.estimate with
+                  | None -> true
+                  | Some est -> c.always_admit || victim < 0 || est k > est victim
+                in
+                let want_code, want_pip =
+                  if admit then model_insert m ~admission k v
+                  else begin
+                    m.rejs <- m.rejs + 1;
+                    (Cache.ins_rejected, -1)
+                  end
+                in
+                code = want_code && (code < 0 || c.evicted_pip () = want_pip)
+            | 1 -> c.lookup k = model_lookup m k
+            | _ -> c.invalidate k ~stale:v = model_invalidate m k ~stale:v
+          in
+          agree && c.counters () = (m.occ, m.ins, m.evs, m.rejs))
+        ops)
+
+let model_cases =
+  let slots = 16 in
+  let geo geometry ~tinylfu model () =
+    (geo_sut (Geo.create geometry ~tinylfu ~slots), model ())
+  in
+  let dl d () = dleft_model ~d ~slots in
+  [
+    ("direct", geo Config.Geo_direct ~tinylfu:false (dl 1));
+    ("dleft1", geo (Config.Geo_dleft 1) ~tinylfu:false (dl 1));
+    ("dleft2", geo (Config.Geo_dleft 2) ~tinylfu:false (dl 2));
+    ("dleft4", geo (Config.Geo_dleft 4) ~tinylfu:false (dl 4));
+    ("tinylfu+direct", geo Config.Geo_direct ~tinylfu:true (dl 1));
+    ("tinylfu+dleft2", geo (Config.Geo_dleft 2) ~tinylfu:true (dl 2));
+    ("tinylfu+dleft4", geo (Config.Geo_dleft 4) ~tinylfu:true (dl 4));
+    ( "assoc4",
+      fun () ->
+        ( assoc_sut (Switchv2p.Assoc_cache.create ~ways:4 ~slots),
+          lru_model ~ways:4 ~slots () ) );
+    ( "tinylfu+assoc4",
+      fun () ->
+        ( lfu_sut
+            (Tinylfu.create
+               (Tinylfu.Assoc (Switchv2p.Assoc_cache.create ~ways:4 ~slots))),
+          lru_model ~reports:false ~ways:4 ~slots () ) );
+  ]
 
 let geo_direct () = Geo.create Config.Geo_direct ~tinylfu:false ~slots:16
 let geo_dleft2 () = Geo.create (Config.Geo_dleft 2) ~tinylfu:false ~slots:16
@@ -419,28 +698,26 @@ let test_lfu_admission_filters_cold_candidate () =
   done;
   (* Cold k1 must be denied: its estimate cannot exceed hot k0's. *)
   checkb "cold candidate denied" true
-    (Tinylfu.insert t ~admission:`All (vip k1) (pip 2) = Cache.Rejected);
+    (Tinylfu.insert t ~admission:`All (vip k1) (pip 2) = Cache.ins_rejected);
   checki "denied counted" 1 (Tinylfu.denied t);
   checkb "occupant survives" true (Tinylfu.peek t (vip k0) <> None);
   (* Now make k1 hotter than k0 and retry: admitted. *)
   for _ = 1 to 30 do
     ignore (Tinylfu.lookup t (vip k1))
   done;
-  (match Tinylfu.insert t ~admission:`All (vip k1) (pip 2) with
-  | Cache.Inserted (Some (ev, _)) -> checki "evicts the cold key" k0 (Vip.to_int ev)
-  | _ -> Alcotest.fail "expected hot candidate admitted");
+  checki "hot candidate admitted, evicting the cold key" k0
+    (Tinylfu.insert t ~admission:`All (vip k1) (pip 2));
+  checki "evicted PIP" 1 (Pip.to_int (Tinylfu.evicted_pip t));
   checkb "new entry resident" true (Tinylfu.peek t (vip k1) <> None)
 
 let test_lfu_update_and_empty_bypass_filter () =
   let t = Tinylfu.create (Tinylfu.Direct (Cache.create ~slots:8)) in
   (* Empty-line fills never consult the filter... *)
-  (match Tinylfu.insert t ~admission:`All (vip 1) (pip 1) with
-  | Cache.Inserted None -> ()
-  | _ -> Alcotest.fail "expected fill");
+  checki "expected fill" Cache.ins_fresh
+    (Tinylfu.insert t ~admission:`All (vip 1) (pip 1));
   (* ...nor do updates of a resident key. *)
-  (match Tinylfu.insert t ~admission:`All (vip 1) (pip 2) with
-  | Cache.Updated -> ()
-  | _ -> Alcotest.fail "expected update");
+  checki "expected update" Cache.ins_updated
+    (Tinylfu.insert t ~admission:`All (vip 1) (pip 2));
   checki "nothing denied" 0 (Tinylfu.denied t)
 
 (* --- Geo_cache dispatcher --- *)
@@ -462,9 +739,8 @@ let test_geo_ops_roundtrip () =
   List.iter
     (fun make ->
       let c : Geo.t = make () in
-      (match Geo.insert c ~admission:`All (vip 5) (pip 50) with
-      | Cache.Inserted None -> ()
-      | _ -> Alcotest.fail "expected clean insert");
+      checki "expected clean insert" Cache.ins_fresh
+        (Geo.insert c ~admission:`All (vip 5) (pip 50));
       let r = Geo.lookup c (vip 5) in
       checkb "hit" true (r <> Cache.miss);
       checki "value" 50 (Pip.to_int (Cache.hit_pip r));
@@ -513,7 +789,11 @@ let () =
             (differential_ledger "direct+tinylfu" geo_direct_lfu);
           QCheck_alcotest.to_alcotest
             (differential_ledger "dleft2+tinylfu" geo_dleft_lfu);
-        ] );
+        ]
+        @ List.map
+            (fun (name, make) ->
+              QCheck_alcotest.to_alcotest (insert_model_qcheck name make))
+            model_cases );
       ( "geo_cache",
         [
           Alcotest.test_case "dispatch shapes" `Quick test_geo_dispatch_shapes;

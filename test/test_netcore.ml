@@ -73,12 +73,28 @@ let mk_data ?(seq = 0) ?(id = 0) () =
     ~dst_vip:(Vip.of_int 2) ~src_pip:(Pip.of_int 10) ~dst_pip:(Pip.of_int 20)
     ~now:0
 
+(* Riders are unboxed (vip, pip) int pairs, -1 when absent. *)
+let set_spill (p : Packet.t) v w =
+  p.Packet.spill_vip <- v;
+  p.Packet.spill_pip <- w
+
+let set_promo (p : Packet.t) v w =
+  p.Packet.promo_vip <- v;
+  p.Packet.promo_pip <- w
+
+let set_mapping (p : Packet.t) v w =
+  p.Packet.mapping_vip <- v;
+  p.Packet.mapping_pip <- w
+
 let test_packet_data_initial_state () =
   let p = mk_data () in
   checkb "unresolved" false p.Packet.resolved;
   checkb "no tag" true (p.Packet.misdelivery < 0);
   checki "no hit switch" (-1) p.Packet.hit_switch;
-  checkb "no spill" true (p.Packet.spill = None);
+  checkb "no spill" true (p.Packet.spill_vip = -1 && p.Packet.spill_pip = -1);
+  checkb "no promo" true (p.Packet.promo_vip = -1 && p.Packet.promo_pip = -1);
+  checkb "no mapping payload" true
+    (p.Packet.mapping_vip = -1 && p.Packet.mapping_pip = -1);
   checkb "is data" true (Packet.is_data p);
   checki "hops" 0 p.Packet.hops
 
@@ -89,8 +105,8 @@ let test_packet_control () =
       ~src_pip:(Pip.of_int 1) ~dst_pip:(Pip.of_int 2) ~now:0
   in
   checkb "control resolved" true p.Packet.resolved;
-  checkb "carries mapping" true
-    (p.Packet.mapping_payload = Some (Vip.of_int 3, Pip.of_int 30));
+  checki "carries mapping VIP" 3 p.Packet.mapping_vip;
+  checki "carries mapping PIP" 30 p.Packet.mapping_pip;
   checki "control size" Packet.control_size p.Packet.size;
   checkb "not data" false (Packet.is_data p)
 
@@ -142,9 +158,12 @@ let packet_equal (a : Packet.t) (b : Packet.t) =
   && a.Packet.resolved = b.Packet.resolved
   && a.Packet.misdelivery = b.Packet.misdelivery
   && a.Packet.hit_switch = b.Packet.hit_switch
-  && a.Packet.spill = b.Packet.spill
-  && a.Packet.promo = b.Packet.promo
-  && a.Packet.mapping_payload = b.Packet.mapping_payload
+  && a.Packet.spill_vip = b.Packet.spill_vip
+  && a.Packet.spill_pip = b.Packet.spill_pip
+  && a.Packet.promo_vip = b.Packet.promo_vip
+  && a.Packet.promo_pip = b.Packet.promo_pip
+  && a.Packet.mapping_vip = b.Packet.mapping_vip
+  && a.Packet.mapping_pip = b.Packet.mapping_pip
   && a.Packet.gw_visited = b.Packet.gw_visited
   && a.Packet.retransmit = b.Packet.retransmit
 
@@ -160,10 +179,89 @@ let test_wire_roundtrip_decorated () =
   p.Packet.retransmit <- true;
   p.Packet.hit_switch <- 42;
   p.Packet.misdelivery <- 7;
-  p.Packet.spill <- Some (Vip.of_int 3, Pip.of_int 30);
-  p.Packet.promo <- Some (Vip.of_int 4, Pip.of_int 40);
+  set_spill p 3 30;
+  set_promo p 4 40;
   let q = Netcore.Wire.decode (Netcore.Wire.encode p) in
   checkb "all options roundtrip" true (packet_equal p q)
+
+(* Every subset of the three riders, on data and control packets:
+   set riders come back intact, unset ones stay -1. *)
+let rider_subsets () =
+  List.init 8 (fun bits ->
+      let data = mk_data ~id:bits () in
+      if bits land 4 <> 0 then set_mapping data 5 50;
+      let ctl =
+        Packet.make_control ~id:bits ~kind:Packet.Invalidation
+          ~mapping:(Vip.of_int 9, Pip.of_int 90)
+          ~src_pip:(Pip.of_int 1) ~dst_pip:(Pip.of_int 2) ~now:0
+      in
+      List.iter
+        (fun p ->
+          if bits land 1 <> 0 then set_spill p 3 30;
+          if bits land 2 <> 0 then set_promo p 4 40)
+        [ data; ctl ];
+      (bits, [ data; ctl ]))
+
+let test_wire_roundtrip_rider_subsets () =
+  List.iter
+    (fun (bits, pkts) ->
+      List.iter
+        (fun p ->
+          let q = Netcore.Wire.decode (Netcore.Wire.encode p) in
+          checkb (Printf.sprintf "riders %d roundtrip" bits) true
+            (packet_equal p q))
+        pkts)
+    (rider_subsets ())
+
+let test_handoff_roundtrip_rider_subsets () =
+  let stride = Netsim.Network.handoff_stride in
+  List.iter
+    (fun (bits, pkts) ->
+      List.iter
+        (fun (p : Packet.t) ->
+          p.Packet.hops <- 3;
+          p.Packet.gw_pinned <- true;
+          p.Packet.ecn <- bits land 1 = 0;
+          (* Record at a non-zero offset, as in a drained mailbox. *)
+          let buf = Array.make (2 * stride) 0 in
+          Netsim.Network.handoff_encode buf stride p;
+          (* Decode over a recycled packet carrying stale riders. *)
+          let q = mk_data ~id:77 () in
+          set_spill q 11 110;
+          set_promo q 12 120;
+          set_mapping q 13 130;
+          Netsim.Network.handoff_decode buf stride q;
+          checkb (Printf.sprintf "riders %d handoff roundtrip" bits) true
+            (packet_equal p q
+            && q.Packet.hops = 3
+            && q.Packet.gw_pinned
+            && q.Packet.ecn = p.Packet.ecn))
+        pkts)
+    (rider_subsets ())
+
+(* -1 marks an absent rider in memory, so a rider TLV carrying a
+   negative signed 32-bit word must be rejected, not decoded into a
+   silently dropped rider. *)
+let test_wire_rejects_negative_rider_words () =
+  let cases =
+    [
+      ("spill", fun p v w -> set_spill p v w);
+      ("promo", fun p v w -> set_promo p v w);
+      ("mapping", fun p v w -> set_mapping p v w);
+    ]
+  in
+  List.iter
+    (fun (name, set) ->
+      List.iter
+        (fun (v, w) ->
+          let p = mk_data () in
+          set p v w;
+          Alcotest.check_raises
+            (Printf.sprintf "%s (%d, %d)" name v w)
+            (Invalid_argument (Printf.sprintf "Wire.decode: bad %s TLV" name))
+            (fun () -> ignore (Netcore.Wire.decode (Netcore.Wire.encode p))))
+        [ (3, -1); (0x8000_0000, 30); (3, 0xffff_ffff) ])
+    cases
 
 let test_wire_roundtrip_control () =
   List.iter
@@ -201,7 +299,7 @@ let test_wire_header_overhead () =
   let plain = Netcore.Wire.header_bytes (mk_data ()) in
   let decorated =
     let p = mk_data () in
-    p.Packet.spill <- Some (Vip.of_int 3, Pip.of_int 30);
+    set_spill p 3 30;
     Netcore.Wire.header_bytes p
   in
   (* Riding a spilled entry costs exactly one 10-byte TLV. *)
@@ -220,9 +318,9 @@ let wire_qcheck =
           ~src_pip:(Pip.of_int (a * 2)) ~dst_pip:(Pip.of_int (b * 2)) ~now:0
       in
       p.Packet.resolved <- resolved;
-      if with_spill then p.Packet.spill <- Some (Vip.of_int decor, Pip.of_int b);
+      if with_spill then set_spill p decor b;
       if with_md then p.Packet.misdelivery <- decor;
-      if decor > 1 then p.Packet.promo <- Some (Vip.of_int a, Pip.of_int decor);
+      if decor > 1 then set_promo p a decor;
       packet_equal p (Netcore.Wire.decode (Netcore.Wire.encode p)))
 
 let () =
@@ -263,6 +361,15 @@ let () =
           Alcotest.test_case "none pip sentinel" `Quick test_wire_none_pip;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
           Alcotest.test_case "header overhead" `Quick test_wire_header_overhead;
+          Alcotest.test_case "rider subsets roundtrip" `Quick
+            test_wire_roundtrip_rider_subsets;
+          Alcotest.test_case "rejects negative rider words" `Quick
+            test_wire_rejects_negative_rider_words;
           QCheck_alcotest.to_alcotest wire_qcheck;
+        ] );
+      ( "handoff",
+        [
+          Alcotest.test_case "rider subsets roundtrip" `Quick
+            test_handoff_roundtrip_rider_subsets;
         ] );
     ]

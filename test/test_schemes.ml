@@ -127,6 +127,7 @@ let test_gwcache_caches_only_gateway_tors () =
     |> List.find (fun sw -> Topology.role t sw <> Node.Gateway_tor)
   in
   let dst_host = (Topology.hosts t).(3) in
+  Pipeline.prepare scheme.Scheme.pipeline env;
   let teach sw =
     let p = mk_pkt t ~src_host:(Topology.hosts t).(0) ~dst_vip:(Vip.of_int 12) in
     p.Packet.resolved <- true;
@@ -319,6 +320,7 @@ let test_bluebird_detour_and_insert_delay () =
     Schemes.Baselines.bluebird ~topo:t ~total_slots:(16 * Array.length (Topology.tors t)) ()
   in
   let tor = (Topology.tors t).(0) in
+  Pipeline.prepare scheme.Scheme.pipeline env;
   let p = mk_pkt t ~src_host:(Topology.hosts t).(0) ~dst_vip:(Vip.of_int 12) in
   let v = Pipeline.run scheme.Scheme.pipeline env ~switch:tor ~from:0 p in
   checkb "expected a CP detour" true (Verdict.tag v = Verdict.tag_delay);
@@ -343,6 +345,7 @@ let test_bluebird_cp_overload_drops () =
     Schemes.Baselines.bluebird ~cp_queue_bytes:4_000 ~topo:t ~total_slots:0 ()
   in
   let tor = (Topology.tors t).(0) in
+  Pipeline.prepare scheme.Scheme.pipeline env;
   let send i =
     let p = mk_pkt t ~src_host:(Topology.hosts t).(0) ~dst_vip:(Vip.of_int 12) in
     ignore i;
@@ -393,6 +396,7 @@ let test_pipeline_stage_order () =
     Pipeline.make
       [ record "a" Verdict.next; record "b" Verdict.next; record "c" Verdict.next ]
   in
+  Pipeline.prepare pl env;
   let p = mk_pkt t ~src_host:(Topology.hosts t).(0) ~dst_vip:(Vip.of_int 12) in
   let v = Pipeline.run pl env ~switch:0 ~from:0 p in
   checkb "all-next falls through to forward" true
@@ -405,6 +409,7 @@ let test_pipeline_stage_order () =
   let pl2 =
     Pipeline.make [ record "a" Verdict.next; record "b" Verdict.consume; record "c" Verdict.next ]
   in
+  Pipeline.prepare pl2 env;
   let v2 = Pipeline.run pl2 env ~switch:0 ~from:0 p in
   checkb "verdict surfaces" true (Verdict.tag v2 = Verdict.tag_consume);
   Alcotest.check
@@ -414,6 +419,99 @@ let test_pipeline_stage_order () =
   checkb "passthrough forwards" true
     (Verdict.tag (Pipeline.run Pipeline.passthrough env ~switch:0 ~from:0 p)
     = Verdict.tag_forward)
+
+(* The SwitchV2P miss path through the staged pipeline: a gateway-ToR
+   learn that evicts and attaches a spill, the next hop absorbing it, a
+   regular-spine hit that promotes, and a core absorbing the
+   promotion. Insert results and riders are unboxed ints and the
+   dataplane env is bound at [Pipeline.prepare], so 10k dispatches
+   allocate nothing. Learning packets are off: emitting one allocates
+   a fresh control packet by design. *)
+let test_switchv2p_miss_path_allocation_free () =
+  let t = topo () in
+  let env = make_env t in
+  let config = Switchv2p.Config.make ~learning_packets:false () in
+  let scheme, dp =
+    Schemes.Switchv2p_scheme.make_with_dataplane ~config t
+      ~total_cache_slots:(Array.length (Topology.switches t))
+  in
+  let pl = scheme.Scheme.pipeline in
+  Pipeline.prepare pl env;
+  let role_of sw = Topology.role t sw in
+  let find arr role = Array.to_list arr |> List.find (fun sw -> role_of sw = role) in
+  let gw_tor = find (Topology.tors t) Node.Gateway_tor in
+  let gw = (Topology.gateways t).(0) in
+  let next_hop = Topology.spine_id t ~pod:(Topology.pod t gw_tor) ~group:0 in
+  let spine = find (Topology.switches t) Node.Regular_spine in
+  let core = (Topology.cores t).(0) in
+  let pod = Topology.pod t in
+  let hosts = Topology.hosts t in
+  let remote =
+    Array.to_list hosts |> List.find (fun h -> pod h <> pod spine)
+  in
+  let local = Array.to_list hosts |> List.find (fun h -> pod h = pod spine) in
+  (* One slot per switch: two learned VIPs always collide. *)
+  let learn_pkt =
+    mk_pkt t ~src_host:local ~dst_vip:(Vip.of_int 12)
+  in
+  let hit_pkt = mk_pkt t ~src_host:local ~dst_vip:(Vip.of_int 20) in
+  let gw_pip = Topology.pip t gw in
+  let remote_pip = Topology.pip t remote in
+  ignore
+    (Switchv2p.Geo_cache.insert
+       (Switchv2p.Dataplane.geo_cache dp ~switch:spine)
+       ~admission:`All (Vip.of_int 20) remote_pip
+      : int);
+  let i = ref 0 in
+  let dispatch () =
+    (* Gateway-ToR learn: alternate VIPs so every insert evicts. *)
+    learn_pkt.Packet.dst_vip <- Vip.of_int (12 + (!i land 1));
+    learn_pkt.Packet.resolved <- true;
+    learn_pkt.Packet.dst_pip <- remote_pip;
+    learn_pkt.Packet.spill_vip <- -1;
+    learn_pkt.Packet.spill_pip <- -1;
+    ignore (Pipeline.run pl env ~switch:gw_tor ~from:gw learn_pkt : int);
+    (* The next hop absorbs the spill. *)
+    ignore (Pipeline.run pl env ~switch:next_hop ~from:gw_tor learn_pkt : int);
+    (* Regular-spine hit with the access bit set: promotion. *)
+    hit_pkt.Packet.resolved <- false;
+    hit_pkt.Packet.dst_pip <- gw_pip;
+    hit_pkt.Packet.hit_switch <- -1;
+    ignore (Pipeline.run pl env ~switch:spine ~from:local hit_pkt : int);
+    (* The core absorbs the promotion. *)
+    ignore (Pipeline.run pl env ~switch:core ~from:spine hit_pkt : int);
+    incr i
+  in
+  for _ = 1 to 100 do
+    dispatch ()
+  done;
+  let module D = Switchv2p.Dataplane in
+  let spilled = D.spills_attached dp and absorbed = D.spills_absorbed dp in
+  let promoted = D.promotions dp in
+  let iters = 2_500 (* four dispatches each *) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    dispatch ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  checkb "every gateway-ToR learn spills" true
+    (D.spills_attached dp - spilled >= iters);
+  checkb "the next hop absorbs spills" true (D.spills_absorbed dp - absorbed >= iters);
+  checki "every spine hit promotes" iters (D.promotions dp - promoted);
+  checkb "the core consumed the promotion" true (hit_pkt.Packet.promo_vip = -1);
+  Alcotest.check (Alcotest.float 0.0) "minor words over 10k dispatches" 0.0 words
+
+let test_switchv2p_requires_prepare () =
+  let t = topo () in
+  let scheme = Schemes.Switchv2p_scheme.make t ~total_cache_slots:64 in
+  let p = mk_pkt t ~src_host:(Topology.hosts t).(0) ~dst_vip:(Vip.of_int 12) in
+  Alcotest.check_raises "run before prepare"
+    (Invalid_argument "Switchv2p_scheme: pipeline run before Pipeline.prepare")
+    (fun () ->
+      ignore
+        (Pipeline.run scheme.Scheme.pipeline (make_env t)
+           ~switch:(Topology.tors t).(0) ~from:0 p
+          : int))
 
 let test_pipeline_stage_listing () =
   let scheme = Schemes.Switchv2p_scheme.make (topo ()) ~total_cache_slots:64 in
@@ -546,6 +644,10 @@ let () =
         [
           Alcotest.test_case "stage order" `Quick test_pipeline_stage_order;
           Alcotest.test_case "stage listing" `Quick test_pipeline_stage_listing;
+          Alcotest.test_case "switchv2p miss path allocation-free" `Quick
+            test_switchv2p_miss_path_allocation_free;
+          Alcotest.test_case "switchv2p requires prepare" `Quick
+            test_switchv2p_requires_prepare;
           Alcotest.test_case "stage resources re-sum" `Quick
             test_pipeline_stage_resources_sum;
         ] );
