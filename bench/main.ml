@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (on the scaled-down default topology; pass `--paper` for the full
-   Table 3 sizes) and runs Bechamel micro-benchmarks of the core
-   primitives.
+   Table 3 sizes), runs Bechamel micro-benchmarks of the core
+   primitives, and checks the perf smokes against one gate table.
 
    Usage:
      dune exec bench/main.exe            # everything
@@ -10,194 +10,171 @@
 
    `--csv DIR` captures every table as CSV; `--telemetry DIR` writes
    one structured-telemetry JSON report per instrumented run (see
-   DESIGN.md, "Observability"). *)
+   DESIGN.md, "Observability"). Every run merges one entry per target
+   into BENCH_sweep.json, then checks [gates] and exits 1 if a row
+   fails. *)
 
 module Fig5 = Experiments.Fig5
 module Parallel = Experiments.Parallel
+module Json = Dessim.Telemetry.Json
 
 let scale : Experiments.Setup.scale ref = ref `Small
-
-(* Per-target records for BENCH_sweep.json: wall time, how many pool
-   tasks ran and their summed wall time. [busy /. wall] estimates the
-   effective speedup over a fully sequential execution of the sweep. *)
-type target_record = {
-  target : string;
-  title : string;
-  wall_s : float;
-  tasks : int;
-  task_s : float;
-}
-
-let records : target_record list ref = ref []
-
-(* Filled by [eventcore]; written into BENCH_sweep.json. *)
-let event_core_stats : (string * float) list ref = ref []
-
-(* Filled by [scheme_bench]; written into BENCH_sweep.json. *)
-let scheme_stats : (string * float) list ref = ref []
-
-(* Filled by [ft16]; written into BENCH_sweep.json. *)
-let ft16_stats : (string * float) list ref = ref []
-
-(* Filled by [churn_bench]; written into BENCH_sweep.json. *)
-let churn_stats : (string * float) list ref = ref []
-
-(* Filled by [cachegeo]; written into BENCH_sweep.json. *)
-let cachegeo_frontier : Experiments.Cache_geometry.t option ref = ref None
-
-let time_it ~key name f =
-  Parallel.reset_counters ();
-  let t0 = Unix.gettimeofday () in
-  f ();
-  let wall = Unix.gettimeofday () -. t0 in
-  let c = Parallel.counters () in
-  Printf.printf "\n[%s finished in %.1fs]\n%!" name wall;
-  records :=
-    {
-      target = key;
-      title = name;
-      wall_s = wall;
-      tasks = c.Parallel.tasks;
-      task_s = c.Parallel.busy_seconds;
-    }
-    :: !records
+let cores = Domain.recommended_domain_count ()
 
 let scale_name () =
   match !scale with `Tiny -> "tiny" | `Small -> "small" | `Paper -> "paper"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* A target prints its table and returns its stats: recorded under its
+   name in BENCH_sweep.json and checked against [gates]. *)
+type stats = (string * Json.t) list
 
-(* Measured on this machine immediately before the typed-event /
-   packet-pool rewrite (closure-per-hop event loop), same eventcore
-   workload: kept in the report so the before/after trajectory rides
-   along with every sweep. *)
-let baseline_event_core_json =
-  "\"baseline_events_per_sec\": 5.0e6, \"baseline_words_per_event\": 28.58"
+let num k v = (k, Json.Float v)
+let int k v = (k, Json.Int v)
 
-(* Measured on this machine at the commit immediately before the
-   staged-pipeline refactor (the old [on_switch] adapter rebuilt the
-   [Dataplane.env] record on every switch visit, boxed the carrier
-   packet for spillover and allocated a tenant-scan closure per cache
-   access), same SwitchV2P hit-path workload as [scheme_bench]. *)
-let baseline_scheme_json = "\"baseline_words_per_dispatch\": 33.0"
+(* --- Gates: every perf-smoke threshold, in one table --------------- *)
 
-let write_sweep_json jobs =
-  let path =
-    match Sys.getenv_opt "REPRO_BENCH_JSON" with
-    | Some p -> p
-    | None -> "BENCH_sweep.json"
+type gate = {
+  target : string;
+  metric : string;
+  at_most : bool;  (** [metric <= threshold]; else [metric >= threshold] *)
+  threshold : float;
+  min_cores : int;  (** the row is skipped on machines with fewer cores *)
+}
+
+let le ?(min_cores = 1) target metric threshold =
+  { target; metric; at_most = true; threshold; min_cores }
+
+let ge ?(min_cores = 1) target metric threshold =
+  { target; metric; at_most = false; threshold; min_cores }
+
+let gates =
+  [
+    (* Forwarding path: minor words per executed event must not creep
+       back up (measured ~3.0), and throughput must stay within an
+       order of magnitude of the dev box (4-7e6 ev/s). *)
+    le "eventcore" "words_per_event" 6.0;
+    ge "eventcore" "events_per_sec" 1.5e6;
+    (* Two domains over the 1-shard windowed runtime; one core would
+       only time-slice them. *)
+    ge ~min_cores:2 "eventcore" "sharded_2_speedup" 1.3;
+    (* The SwitchV2P on-switch path allocates nothing per dispatch, on
+       the warm hit loop and on the miss loop, which must really take
+       the rider paths it claims to gate. *)
+    le "scheme" "words_per_dispatch" 0.0;
+    le "scheme" "miss_words_per_dispatch" 0.0;
+    ge "scheme" "miss_spills_attached" 1.0;
+    ge "scheme" "miss_spills_absorbed" 1.0;
+    ge "scheme" "miss_promotions" 1.0;
+    (* FT16-400K fits one process with >= 10^6 mappings (~100 MB); the
+       ceiling catches per-node or per-VIP state going superlinear. *)
+    ge "ft16" "mappings" 1e6;
+    le "ft16" "peak_rss_mb" 512.0;
+    (* The worst geometry at the most favorable frontier corner
+       measures ~0.9: below 0.6 a geometry is broken, not different. *)
+    ge "cachegeo" "corner_worst_hit_rate" 0.6;
+    le "dst" "failed" 0.0;
+  ]
+
+let gate_name g =
+  Printf.sprintf "%s.%s %s %g" g.target g.metric
+    (if g.at_most then "<=" else ">=")
+    g.threshold
+
+(* Checks every row whose target ran; returns the number that failed.
+   A missing metric fails its row. *)
+let check_gates (ran : (string * stats) list) =
+  List.fold_left
+    (fun failed g ->
+      match List.assoc_opt g.target ran with
+      | None -> failed
+      | Some _ when cores < g.min_cores ->
+          Printf.printf "[gate] %s skipped: %d core(s)\n" (gate_name g) cores;
+          failed
+      | Some stats -> (
+          let v =
+            match List.assoc_opt g.metric stats with
+            | Some (Json.Float v) -> Some v
+            | Some (Json.Int v) -> Some (float_of_int v)
+            | _ -> None
+          in
+          match v with
+          | Some v when if g.at_most then v <= g.threshold else v >= g.threshold
+            ->
+              failed
+          | Some v ->
+              Printf.eprintf "FAIL gate %s: measured %g\n" (gate_name g) v;
+              failed + 1
+          | None ->
+              Printf.eprintf "FAIL gate %s: metric missing\n" (gate_name g);
+              failed + 1))
+    0 gates
+
+(* --- Report: BENCH_sweep.json, one entry per target ---------------- *)
+
+let report_path = "BENCH_sweep.json"
+let report_schema = "bench_sweep/v2"
+
+(* Entries of an earlier report, or none if it is absent, unreadable
+   or of another schema. *)
+let read_entries () =
+  match In_channel.with_open_bin report_path In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text -> (
+      match Json.parse text with
+      | Ok doc when Json.member "schema" doc = Some (Json.Str report_schema) -> (
+          match Json.member "targets" doc with
+          | Some (Json.Obj entries) -> entries
+          | _ -> [])
+      | _ -> [])
+
+(* Replaces the entries this run produced, keeps the rest in place,
+   and appends new targets; one target per line. *)
+let write_report fresh =
+  let old = read_entries () in
+  let entries =
+    List.map
+      (fun (k, v) -> (k, Option.value ~default:v (List.assoc_opt k fresh)))
+      old
+    @ List.filter (fun (k, _) -> not (List.mem_assoc k old)) fresh
   in
-  let rs = List.rev !records in
-  let total_wall = List.fold_left (fun a r -> a +. r.wall_s) 0.0 rs in
-  let target_json r =
-    let speedup = if r.wall_s > 0.0 then r.task_s /. r.wall_s else 1.0 in
-    Printf.sprintf
-      "    {\"target\": \"%s\", \"title\": \"%s\", \"wall_s\": %.3f, \
-       \"tasks\": %d, \"task_s\": %.3f, \"effective_speedup\": %.2f}"
-      (json_escape r.target) (json_escape r.title) r.wall_s r.tasks r.task_s
-      speedup
-  in
-  let event_core_json () =
-    match !event_core_stats with
-    | [] -> ""
-    | stats ->
-        let fields =
-          List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.6g" k v) stats
-        in
-        Printf.sprintf "  \"event_core\": {%s},\n"
-          (String.concat ", " (fields @ [ baseline_event_core_json ]))
-  in
-  let scheme_json () =
-    match !scheme_stats with
-    | [] -> ""
-    | stats ->
-        let fields =
-          List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.6g" k v) stats
-        in
-        Printf.sprintf "  \"scheme_pipeline\": {%s},\n"
-          (String.concat ", " (fields @ [ baseline_scheme_json ]))
-  in
-  let ft16_json () =
-    match !ft16_stats with
-    | [] -> ""
-    | stats ->
-        let fields =
-          List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.6g" k v) stats
-        in
-        Printf.sprintf "  \"ft16_400k\": {%s},\n" (String.concat ", " fields)
-  in
-  let churn_json () =
-    match !churn_stats with
-    | [] -> ""
-    | stats ->
-        let fields =
-          List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.6g" k v) stats
-        in
-        Printf.sprintf "  \"container_churn\": {%s},\n"
-          (String.concat ", " fields)
-  in
-  let cachegeo_json () =
-    match !cachegeo_frontier with
-    | None -> ""
-    | Some t ->
-        let module Cg = Experiments.Cache_geometry in
-        let point_json (p : Cg.point) =
-          Printf.sprintf
-            "    {\"geometry\": \"%s\", \"locality\": %.2f, \"cache_pct\": \
-             %d, \"slots\": %d, \"sram_bits\": %d, \"refs\": %d, \"hits\": \
-             %d, \"hit_rate\": %.6g}"
-            (json_escape p.Cg.geometry) p.Cg.locality p.Cg.cache_pct p.Cg.slots
-            p.Cg.sram_bits p.Cg.refs p.Cg.hits p.Cg.hit_rate
-        in
-        Printf.sprintf
-          "  \"cachegeo_frontier\": {\"geometries\": [%s], \"localities\": \
-           [%s], \"cache_pcts\": [%s], \"points\": [\n\
-           %s\n\
-          \  ]},\n"
-          (String.concat ", "
-             (List.map
-                (fun g -> Printf.sprintf "\"%s\"" (json_escape g))
-                t.Cg.geometries))
-          (String.concat ", "
-             (List.map (Printf.sprintf "%.2f") t.Cg.localities))
-          (String.concat ", " (List.map string_of_int t.Cg.cache_pcts))
-          (String.concat ",\n" (List.map point_json t.Cg.points))
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"bench_sweep/v1\",\n\
-        \  \"jobs\": %d,\n\
-        \  \"scale\": \"%s\",\n\
-        \  \"total_wall_s\": %.3f,\n\
-         %s\
-         %s\
-         %s\
-         %s\
-         %s\
-        \  \"targets\": [\n\
-         %s\n\
-        \  ]\n\
-         }\n"
-        jobs (scale_name ()) total_wall (event_core_json ()) (scheme_json ())
-        (ft16_json ()) (churn_json ()) (cachegeo_json ())
-        (String.concat ",\n" (List.map target_json rs)));
-  Printf.printf "\n[sweep report written to %s]\n%!" path
+  let line (k, v) = Printf.sprintf "  %s: %s" (Json.to_string (Json.Str k)) (Json.to_string v) in
+  Out_channel.with_open_bin report_path (fun oc ->
+      Printf.fprintf oc "{\"schema\": %s, \"targets\": {\n%s\n}}\n"
+        (Json.to_string (Json.Str report_schema))
+        (String.concat ",\n" (List.map line entries)));
+  Printf.printf "\n[sweep report written to %s]\n%!" report_path
+
+(* Runs one target and returns its report entry: wall time, the pool
+   tasks it ran and their summed wall time ([task_s /. wall_s]
+   estimates the speedup over a sequential sweep), and its stats. *)
+let time_it ~key title f =
+  Parallel.reset_counters ();
+  let t0 = Unix.gettimeofday () in
+  let stats = f () in
+  let wall = Unix.gettimeofday () -. t0 in
+  let c = Parallel.counters () in
+  Printf.printf "\n[%s finished in %.1fs]\n%!" title wall;
+  ( key,
+    stats,
+    Json.Obj
+      [
+        ("title", Json.Str title);
+        ("scale", Json.Str (scale_name ()));
+        ("jobs", Json.Int c.Parallel.max_jobs);
+        ("cores", Json.Int cores);
+        ("wall_s", Json.Float wall);
+        ("tasks", Json.Int c.Parallel.tasks);
+        ("task_s", Json.Float c.Parallel.busy_seconds);
+        ( "effective_speedup",
+          Json.Float (if wall > 0.0 then c.Parallel.busy_seconds /. wall else 1.0)
+        );
+        ("stats", Json.Obj stats);
+      ] )
+
+(* A paper table or figure: printed, nothing recorded. *)
+let table f () : stats =
+  f ();
+  []
 
 let fig5 kind () = Fig5.print (Fig5.run ~scale:!scale kind)
 
@@ -229,57 +206,54 @@ let resilience () =
 
 let dht () = Experiments.Dht_compare.print (Experiments.Dht_compare.run ~scale:!scale ())
 
-(* Regression gate for CI: with REPRO_CACHEGEO_HIT_FLOOR set, the
-   worst geometry's hit rate at the most favorable frontier corner
-   (highest locality, largest cache) must stay above the floor — a
-   geometry whose replay drops well below its peers there is broken,
-   not merely different. Off when unset. *)
+(* The full frontier, plus the worst geometry's hit rate at its most
+   favorable corner (highest locality, largest cache) for [gates]. *)
 let cachegeo () =
   let module Cg = Experiments.Cache_geometry in
   let t = Cg.run ~scale:!scale () in
   Cg.print t;
-  cachegeo_frontier := Some t;
-  match Sys.getenv_opt "REPRO_CACHEGEO_HIT_FLOOR" with
-  | None -> ()
-  | Some s ->
-      let floor = float_of_string s in
-      let best_locality = List.fold_left max neg_infinity t.Cg.localities in
-      let best_pct = List.fold_left max min_int t.Cg.cache_pcts in
-      let corner =
-        List.filter
-          (fun (p : Cg.point) ->
-            p.Cg.locality = best_locality && p.Cg.cache_pct = best_pct)
-          t.Cg.points
-      in
-      let worst =
+  let best_locality = List.fold_left max neg_infinity t.Cg.localities in
+  let best_pct = List.fold_left max min_int t.Cg.cache_pcts in
+  let corner =
+    List.filter
+      (fun (p : Cg.point) ->
+        p.Cg.locality = best_locality && p.Cg.cache_pct = best_pct)
+      t.Cg.points
+  in
+  let worst =
+    match corner with
+    | [] -> 0.0
+    | p :: ps ->
         List.fold_left
           (fun acc (p : Cg.point) -> min acc p.Cg.hit_rate)
-          infinity corner
-      in
-      if corner = [] || worst < floor then begin
-        Printf.eprintf
-          "FAIL: cachegeo frontier corner (locality %.2f, %d%%) worst hit \
-           rate %.4f below floor %.4f\n"
-          best_locality best_pct worst floor;
-        exit 1
-      end
-      else
-        Printf.printf
-          "  [gate] frontier corner worst hit rate %.4f >= floor %.4f\n%!"
-          worst floor
+          p.Cg.hit_rate ps
+  in
+  let point (p : Cg.point) =
+    Json.Obj
+      [
+        ("geometry", Json.Str p.Cg.geometry);
+        num "locality" p.Cg.locality;
+        int "cache_pct" p.Cg.cache_pct;
+        int "slots" p.Cg.slots;
+        int "sram_bits" p.Cg.sram_bits;
+        int "refs" p.Cg.refs;
+        int "hits" p.Cg.hits;
+        num "hit_rate" p.Cg.hit_rate;
+      ]
+  in
+  [
+    num "corner_worst_hit_rate" worst;
+    ( "frontier",
+      Json.Obj
+        [
+          ("geometries", Json.List (List.map (fun g -> Json.Str g) t.Cg.geometries));
+          ("localities", Json.List (List.map (fun l -> Json.Float l) t.Cg.localities));
+          ("cache_pcts", Json.List (List.map (fun c -> Json.Int c) t.Cg.cache_pcts));
+          ("points", Json.List (List.map point t.Cg.points));
+        ] );
+  ]
 
 (* --- Event-core benchmark: forwarding-path throughput -------------- *)
-
-(* Regression gate for CI: minor-heap words allocated per executed
-   event on the forwarding path must not creep back up. The typed-event
-   rewrite measures ~asymptotically the per-flow setup cost (flow +
-   pool warmup) spread over the event count; the ceiling leaves modest
-   headroom over the measured value (see README, "Event core").
-   Override with REPRO_WORDS_PER_EVENT_CEILING for experiments. *)
-let words_per_event_ceiling () =
-  match Sys.getenv_opt "REPRO_WORDS_PER_EVENT_CEILING" with
-  | Some s -> float_of_string s
-  | None -> 6.0
 
 (* One timed eventcore run. Cross-pod single-flow UDP traffic through
    the full simulator (transport, links, engine, metrics) with the
@@ -317,11 +291,6 @@ let eventcore_measure () =
     Netsim.Network.run net [ flow ] ~migrations:[]
       ~until:(Time_ns.add start (Time_ns.of_ms 10))
   in
-  let iters =
-    match Sys.getenv_opt "REPRO_EVENTCORE_ITERS" with
-    | Some s -> int_of_string s
-    | None -> 2_000
-  in
   for i = 1 to 100 do
     run_one i ~packets:32 (* warmup: JIT nothing, but warm pools/caches *)
   done;
@@ -329,7 +298,7 @@ let eventcore_measure () =
   let ev0 = Dessim.Engine.executed eng in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  for i = 1 to iters do
+  for i = 1 to 20_000 do
     run_one i ~packets:32
   done;
   let wall = Unix.gettimeofday () -. t0 in
@@ -337,24 +306,11 @@ let eventcore_measure () =
   let events = Dessim.Engine.executed eng - ev0 in
   (events, float_of_int events /. wall, words /. float_of_int events)
 
-(* Optional CI regression gate on forwarding-path throughput, in
-   events/sec (e.g. REPRO_EV_S_FLOOR=4e6). Off when unset: absolute
-   throughput is machine-dependent, so a hard-coded local floor would
-   only measure the machine. CI pins a conservative value for its own
-   runner class. *)
-let ev_s_floor () =
-  match Sys.getenv_opt "REPRO_EV_S_FLOOR" with
-  | Some s -> Some (float_of_string s)
-  | None -> None
-
-(* One timed domain-sharded run of a single logical simulation
-   (Netsim.Parnet): a 4-pod FatTree under all-to-all cross-pod UDP
-   traffic, Direct scheme, partitioned by pod. [shards = 1] is the
-   same windowed runtime on one domain, so the ratio isolates what the
-   extra domains buy (or cost) rather than comparing against the
-   classic un-windowed loop. Returns (events, events/sec, windows,
-   cross-shard handoffs). *)
-let parcore_measure ~shards =
+(* One logical run for the sharding comparison: a 4-pod FatTree under
+   512 all-to-all cross-pod UDP flows of 128 packets, Direct scheme.
+   The topology is fresh per call, since links carry per-run queue
+   state. *)
+let parcore_workload () =
   let module Time_ns = Dessim.Time_ns in
   let module Flow = Netcore.Flow in
   let topo =
@@ -366,14 +322,9 @@ let parcore_measure ~shards =
     Array.length (Topo.Topology.hosts topo)
     * (Topo.Topology.params topo).Topo.Params.vms_per_host
   in
-  let num_flows =
-    match Sys.getenv_opt "REPRO_PARCORE_FLOWS" with
-    | Some s -> int_of_string s
-    | None -> 512
-  in
   let rng = Dessim.Rng.create 4242 in
   let flows =
-    List.init num_flows (fun i ->
+    List.init 512 (fun i ->
         let src = Dessim.Rng.int rng num_vms in
         let dst = (src + (num_vms / 4) + Dessim.Rng.int rng (num_vms / 2)) mod num_vms in
         let dst = if dst = src then (dst + 1) mod num_vms else dst in
@@ -384,155 +335,105 @@ let parcore_measure ~shards =
           ~start:(Time_ns.of_ns (200 * i))
           (Flow.Udp { rate_bps = 1e10 }))
   in
+  (topo, flows)
+
+let parcore_until = Dessim.Time_ns.of_ms 25
+
+type parcore_run = { events : int; wall : float; windows : int; handoffs : int }
+
+(* The workload on the classic single-domain [Network.run]. *)
+let classic_measure () =
+  let topo, flows = parcore_workload () in
+  let net = Netsim.Network.create topo ~scheme:(Schemes.Baselines.direct ()) in
+  let t0 = Unix.gettimeofday () in
+  Netsim.Network.run net flows ~migrations:[] ~until:parcore_until;
+  let wall = Unix.gettimeofday () -. t0 in
+  let events = Dessim.Engine.executed (Netsim.Network.engine net) in
+  { events; wall; windows = 0; handoffs = 0 }
+
+(* The workload as one domain-sharded run (Netsim.Parnet), partitioned
+   by pod. [shards = 1] is the same windowed runtime on one domain. *)
+let parcore_measure ~shards =
+  let topo, flows = parcore_workload () in
   let t0 = Unix.gettimeofday () in
   let par =
     Netsim.Parnet.run ~shards topo
       ~make_scheme:(fun ~shard:_ -> Schemes.Baselines.direct ())
-      ~flows ~migrations:[] ~until:(Time_ns.of_ms 25)
+      ~flows ~migrations:[] ~until:parcore_until
   in
   let wall = Unix.gettimeofday () -. t0 in
-  let events =
-    Array.fold_left
-      (fun acc net -> acc + Dessim.Engine.executed (Netsim.Network.engine net))
-      0 (Netsim.Parnet.nets par)
-  in
-  let handoffs =
-    Array.fold_left
-      (fun acc net -> acc + Netsim.Network.handoffs_sent net)
-      0 (Netsim.Parnet.nets par)
-  in
-  (events, float_of_int events /. wall, Netsim.Parnet.windows par, handoffs)
+  let sum f = Array.fold_left (fun acc net -> acc + f net) 0 (Netsim.Parnet.nets par) in
+  {
+    events = sum (fun net -> Dessim.Engine.executed (Netsim.Network.engine net));
+    wall;
+    windows = Netsim.Parnet.windows par;
+    handoffs = sum Netsim.Network.handoffs_sent;
+  }
 
-(* Optional CI gate on the 2-shard speedup over the 1-shard windowed
-   baseline (e.g. REPRO_PAR_SPEEDUP_FLOOR=1.3). Off when unset: on a
-   single-core machine the extra domains time-slice one CPU and the
-   honest ratio is <= 1. *)
-let par_speedup_floor () =
-  match Sys.getenv_opt "REPRO_PAR_SPEEDUP_FLOOR" with
-  | Some s -> Some (float_of_string s)
-  | None -> None
+let eps r = float_of_int r.events /. r.wall
 
-let eventcore () =
-  let events, eps, wpe = eventcore_measure () in
+(* The classic engine's throughput on its own workload, then the
+   512-flow run on the classic engine and at 1, 2 and 4 shards.
+   [sharded_N_speedup] is events/sec over the 1-shard windowed
+   runtime (the gated ratio); [sharded_N_vs_classic] is classic wall
+   time over sharded wall time for the same logical run. *)
+let eventcore () : stats =
+  let events, ev_s, wpe = eventcore_measure () in
   Printf.printf
     "\n== event core (forwarding path) ==\n\
     \  events executed   %9d\n\
     \  events/sec        %.3e\n\
     \  words/event       %9.2f\n"
-    events eps wpe;
-  (* Domain-sharded scaling of one logical run (see Parnet). *)
-  let cores = Domain.recommended_domain_count () in
-  let shard_counts = [ 1; 2; 4 ] in
-  let sharded = List.map (fun n -> (n, parcore_measure ~shards:n)) shard_counts in
-  let base_eps =
-    match sharded with (_, (_, eps, _, _)) :: _ -> eps | [] -> 1.0
-  in
-  Printf.printf "  sharded (one logical run, %d core%s):\n" cores
+    events ev_s wpe;
+  let classic = classic_measure () in
+  let sharded = List.map (fun n -> (n, parcore_measure ~shards:n)) [ 1; 2; 4 ] in
+  let base = eps (List.assoc 1 sharded) in
+  Printf.printf "  512-flow run, 4-pod FatTree (%d core%s):\n" cores
     (if cores = 1 then "" else "s");
+  Printf.printf "    classic    %9d ev   %.3e ev/s   %6.3fs\n" classic.events
+    (eps classic) classic.wall;
   List.iter
-    (fun (n, (events, eps, windows, handoffs)) ->
+    (fun (n, r) ->
       Printf.printf
-        "    %d shard%s     %9d ev   %.3e ev/s   %6.2fx   %d windows   %d \
-         handoffs\n"
+        "    %d shard%s   %9d ev   %.3e ev/s   %6.3fs   %5.2fx 1-shard   \
+         %5.2fx classic   %d windows   %d handoffs\n"
         n
         (if n = 1 then " " else "s")
-        events eps (eps /. base_eps) windows handoffs)
+        r.events (eps r) r.wall (eps r /. base) (classic.wall /. r.wall)
+        r.windows r.handoffs)
     sharded;
-  event_core_stats :=
-    [
-      ("events", float_of_int events);
-      ("events_per_sec", eps);
-      ("words_per_event", wpe);
-      ("cores", float_of_int cores);
-    ]
-    @ List.map
-        (fun (n, (_, eps, _, _)) ->
-          (Printf.sprintf "sharded_%d_events_per_sec" n, eps))
-        sharded;
-  (let oc = open_out "BENCH_eventcore.json" in
-   Fun.protect
-     ~finally:(fun () -> close_out oc)
-     (fun () ->
-       let shard_json =
-         String.concat ",\n"
-           (List.map
-              (fun (n, (events, eps, windows, handoffs)) ->
-                Printf.sprintf
-                  "    {\"shards\": %d, \"events\": %d, \"events_per_sec\": \
-                   %.6g, \"speedup\": %.3f, \"windows\": %d, \"handoffs\": %d}"
-                  n events eps (eps /. base_eps) windows handoffs)
-              sharded)
-       in
-       Printf.fprintf oc
-         "{\n\
-         \  \"schema\": \"bench_eventcore/v3\",\n\
-         \  \"workload\": \"32-packet cross-pod UDP flows, Direct scheme, 2-pod \
-          FatTree\",\n\
-         \  \"events\": %d,\n\
-         \  \"events_per_sec\": %.6g,\n\
-         \  \"words_per_event\": %.3f,\n\
-         \  \"cores\": %d,\n\
-         \  \"sharded\": {\n\
-         \    \"workload\": \"512 x 128-packet cross-pod UDP flows, Direct \
-          scheme, 4-pod FatTree, pod partition, one logical run\",\n\
-         \    \"baseline\": \"1-shard windowed runtime (same protocol, one \
-          domain)\",\n\
-         \    \"runs\": [\n\
-          %s\n\
-         \    ]\n\
-         \  }\n\
-          }\n"
-         events eps wpe cores shard_json);
-   Printf.printf "[eventcore report written to BENCH_eventcore.json]\n%!");
-  let ceiling = words_per_event_ceiling () in
-  if wpe > ceiling then begin
-    Printf.eprintf
-      "eventcore: words/event %.2f exceeds ceiling %.2f — the forwarding \
-       path regressed into allocating per event\n"
-      wpe ceiling;
-    exit 1
-  end;
-  (match par_speedup_floor () with
-  | None -> ()
-  | Some floor ->
-      let eps2 =
-        match List.assoc_opt 2 sharded with
-        | Some (_, eps, _, _) -> eps
-        | None -> base_eps
-      in
-      let speedup = eps2 /. base_eps in
-      if speedup < floor then begin
-        Printf.eprintf
-          "eventcore(sharded): 2-shard speedup %.2fx below floor %.2fx — the \
-           parallel event core regressed\n"
-          speedup floor;
-        exit 1
-      end);
-  match ev_s_floor () with
-  | None -> ()
-  | Some floor ->
-      if eps < floor then begin
-        Printf.eprintf
-          "eventcore: %.3e events/sec below floor %.3e — scheduler \
-           throughput regressed\n"
-          eps floor;
-        exit 1
-      end
+  [
+    int "events" events;
+    num "events_per_sec" ev_s;
+    num "words_per_event" wpe;
+    int "classic_events" classic.events;
+    num "classic_events_per_sec" (eps classic);
+    num "classic_wall_s" classic.wall;
+  ]
+  @ List.concat_map
+      (fun (n, r) ->
+        let k = Printf.sprintf "sharded_%d_%s" n in
+        [
+          int (k "events") r.events;
+          num (k "events_per_sec") (eps r);
+          num (k "wall_s") r.wall;
+          num (k "speedup") (eps r /. base);
+          num (k "vs_classic") (classic.wall /. r.wall);
+          int (k "windows") r.windows;
+          int (k "handoffs") r.handoffs;
+        ])
+      sharded
 
 (* --- Scheme-pipeline benchmark: per-dispatch allocation ------------ *)
 
-(* Regression gate for CI: minor-heap words allocated per on-switch
-   dispatch through the full SwitchV2P pipeline (classify -> lookup ->
-   learn -> emit), over two loops: a warm regular-ToR hit, and the miss
-   path (a gateway-ToR learn that evicts and attaches a spill, the next
-   hop absorbing it, a regular-spine promotion onto a core). Insert
-   results and riders are unboxed ints and the [Dataplane.env] is bound
-   once at [Pipeline.prepare], so both steady states must be exactly
-   zero. Override with REPRO_SCHEME_WORDS_CEILING for experiments. *)
-let scheme_words_ceiling () =
-  match Sys.getenv_opt "REPRO_SCHEME_WORDS_CEILING" with
-  | Some s -> float_of_string s
-  | None -> 0.0
+(* Minor-heap words per on-switch dispatch through the full SwitchV2P
+   pipeline (classify -> lookup -> learn -> emit), over two loops: a
+   warm regular-ToR hit, and the miss path (a gateway-ToR learn that
+   evicts and attaches a spill, the next hop absorbing it, a
+   regular-spine promotion onto a core). Insert results and riders are
+   unboxed ints and the [Dataplane.env] is bound once at
+   [Pipeline.prepare], so [gates] holds both steady states at exactly
+   zero. *)
 
 (* A SwitchV2P scheme over a 2-pod FatTree, prepared against a bare
    env (no network), as the pipeline tests drive it. *)
@@ -679,43 +580,32 @@ let scheme_miss_loop () =
         ignore (Netsim.Pipeline.run pl env ~switch:core ~from:spine hit : int);
         incr i)
   in
-  (* The loop must really take the rider paths it claims to gate. *)
+  (* The rider paths the loop claims to gate; [gates] checks each ran. *)
   let module D = Switchv2p.Dataplane in
-  if D.spills_attached dp = 0 || D.spills_absorbed dp = 0 || D.promotions dp = 0
-  then begin
-    Printf.eprintf "scheme: miss loop no longer spills, absorbs and promotes\n";
-    exit 1
-  end;
-  r
+  ( r,
+    [
+      int "miss_spills_attached" (D.spills_attached dp);
+      int "miss_spills_absorbed" (D.spills_absorbed dp);
+      int "miss_promotions" (D.promotions dp);
+    ] )
 
-let scheme_bench () =
+let scheme_bench () : stats =
   let hit_n, hit_rate, hit_words = scheme_hit_loop () in
-  let miss_n, miss_rate, miss_words = scheme_miss_loop () in
+  let (miss_n, miss_rate, miss_words), riders = scheme_miss_loop () in
   Printf.printf
     "\n== scheme pipeline (SwitchV2P) ==\n\
     \  hit path   dispatches %d  dispatches/sec %.3e  words/dispatch %.2f\n\
     \  miss path  dispatches %d  dispatches/sec %.3e  words/dispatch %.2f\n"
     hit_n hit_rate hit_words miss_n miss_rate miss_words;
-  scheme_stats :=
-    [
-      ("dispatches", float_of_int hit_n);
-      ("dispatches_per_sec", hit_rate);
-      ("words_per_dispatch", hit_words);
-      ("miss_dispatches", float_of_int miss_n);
-      ("miss_dispatches_per_sec", miss_rate);
-      ("miss_words_per_dispatch", miss_words);
-    ];
-  let ceiling = scheme_words_ceiling () in
-  List.iter
-    (fun (path, words) ->
-      if words > ceiling then begin
-        Printf.eprintf
-          "scheme: %s words/dispatch %.2f exceeds ceiling %.2f — the \
-           on-switch path regressed into allocating per hop\n"
-          path words ceiling;
-        exit 1
-      end)
-    [ ("hit-path", hit_words); ("miss-path", miss_words) ]
+  [
+    int "dispatches" hit_n;
+    num "dispatches_per_sec" hit_rate;
+    num "words_per_dispatch" hit_words;
+    int "miss_dispatches" miss_n;
+    num "miss_dispatches_per_sec" miss_rate;
+    num "miss_words_per_dispatch" miss_words;
+  ]
+  @ riders
 
 (* --- FT16-400K scale run -------------------------------------------- *)
 
@@ -744,13 +634,6 @@ let peak_rss_mb () =
           in
           go ())
 
-(* Regression gate for CI: peak RSS of the single-process FT16-400K
-   run, in MB (e.g. REPRO_FT16_RSS_CEILING=4096). Off when unset. *)
-let ft16_rss_ceiling_mb () =
-  match Sys.getenv_opt "REPRO_FT16_RSS_CEILING" with
-  | Some s -> Some (float_of_string s)
-  | None -> None
-
 (* The full FT16-400K preset of the paper's Table 3, in one process:
    build the 12,866-node topology, stand up a SwitchV2P network over it
    (one ground-truth mapping per VM = 384,000, topped up with synthetic
@@ -760,7 +643,7 @@ let ft16_rss_ceiling_mb () =
    the dense-table fast path (built only for n <= 1024) and paid two
    hashtable probes per hop; now every structure is O(n + E) or
    O(num_vms) words, so the whole thing fits comfortably in CI. *)
-let ft16 () =
+let ft16 () : stats =
   let module Time_ns = Dessim.Time_ns in
   let module Flow = Netcore.Flow in
   let module Topology = Topo.Topology in
@@ -788,11 +671,7 @@ let ft16 () =
       (Topology.pip topo hosts.(i mod Array.length hosts))
   done;
   let create_s = Unix.gettimeofday () -. t1 in
-  let num_flows =
-    match Sys.getenv_opt "REPRO_FT16_FLOWS" with
-    | Some s -> int_of_string s
-    | None -> 2_000
-  in
+  let num_flows = 2_000 in
   let rng = Dessim.Rng.create setup.Experiments.Setup.seed in
   let flows =
     List.init num_flows (fun i ->
@@ -829,36 +708,20 @@ let ft16 () =
     \  peak RSS           %.0f MB\n"
     (Topology.num_nodes topo) (Topology.num_links topo) num_vms mappings
     num_flows events build_s create_s run_s live_words words_per_host rss;
-  ft16_stats :=
-    [
-      ("num_nodes", float_of_int (Topology.num_nodes topo));
-      ("num_links", float_of_int (Topology.num_links topo));
-      ("num_vms", float_of_int num_vms);
-      ("mappings", mappings);
-      ("flows", float_of_int num_flows);
-      ("events", float_of_int events);
-      ("build_s", build_s);
-      ("create_s", create_s);
-      ("run_s", run_s);
-      ("live_words", live_words);
-      ("words_per_host", words_per_host);
-      ("peak_rss_mb", rss);
-    ];
-  if mappings < 1_000_000.0 then begin
-    Printf.eprintf "ft16: only %.0f mappings installed (need >= 10^6)\n"
-      mappings;
-    exit 1
-  end;
-  match ft16_rss_ceiling_mb () with
-  | None -> ()
-  | Some ceiling ->
-      if rss > ceiling then begin
-        Printf.eprintf
-          "ft16: peak RSS %.0f MB exceeds ceiling %.0f MB — per-node or \
-           per-VIP state regressed to a superlinear structure\n"
-          rss ceiling;
-        exit 1
-      end
+  [
+    int "num_nodes" (Topology.num_nodes topo);
+    int "num_links" (Topology.num_links topo);
+    int "num_vms" num_vms;
+    num "mappings" mappings;
+    int "flows" num_flows;
+    int "events" events;
+    num "build_s" build_s;
+    num "create_s" create_s;
+    num "run_s" run_s;
+    num "live_words" live_words;
+    num "words_per_host" words_per_host;
+    num "peak_rss_mb" rss;
+  ]
 
 (* --- Bechamel micro-benchmarks of the primitives ------------------- *)
 
@@ -1061,7 +924,7 @@ let micro () =
    no churn, the storm sustains ~20,000 mappings/sec for 20 ms. Reports
    the remap rate actually scheduled, the invalidation traffic it
    triggers, and how much of the reference hit rate survives. *)
-let churn_bench () =
+let churn_bench () : stats =
   let module Spec = Netsim.Scenario in
   let module Churn = Workloads.Container_churn in
   let module Time_ns = Dessim.Time_ns in
@@ -1099,77 +962,76 @@ let churn_bench () =
     (extra stormed "invalidation_packets")
     (extra stormed "entries_invalidated")
     (100.0 *. ref_hit) (100.0 *. storm_hit) (100.0 *. recovery);
-  churn_stats :=
-    [
-      ("mappings", float_of_int (Churn.total_mappings episode));
-      ("batches", float_of_int (Churn.num_batches episode));
-      ("sustained_mappings_per_sec", Churn.sustained_rate episode);
-      ("invalidation_packets", extra stormed "invalidation_packets");
-      ("entries_invalidated", extra stormed "entries_invalidated");
-      ("hit_rate_reference", ref_hit);
-      ("hit_rate_storm", storm_hit);
-      ("hit_rate_retained", recovery);
-    ]
+  [
+    int "mappings" (Churn.total_mappings episode);
+    int "batches" (Churn.num_batches episode);
+    num "sustained_mappings_per_sec" (Churn.sustained_rate episode);
+    num "invalidation_packets" (extra stormed "invalidation_packets");
+    num "entries_invalidated" (extra stormed "entries_invalidated");
+    num "hit_rate_reference" ref_hit;
+    num "hit_rate_storm" storm_hit;
+    num "hit_rate_retained" recovery;
+  ]
 
 (* --- DST smoke sweep ------------------------------------------------ *)
 
-(* Seeded random fault plans over the default scheme set; any
-   invariant violation writes the failing seeds (with replay commands)
-   to DST_failures.txt and fails the run, so CI can upload the file as
-   an artifact. Seed count override: REPRO_DST_SEEDS. *)
-let dst () =
-  let num_seeds =
-    match Sys.getenv_opt "REPRO_DST_SEEDS" with
-    | Some s -> int_of_string s
-    | None -> 25
-  in
-  let shards = Parallel.shards () in
+(* 25 seeded random fault plans per scheme in the default set, run on
+   one shard and again on two (the cross-shard protocol: mailbox
+   conservation, handoffs under churn). Failing seeds go to
+   DST_failures.txt, which CI uploads as an artifact, and fail the
+   [dst.failed] gate. *)
+let dst () : stats =
   let module Dst = Experiments.Dst in
-  let outcomes =
-    Dst.run_seeds ~shards ~schemes:Dst.default_schemes
-      ~seeds:(List.init num_seeds (fun i -> i + 1))
-      ()
+  let num_seeds = 25 in
+  let sweep shards =
+    let outcomes =
+      Dst.run_seeds ~shards ~schemes:Dst.default_schemes
+        ~seeds:(List.init num_seeds (fun i -> i + 1))
+        ()
+    in
+    let failed = Dst.failed outcomes in
+    Printf.printf "dst: %d runs (%s x %d seeds, %d shard%s), %d failed\n%!"
+      (List.length outcomes)
+      (String.concat "," Dst.default_schemes)
+      num_seeds shards
+      (if shards = 1 then "" else "s")
+      (List.length failed);
+    List.map
+      (fun o -> Printf.sprintf "shards=%d %s" shards (Format.asprintf "%a" Dst.pp_failure o))
+      failed
   in
-  Printf.printf "dst: %d runs (%s x %d seeds, %d shard%s), %d failed\n%!"
-    (List.length outcomes)
-    (String.concat "," Dst.default_schemes)
-    num_seeds shards
-    (if shards = 1 then "" else "s")
-    (List.length (Dst.failed outcomes));
-  match Dst.failed outcomes with
-  | [] -> ()
-  | failed ->
-      let oc = open_out "DST_failures.txt" in
-      List.iter
-        (fun o -> output_string oc (Format.asprintf "%a" Dst.pp_failure o))
-        failed;
-      close_out oc;
-      List.iter (fun o -> Format.eprintf "%a" Dst.pp_failure o) failed;
-      Printf.eprintf "dst: failing seeds written to DST_failures.txt\n";
-      exit 1
+  let one = sweep 1 in
+  let failures = one @ sweep 2 in
+  if failures <> [] then begin
+    Out_channel.with_open_bin "DST_failures.txt" (fun oc ->
+        List.iter (output_string oc) failures);
+    List.iter prerr_string failures;
+    Printf.eprintf "dst: failing seeds written to DST_failures.txt\n"
+  end;
+  [ int "seeds" num_seeds; int "failed" (List.length failures) ]
 
 let targets =
   [
-    ("fig5a", ("Figure 5a (Hadoop)", fig5 Fig5.Hadoop));
-    ("fig5b", ("Figure 5b (Microbursts)", fig5 Fig5.Microbursts));
-    ("fig5c", ("Figure 5c (WebSearch + Controller)", fig5c_with_controller));
-    ("fig5d", ("Figure 5d (Video)", fig5 Fig5.Video));
-    ("fig6", ("Figure 6 (Alibaba, FT16)", fig5 Fig5.Alibaba));
-    ("fig7", ("Figures 7/8 (bandwidth heatmaps)", fig7_8));
-    ("fig8", ("Figures 7/8 (bandwidth heatmaps)", fig7_8));
-    ("fig9", ("Figure 9 (fewer gateways)", fig9));
-    ("fig10", ("Figure 10 (topology scaling)", fig10));
-    ("tab4", ("Table 4 (VM migration)", tab4));
-    ("tab5", ("Table 5 (hit distribution)", tab5));
-    ("tab6", ("Table 6 (switch resources)", tab6));
-    ("appA2", ("Appendix A.2 (Controller)", app_a2));
-    ("ablation", ("Ablation (design features)", ablation));
-    ("multitenant", ("Multitenant partitions (§4)", multitenant));
-    ("datasets", ("Dataset characterization (§5)", datasets));
-    ("resilience", ("Switch-failure resilience (§2)", resilience));
-    ("dht", ("DHT-store alternative (§2.4)", dht));
+    ("fig5a", ("Figure 5a (Hadoop)", table (fig5 Fig5.Hadoop)));
+    ("fig5b", ("Figure 5b (Microbursts)", table (fig5 Fig5.Microbursts)));
+    ("fig5c", ("Figure 5c (WebSearch + Controller)", table fig5c_with_controller));
+    ("fig5d", ("Figure 5d (Video)", table (fig5 Fig5.Video)));
+    ("fig6", ("Figure 6 (Alibaba, FT16)", table (fig5 Fig5.Alibaba)));
+    ("fig7", ("Figures 7/8 (bandwidth heatmaps)", table fig7_8));
+    ("fig8", ("Figures 7/8 (bandwidth heatmaps)", table fig7_8));
+    ("fig9", ("Figure 9 (fewer gateways)", table fig9));
+    ("fig10", ("Figure 10 (topology scaling)", table fig10));
+    ("tab4", ("Table 4 (VM migration)", table tab4));
+    ("tab5", ("Table 5 (hit distribution)", table tab5));
+    ("tab6", ("Table 6 (switch resources)", table tab6));
+    ("appA2", ("Appendix A.2 (Controller)", table app_a2));
+    ("ablation", ("Ablation (design features)", table ablation));
+    ("multitenant", ("Multitenant partitions (§4)", table multitenant));
+    ("datasets", ("Dataset characterization (§5)", table datasets));
+    ("resilience", ("Switch-failure resilience (§2)", table resilience));
+    ("dht", ("DHT-store alternative (§2.4)", table dht));
     ("cachegeo", ("Cache geometry study (§3.2)", cachegeo));
-    ("micro", ("Micro-benchmarks", micro));
+    ("micro", ("Micro-benchmarks", table micro));
     ("eventcore", ("Event-core throughput (forwarding path)", eventcore));
     ("scheme", ("Scheme pipeline (per-dispatch allocation)", scheme_bench));
     ("ft16", ("FT16-400K scale (CSR topology, 10^6 mappings)", ft16));
@@ -1206,16 +1068,24 @@ let () =
   in
   let args = strip_flags [] args in
   let selected = if args = [] then default_order else args in
-  let jobs = Parallel.default_jobs () in
-  Printf.printf "[experiment pool: %d worker%s]\n%!" jobs
-    (if jobs = 1 then "" else "s");
   List.iter
     (fun key ->
-      match List.assoc_opt key targets with
-      | Some (title, f) -> time_it ~key title f
-      | None ->
-          Printf.eprintf "unknown target %S; available: %s\n" key
-            (String.concat ", " (List.map fst targets));
-          exit 1)
+      if not (List.mem_assoc key targets) then begin
+        Printf.eprintf "unknown target %S; available: %s\n" key
+          (String.concat ", " (List.map fst targets));
+        exit 1
+      end)
     selected;
-  write_sweep_json jobs
+  Printf.printf "[experiment pool: %d worker%s]\n%!" cores
+    (if cores = 1 then "" else "s");
+  let ran =
+    List.map
+      (fun key ->
+        let title, f = List.assoc key targets in
+        time_it ~key title f)
+      selected
+  in
+  write_report (List.map (fun (key, _, entry) -> (key, entry)) ran);
+  let failed = check_gates (List.map (fun (key, stats, _) -> (key, stats)) ran) in
+  Printf.printf "[gates: %d failed]\n%!" failed;
+  if failed > 0 then exit 1

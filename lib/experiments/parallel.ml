@@ -42,34 +42,15 @@ let note_jobs jobs =
   if jobs > !c_jobs then c_jobs := jobs;
   Mutex.unlock lock
 
-(* Shards per run (REPRO_SHARDS): how many domains a single sharded
-   simulation occupies (see Netsim.Parnet). The sweep executor divides
-   its worker budget by this so sweeps of sharded runs keep the total
-   domain count roughly constant. *)
-let shards () =
-  match Sys.getenv_opt "REPRO_SHARDS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 1)
-  | None -> 1
-
-let default_jobs () =
-  let base =
-    match Sys.getenv_opt "REPRO_JOBS" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some j when j >= 1 -> j
-        | Some _ | None -> Domain.recommended_domain_count ())
-    | None -> Domain.recommended_domain_count ()
-  in
-  max 1 (base / shards ())
-
 let map ?jobs (tasks : (string * (unit -> 'a)) list) : 'a list =
   let arr = Array.of_list tasks in
   let n = Array.length arr in
   let jobs =
-    let j = match jobs with Some j -> max 1 j | None -> default_jobs () in
+    let j =
+      match jobs with
+      | Some j -> max 1 j
+      | None -> Domain.recommended_domain_count ()
+    in
     min j (max n 1)
   in
   note_jobs jobs;

@@ -6,21 +6,10 @@
     order. With the per-domain topology discipline of {!Setup.pooled},
     the result list is byte-identical for any worker count.
 
-    Worker count resolution: explicit [?jobs] argument, else the
-    [REPRO_JOBS] environment variable, else
+    Worker count: the explicit [?jobs] argument, else
     [Domain.recommended_domain_count ()]. A count of 1 (or a
     single-task list) degrades gracefully to a plain sequential loop on
     the calling domain — no domains are spawned. *)
-
-(** [default_jobs ()] is the worker count implied by [REPRO_JOBS] /
-    [Domain.recommended_domain_count]. *)
-val default_jobs : unit -> int
-
-(** [shards ()] is the per-run shard count implied by [REPRO_SHARDS]
-    (1 when unset or invalid) — the number of domains one sharded
-    simulation occupies ({!Netsim.Parnet}). {!default_jobs} divides
-    its worker budget by this. *)
-val shards : unit -> int
 
 (** [map ?jobs tasks] runs every [(name, thunk)] task and returns the
     thunk results in submission order. Tasks are claimed from a shared

@@ -60,8 +60,7 @@ val run :
     per shard. Returns the Parnet handle (per-shard inspection,
     window/handoff counters) alongside the result row. Telemetry
     reports are not supported; the result's [extra] scheme stats are
-    empty (per-shard stats are not generically mergeable). Pick
-    [shards] from [REPRO_SHARDS] via {!Parallel.shards}. *)
+    empty (per-shard stats are not generically mergeable). *)
 val run_sharded :
   ?net_config:Netsim.Network.config ->
   ?faults:Dessim.Fault.plan ->

@@ -56,9 +56,8 @@ let build_scheme (spec : Spec.t) (setup : Setup.t) (s : Spec.scheme_spec) =
 let label = Spec.scheme_label
 
 let shards_of (spec : Spec.t) =
-  match spec.Spec.shards with
-  | Spec.Shards_auto -> Parallel.shards ()
-  | Spec.Shards n -> n
+  let (Spec.Shards n) = spec.Spec.shards in
+  n
 
 let run_scheme ?report_name (spec : Spec.t) (s : Spec.scheme_spec) =
   let setup = realize spec in
@@ -89,7 +88,12 @@ let tasks (spec : Spec.t) =
       (name, fun () -> run_scheme ~report_name:name spec s))
     spec.Spec.schemes
 
-let run spec = Parallel.map_named (tasks spec)
+(* Each sharded run occupies [shards] domains, so the pool gets the
+   cores left over: sweeps keep the total domain count near the core
+   count. *)
+let run spec =
+  let jobs = max 1 (Domain.recommended_domain_count () / shards_of spec) in
+  Parallel.map_named ~jobs (tasks spec)
 
 let run_file path =
   match Spec.of_file path with

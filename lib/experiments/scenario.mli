@@ -30,8 +30,7 @@ val label : Netsim.Scenario.t -> Netsim.Scenario.scheme_spec -> string
     name. *)
 val task_name : Netsim.Scenario.t -> Netsim.Scenario.scheme_spec -> string
 
-(** The spec's shard count, with [Shards_auto] resolved via
-    {!Parallel.shards} ([REPRO_SHARDS]). *)
+(** The spec's shard count: domains per run. *)
 val shards_of : Netsim.Scenario.t -> int
 
 (** [run_scheme ?report_name spec s] — one scheme alternative, end to
@@ -47,8 +46,9 @@ val run_scheme :
 (** One named thunk per scheme alternative, for {!Parallel.map}. *)
 val tasks : Netsim.Scenario.t -> (string * (unit -> Runner.result)) list
 
-(** Execute every alternative via the worker pool; results in scheme
-    order, named {!task_name}. *)
+(** Execute every alternative via the worker pool, sized to the cores
+    divided by {!shards_of}; results in scheme order, named
+    {!task_name}. *)
 val run : Netsim.Scenario.t -> (string * Runner.result) list
 
 (** Parse, validate and run a committed scenario file. *)

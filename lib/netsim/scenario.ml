@@ -65,7 +65,7 @@ type scheme_spec = { label : string option; kind : scheme_kind }
 
 type faults_arm = No_faults | Random of int | Literal of Fault.plan
 
-type shards_arm = Shards_auto | Shards of int
+type shards_arm = Shards of int
 type horizon_arm = Horizon_auto | Horizon of Time_ns.t
 type classify_arm = No_classify | Vip_parity
 
@@ -153,7 +153,7 @@ let switchv2p ?(config = Switchv2p.Config.default) ?shares slots =
   Switchv2p { slots; config; shares }
 
 let make ~name ~topo ?(streams = []) ?churn ?(faults = No_faults)
-    ?(seed = 42) ?(shards = Shards_auto) ?(horizon = Horizon_auto)
+    ?(seed = 42) ?(shards = Shards 1) ?(horizon = Horizon_auto)
     ?gateways_used ?(classify = No_classify) schemes =
   {
     name;
@@ -297,10 +297,8 @@ let to_string t =
       addf "topo preset family=%s scale=%s seed=%d" (family_name family)
         (scale_name scale) t.topo.topo_seed
   | Custom p -> addf "topo custom %s seed=%d" (params_fields p) t.topo.topo_seed);
-  addf "engine seed=%d shards=%s horizon=%s" t.seed
-    (match t.shards with
-    | Shards_auto -> "auto"
-    | Shards n -> string_of_int n)
+  addf "engine seed=%d shards=%d horizon=%s" t.seed
+    (let (Shards n) = t.shards in n)
     (match t.horizon with
     | Horizon_auto -> "auto"
     | Horizon h -> string_of_int (Time_ns.to_ns h));
@@ -674,12 +672,7 @@ let parse_engine ~line toks (t : t) =
   (match take f "sched" with
   | None | Some ("default" | "heap") -> ()
   | Some v -> err ~line ~field:"sched" "sched %S: expected heap or default" v);
-  let shards =
-    match take f "shards" with
-    | None | Some "auto" -> Shards_auto
-    | Some v ->
-        Shards (parse_with ~line ~field:"shards" "integer" int_of_string_opt v)
-  in
+  let shards = Shards (take_int f "shards" ~default:1) in
   let horizon =
     match take f "horizon" with
     | None | Some "auto" -> Horizon_auto
@@ -968,10 +961,9 @@ let semantic_errors t (pos : positions option) =
             add (p line (Some "interval_ns") "interval must be positive")
       | _ -> ())
     t.schemes;
-  (match t.shards with
-  | Shards n when n < 1 ->
-      add (p (at (fun p -> p.p_last)) (Some "shards") "shards must be >= 1")
-  | _ -> ());
+  (let (Shards n) = t.shards in
+   if n < 1 then
+     add (p (at (fun p -> p.p_last)) (Some "shards") "shards must be >= 1"));
   (match t.horizon with
   | Horizon h when Time_ns.to_ns h <= 0 ->
       add (p (at (fun p -> p.p_last)) (Some "horizon") "horizon must be positive")

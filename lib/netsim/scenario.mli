@@ -30,7 +30,7 @@
     {v
 scenario NAME
 topo preset family=ft8 scale=small seed=42
-engine seed=42 shards=auto horizon=auto
+engine seed=42 shards=1 horizon=auto
 net gateways=all classify=none
 workload trace=hadoop rate=0x1p+3 load=0x1.3333333333333p-2 ...
 churn kind=migration_storm rate=0x1.f4p+9 start_ns=0 duration_ns=10000000 batch=8
@@ -110,7 +110,7 @@ type faults_arm =
   | Random of int  (** {!Faultplan.generate} with this seed *)
   | Literal of Dessim.Fault.plan
 
-type shards_arm = Shards_auto | Shards of int
+type shards_arm = Shards of int
 type horizon_arm = Horizon_auto | Horizon of Dessim.Time_ns.t
 type classify_arm = No_classify | Vip_parity
 
@@ -124,7 +124,7 @@ type t = {
       (** alternatives sharing one topology/workload — a sweep axis,
           not a composition *)
   seed : int;  (** engine/network seed ({!Network.config.seed}) *)
-  shards : shards_arm;  (** [Shards_auto] defers to [REPRO_SHARDS] *)
+  shards : shards_arm;  (** domains per run; 1 when omitted *)
   horizon : horizon_arm;
   gateways_used : int option;
   classify : classify_arm;

@@ -153,9 +153,7 @@ let spec_of_seed n =
                      }));
           }
   in
-  let shards =
-    if Rng.int rng 2 = 0 then Spec.Shards_auto else Spec.Shards (1 + Rng.int rng 3)
-  in
+  let shards = Spec.Shards (1 + Rng.int rng 3) in
   let horizon =
     if Rng.int rng 2 = 0 then Spec.Horizon_auto
     else Spec.Horizon (Time_ns.of_ms (1 + Rng.int rng 100))
@@ -229,7 +227,9 @@ let golden_file_matches_constructor () =
    field with the two values committed files carry, and blames any
    other value on its line and field.                                 *)
 
-let with_engine_field field =
+(* The golden spec's text with its engine line rewritten by [f], and
+   that line's 1-based number. *)
+let with_engine_line f =
   let lines = String.split_on_char '\n' (Spec.to_string (golden_spec ())) in
   let line = ref 0 in
   let lines =
@@ -237,12 +237,25 @@ let with_engine_field field =
       (fun i l ->
         if String.starts_with ~prefix:"engine " l then begin
           line := i + 1;
-          l ^ " " ^ field
+          f l
         end
         else l)
       lines
   in
   (String.concat "\n" lines, !line)
+
+let with_engine_field field = with_engine_line (fun l -> l ^ " " ^ field)
+
+(* The golden text with its engine line's [shards=] token replaced
+   by [shards=v], or dropped when [v] is [None]. *)
+let with_shards v =
+  with_engine_line (fun l ->
+      String.split_on_char ' ' l
+      |> List.filter_map (fun tok ->
+             if String.starts_with ~prefix:"shards=" tok then
+               Option.map (fun v -> "shards=" ^ v) v
+             else Some tok)
+      |> String.concat " ")
 
 let sched_field_compat () =
   List.iter
@@ -266,6 +279,34 @@ let sched_field_rejected () =
           Alcotest.(check (option string))
             ("sched=" ^ v ^ " error field") (Some "sched") e.Spec.field)
     [ "wheel"; "fifo"; "" ]
+
+let shards_omitted_is_one () =
+  let text, _ = with_shards None in
+  checkb "engine line has no shards field" false
+    (List.exists
+       (String.starts_with ~prefix:"engine seed=42 shards")
+       (String.split_on_char '\n' text));
+  match Spec.of_string text with
+  | Ok t -> checkb "omitted shards parses to Shards 1" true (t.Spec.shards = Spec.Shards 1)
+  | Error e -> Alcotest.failf "omitted shards: %s" (Spec.error_to_string e)
+
+let shards_auto_rejected () =
+  let text, line = with_shards (Some "auto") in
+  match Spec.of_string text with
+  | Ok _ -> Alcotest.fail "shards=auto accepted"
+  | Error e ->
+      checki "shards=auto error line" line e.Spec.line;
+      Alcotest.(check (option string))
+        "shards=auto error field" (Some "shards") e.Spec.field
+
+let shards_zero_rejected () =
+  let text, _ = with_shards (Some "0") in
+  match Spec.of_string text with
+  | Ok _ -> Alcotest.fail "shards=0 accepted"
+  | Error e ->
+      Alcotest.(check string) "shards=0 message" "shards must be >= 1" e.Spec.msg;
+      Alcotest.(check (option string))
+        "shards=0 error field" (Some "shards") e.Spec.field
 
 (* ------------------------------------------------------------------ *)
 (* Golden replay: running the committed file reproduces the
@@ -320,6 +361,11 @@ let () =
             sched_field_compat;
           Alcotest.test_case "any other sched value is a located error" `Quick
             sched_field_rejected;
+          Alcotest.test_case "omitted shards means 1" `Quick
+            shards_omitted_is_one;
+          Alcotest.test_case "shards=auto is a located error" `Quick
+            shards_auto_rejected;
+          Alcotest.test_case "shards=0 must be >= 1" `Quick shards_zero_rejected;
         ] );
       ( "replay",
         [
