@@ -86,8 +86,10 @@ type t = {
   mutable fp_resolved_host : int;
   switch_bytes : int array;
   mutable misdelivered : int;
-  mutable last_misdelivered_arrival : Time_ns.t option;
+  mutable last_misdelivered_arrival : Time_ns.t; (* [no_arrival] if none *)
 }
+
+let no_arrival = min_int
 
 let create ?classify topo rng =
   {
@@ -118,7 +120,7 @@ let create ?classify topo rng =
     fp_resolved_host = 0;
     switch_bytes = Array.make (Topo.Topology.num_nodes topo) 0;
     misdelivered = 0;
-    last_misdelivered_arrival = None;
+    last_misdelivered_arrival = no_arrival;
   }
 
 (* Elementwise sum of two per-class counter tables into a fresh one. *)
@@ -170,9 +172,7 @@ let merge a b =
           a.switch_bytes.(i) + b.switch_bytes.(i));
     misdelivered = a.misdelivered + b.misdelivered;
     last_misdelivered_arrival =
-      (match (a.last_misdelivered_arrival, b.last_misdelivered_arrival) with
-      | None, x | x, None -> x
-      | Some x, Some y -> Some (Time_ns.max x y));
+      Time_ns.max a.last_misdelivered_arrival b.last_misdelivered_arrival;
   }
 
 let tenant_packet (pkt : Packet.t) =
@@ -180,10 +180,11 @@ let tenant_packet (pkt : Packet.t) =
   | Packet.Data | Packet.Ack -> true
   | Packet.Learning | Packet.Invalidation -> false
 
+(* [Hashtbl.find], not [find_opt]: a hit allocates no option. *)
 let bump table key =
-  match Hashtbl.find_opt table key with
-  | Some r -> incr r
-  | None -> Hashtbl.add table key (ref 1)
+  match Hashtbl.find table key with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.add table key (ref 1)
 
 let classify_into t table pkt =
   match t.classify with
@@ -235,11 +236,13 @@ let switch_processed t ~switch (pkt : Packet.t) =
 let delivered t (pkt : Packet.t) ~now ~first_of_flow =
   t.delivered_packets <- t.delivered_packets + 1;
   if Packet.is_data pkt then begin
-    Stats.Summary.add t.stretch (float_of_int pkt.Packet.hops);
-    Stats.Summary.add t.pkt_latency
-      (Time_ns.to_sec (Time_ns.sub now pkt.Packet.sent_at));
+    (* Ints into [Stats]: a float argument would be boxed at the call
+       unless this module is inlined into its caller. *)
+    Stats.Summary.add_int t.stretch pkt.Packet.hops;
+    Stats.Summary.add_ns t.pkt_latency
+      (Time_ns.to_ns (Time_ns.sub now pkt.Packet.sent_at));
     if pkt.Packet.misdelivery >= 0 then
-      t.last_misdelivered_arrival <- Some now;
+      t.last_misdelivered_arrival <- now;
     let layer =
       if pkt.Packet.gw_visited then `Gateway
       else if pkt.Packet.hit_switch >= 0 then
@@ -271,9 +274,9 @@ let flow_started t = t.flows_started <- t.flows_started + 1
 
 let flow_completed t ~fct =
   t.flows_completed <- t.flows_completed + 1;
-  Stats.Reservoir.add t.fct (Time_ns.to_sec fct)
+  Stats.Reservoir.add_ns t.fct (Time_ns.to_ns fct)
 
-let first_packet_latency t lat = Stats.Summary.add t.fpl (Time_ns.to_sec lat)
+let first_packet_latency t lat = Stats.Summary.add_ns t.fpl (Time_ns.to_ns lat)
 let flows_started t = t.flows_started
 let flows_completed t = t.flows_completed
 
@@ -334,4 +337,6 @@ let bytes_of_pod t pod =
 let total_switch_bytes t = Array.fold_left ( + ) 0 t.switch_bytes
 let mean_stretch t = Stats.Summary.mean t.stretch
 let misdelivered_packets t = t.misdelivered
-let last_misdelivered_arrival t = t.last_misdelivered_arrival
+let last_misdelivered_arrival t =
+  if t.last_misdelivered_arrival = no_arrival then None
+  else Some t.last_misdelivered_arrival

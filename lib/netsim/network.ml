@@ -58,6 +58,9 @@ let ev_host_fwd = 4 (* a = (action lsl node_bits) lor node, b = slot *)
 let ev_fault = 5 (* a = index into the installed fault plan, b unused *)
 let ev_link_deq = 6 (* a = edge, b = BYTES, no packet *)
 let ev_arrive_remote = 7 (* like ev_arrive, but the link dequeue runs remotely *)
+let ev_send_after = 8 (* a = sending host,              b = slot *)
+let ev_pace = 9 (* a = flow id, b = seq, no packet: a UDP flow's next send *)
+let ev_flow_start = 10 (* a = slot in [starts], b unused, no packet *)
 
 (* ev_host_fwd actions; must be decided before the processing delay,
    exactly as the closure version captured the scheme's answer at
@@ -151,6 +154,13 @@ type t = {
      consumed by a switch, or still pooled at the horizon. *)
   mutable injected_pkts : int;
   mutable consumed_pkts : int;
+  (* Flows scheduled by [run] and not yet started: slot -> flow, and a
+     stack of free slots, grown together like the packet pool. A start
+     is an [ev_flow_start] event carrying the slot, not a closure. *)
+  mutable starts : Flow.t array;
+  mutable starts_len : int;
+  mutable starts_free : int array;
+  mutable starts_free_top : int;
 }
 
 let fresh_packet_id t () =
@@ -537,24 +547,21 @@ and host_forward t ~node ~action (pkt : Packet.t) =
         transmit t ~edge:(Topology.uplink_edge t.topo node) pkt
 
 and deliver t (pkt : Packet.t) =
-  let remote =
-    match t.shard with
-    | Some sc ->
-        let home = hoff_home sc pkt in
-        if home <> sc.hs_my then Some (sc, home) else None
-    | None -> None
-  in
-  match remote with
-  | Some (sc, dst_shard) ->
-      (* The flow's transport endpoint lives on another shard (its VM
-         migrated across the partition): hand the finished packet to
-         the home shard, which re-runs [deliver] one lookahead later —
-         delivery metrics and the transport callbacks both run where
-         the flow state is. *)
-      let arrival = Time_ns.add (Engine.now t.engine) sc.hs_lookahead in
-      let mode = match pkt.Packet.kind with Packet.Ack -> 3 | _ -> 2 in
-      hoff_push sc ~dst_shard ~mode ~arrival ~a:0 pkt;
-      pool_release t pkt
+  match t.shard with
+  | Some sc ->
+      let home = hoff_home sc pkt in
+      if home = sc.hs_my then deliver_local t pkt
+      else begin
+        (* The flow's transport endpoint lives on another shard (its VM
+           migrated across the partition): hand the finished packet to
+           the home shard, which re-runs [deliver] one lookahead later —
+           delivery metrics and the transport callbacks both run where
+           the flow state is. *)
+        let arrival = Time_ns.add (Engine.now t.engine) sc.hs_lookahead in
+        let mode = match pkt.Packet.kind with Packet.Ack -> 3 | _ -> 2 in
+        hoff_push sc ~dst_shard:home ~mode ~arrival ~a:0 pkt;
+        pool_release t pkt
+      end
   | None -> deliver_local t pkt
 
 and deliver_local t (pkt : Packet.t) =
@@ -565,7 +572,9 @@ and deliver_local t (pkt : Packet.t) =
             ~flow_id:pkt.Packet.flow_id)
   in
   Metrics.delivered t.metrics pkt ~now:(Engine.now t.engine) ~first_of_flow:first;
-  if Packet.is_data pkt then
+  (* Guarded: the float argument is boxed at the call even when the
+     sink is the disabled no-op. *)
+  if Packet.is_data pkt && Dessim.Telemetry.is_enabled t.cfg.telemetry then
     Dessim.Telemetry.observe t.cfg.telemetry "packet_latency_s"
       (Time_ns.to_sec (Time_ns.sub (Engine.now t.engine) pkt.Packet.sent_at));
   (match pkt.Packet.kind with
@@ -644,10 +653,19 @@ let apply_fault t ~index =
 
 (* Typed-event dispatcher. The [b] operand of every packet-carrying
    code is a pool slot; packets are adopted into the pool before their
-   first hop, so the slot is always live here. [ev_fault] events carry
-   no packet and must be dispatched before the slot dereference. *)
+   first hop, so the slot is always live here. [ev_fault], [ev_pace],
+   [ev_flow_start] and [ev_link_deq] events carry no packet and must
+   be dispatched before the slot dereference. *)
 let handle_event t ~code ~a ~b =
   if code = ev_fault then apply_fault t ~index:a
+  else if code = ev_pace then Transport.paced (transport_exn t) ~flow_id:a ~seq:b
+  else if code = ev_flow_start then begin
+    let flow = t.starts.(a) in
+    t.starts_free.(t.starts_free_top) <- a;
+    t.starts_free_top <- t.starts_free_top + 1;
+    Metrics.flow_started t.metrics;
+    Transport.start (transport_exn t) flow
+  end
   else if code = ev_link_deq then
     (* [b] is a byte count, not a pool slot — dispatched before the
        slot dereference below. Source-side half of a cross-shard hop:
@@ -671,6 +689,12 @@ let handle_event t ~code ~a ~b =
     else if code = ev_loopback then deliver t pkt
     else if code = ev_host_fwd then
       host_forward t ~node:(a land node_mask) ~action:(a lsr node_bits) pkt
+    else if code = ev_send_after then begin
+      (* The scheme's resolution penalty has elapsed; [dst_pip] was
+         written when it answered. *)
+      pkt.Packet.resolved <- true;
+      transmit t ~edge:(Topology.uplink_edge t.topo a) pkt
+    end
     else assert false
   end
 
@@ -691,23 +715,29 @@ let send_tenant_body t ~src_host (pkt : Packet.t) =
     (* Loopback packets are excluded from the hit-rate denominator:
        they involve no translation at all. *)
     Metrics.packet_sent t.metrics pkt;
-    match
+    let r =
       t.scheme.Scheme.resolve_at_host t.env ~host:src_host
         ~flow_id:pkt.Packet.flow_id ~dst_vip:pkt.Packet.dst_vip
-    with
-    | Scheme.Send_resolved pip ->
-        pkt.Packet.dst_pip <- pip;
-        pkt.Packet.resolved <- true;
-        transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt
-    | Scheme.Send_via_gateway ->
-        pkt.Packet.dst_pip <-
-          Topology.pip t.topo (gateway_for_flow t pkt.Packet.flow_id);
-        transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt
-    | Scheme.Send_after (delay, pip) ->
-        Engine.schedule_after t.engine ~delay (fun () ->
-            pkt.Packet.dst_pip <- pip;
-            pkt.Packet.resolved <- true;
-            transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt)
+    in
+    let tag = Scheme.Resolution.tag r in
+    if tag = Scheme.Resolution.tag_resolved then begin
+      pkt.Packet.dst_pip <- Scheme.Resolution.pip r;
+      pkt.Packet.resolved <- true;
+      transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt
+    end
+    else if tag = Scheme.Resolution.tag_via_gateway then begin
+      pkt.Packet.dst_pip <-
+        Topology.pip t.topo (gateway_for_flow t pkt.Packet.flow_id);
+      transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt
+    end
+    else begin
+      (* A pooled packet waits out the penalty in a typed event; nothing
+         reads its [dst_pip] until it is sent. *)
+      pkt.Packet.dst_pip <- Scheme.Resolution.pip r;
+      pool_adopt t pkt;
+      Engine.schedule_event_after t.engine ~delay:(Scheme.Resolution.delay r)
+        ~code:ev_send_after ~a:src_host ~b:pkt.Packet.pool_slot
+    end
   end
 
 let send_tenant_packet t ~src_host pkt =
@@ -743,6 +773,9 @@ let send_from_host t ~counted (pkt : Packet.t) =
 let make_transport t =
   let now () = Engine.now t.engine in
   let schedule delay f = Engine.schedule_after t.engine ~delay f in
+  let pace delay ~flow_id ~seq =
+    Engine.schedule_event_after t.engine ~delay ~code:ev_pace ~a:flow_id ~b:seq
+  in
   let send_data flow ~seq ~size ~retransmit =
     let src_host = t.vm_host.(Vip.to_int flow.Flow.src_vip) in
     let pkt = pool_acquire t in
@@ -765,18 +798,29 @@ let make_transport t =
     pkt.Packet.ecn <- ecn_echo;
     send_from_host t ~counted:false pkt
   in
+  let tel = t.cfg.telemetry in
   let flow_done _flow ~fct =
     Metrics.flow_completed t.metrics ~fct;
-    Dessim.Telemetry.observe t.cfg.telemetry "fct_s" (Time_ns.to_sec fct)
+    if Dessim.Telemetry.is_enabled tel then
+      Dessim.Telemetry.observe tel "fct_s" (Time_ns.to_sec fct)
   in
   let first_packet _flow ~latency =
     Metrics.first_packet_latency t.metrics latency;
-    Dessim.Telemetry.observe t.cfg.telemetry "first_packet_latency_s"
-      (Time_ns.to_sec latency)
+    if Dessim.Telemetry.is_enabled tel then
+      Dessim.Telemetry.observe tel "first_packet_latency_s"
+        (Time_ns.to_sec latency)
   in
   Transport.create ~mode:t.cfg.transport_mode ~window:t.cfg.window
     ~rto:t.cfg.rto
-    { Transport.now; schedule; send_data; send_ack; flow_done; first_packet }
+    {
+      Transport.now;
+      schedule;
+      pace;
+      send_data;
+      send_ack;
+      flow_done;
+      first_packet;
+    }
 
 (* --- construction ----------------------------------------------------- *)
 
@@ -847,6 +891,10 @@ let create ?(config = default_config) topo ~scheme =
       gw_down = Array.make (Topology.num_nodes topo) false;
       injected_pkts = 0;
       consumed_pkts = 0;
+      starts = [||];
+      starts_len = 0;
+      starts_free = [||];
+      starts_free_top = 0;
     }
   and env =
     {
@@ -1025,12 +1073,36 @@ let vm_host t vip = t.vm_host.(Vip.to_int vip)
 let num_vms t = Array.length t.vm_host
 let host_of_vm_index t i = t.vm_host.(i)
 
+let start_slot t (flow : Flow.t) =
+  let slot =
+    if t.starts_free_top > 0 then begin
+      t.starts_free_top <- t.starts_free_top - 1;
+      t.starts_free.(t.starts_free_top)
+    end
+    else begin
+      let cap = Array.length t.starts in
+      if t.starts_len = cap then begin
+        let ncap = if cap = 0 then 256 else cap * 2 in
+        let nstarts = Array.make ncap flow in
+        Array.blit t.starts 0 nstarts 0 t.starts_len;
+        t.starts <- nstarts;
+        let nfree = Array.make ncap 0 in
+        Array.blit t.starts_free 0 nfree 0 t.starts_free_top;
+        t.starts_free <- nfree
+      end;
+      let s = t.starts_len in
+      t.starts_len <- s + 1;
+      s
+    end
+  in
+  t.starts.(slot) <- flow;
+  slot
+
 let run t flows ~migrations ~until =
   List.iter
     (fun (flow : Flow.t) ->
-      Engine.schedule t.engine ~at:flow.Flow.start (fun () ->
-          Metrics.flow_started t.metrics;
-          Transport.start (transport_exn t) flow))
+      Engine.schedule_event t.engine ~at:flow.Flow.start ~code:ev_flow_start
+        ~a:(start_slot t flow) ~b:0)
     flows;
   List.iter
     (fun m ->

@@ -19,14 +19,40 @@ type env = Pipeline.env = {
       (** inject a scheme-generated packet into the fabric at a switch *)
 }
 
-(** How the sending hypervisor addresses the outer header. *)
-type host_resolution =
-  | Send_resolved of Netcore.Addr.Pip.t
-      (** the host knows the mapping; send directly *)
-  | Send_via_gateway  (** tunnel to the flow's translation gateway *)
-  | Send_after of Dessim.Time_ns.t * Netcore.Addr.Pip.t
-      (** resolve after a fixed penalty (OnDemand's miss cost), then
-          send directly *)
+(** How the sending hypervisor addresses the outer header: an
+    int-coded answer, packed like {!Switchv2p.Verdict}, so that host
+    resolution allocates nothing per send.
+
+    {v
+      resolved pip     = pip lsl 2                     pip < 2^60
+      via_gateway      = 1
+      after d pip      = ((d lsl 30) lor pip) lsl 2 lor 2
+                                                  pip < 2^30, 0 <= d < 2^30
+    v} *)
+module Resolution : sig
+  val resolved : Netcore.Addr.Pip.t -> int
+  (** the host knows the mapping; send directly. Raises
+      [Invalid_argument] if the PIP does not fit. *)
+
+  val via_gateway : int
+  (** tunnel to the flow's translation gateway *)
+
+  val after : Dessim.Time_ns.t -> Netcore.Addr.Pip.t -> int
+  (** [after d pip]: resolve after a fixed penalty [d] (OnDemand's miss
+      cost), then send directly to [pip]. Raises [Invalid_argument]
+      when [d] or [pip] is out of range. *)
+
+  (** Decoding. [tag r] is one of the [tag_*] constants; [pip] is
+      meaningful for [tag_resolved] and [tag_after], [delay] only for
+      [tag_after]. *)
+
+  val tag : int -> int
+  val tag_resolved : int
+  val tag_via_gateway : int
+  val tag_after : int
+  val pip : int -> Netcore.Addr.Pip.t
+  val delay : int -> Dessim.Time_ns.t
+end
 
 (** Hypervisor reaction to receiving a packet for a VM it no longer
     hosts. *)
@@ -45,10 +71,10 @@ type t = {
     host:int ->
     flow_id:int ->
     dst_vip:Netcore.Addr.Vip.t ->
-    host_resolution;
+    int;
       (** called once per packet send at the source hypervisor (data
           and ACK directions alike; [flow_id] keeps the gateway choice
-          stable per flow) *)
+          stable per flow); the answer is {!Resolution}-coded *)
   pipeline : Pipeline.t;
       (** the per-switch program, run for every packet arriving at a
           switch; stages may mutate the packet (resolution, tags,

@@ -5,6 +5,7 @@ module Packet = Netcore.Packet
 type callbacks = {
   now : unit -> Time_ns.t;
   schedule : Time_ns.t -> (unit -> unit) -> unit;
+  pace : Time_ns.t -> flow_id:int -> seq:int -> unit;
   send_data : Flow.t -> seq:int -> size:int -> retransmit:bool -> unit;
   send_ack : Flow.t -> seq:int -> ecn_echo:bool -> unit;
   flow_done : Flow.t -> fct:Time_ns.t -> unit;
@@ -13,6 +14,15 @@ type callbacks = {
 
 type mode = Windowed | Dctcp
 
+(* The window state that changes per ACK, in an all-float record: its
+   fields are stored unboxed, where a [mutable float] field of the
+   mixed [sender] record would box a fresh float (and run the write
+   barrier on a long-lived block) on every update. *)
+type window = {
+  mutable cwnd : float; (* congestion window (packets), capped at t.window *)
+  mutable alpha : float; (* DCTCP congestion estimate *)
+}
+
 type sender = {
   s_flow : Flow.t;
   total : int;
@@ -20,14 +30,17 @@ type sender = {
   acked : Bytes.t;
   mutable n_acked : int;
   mutable inflight : int;
-  mutable cwnd : float; (* congestion window (packets), capped at t.window *)
+  w : window;
   mutable in_slow_start : bool;
-  mutable alpha : float; (* DCTCP congestion estimate *)
   mutable win_acks : int; (* acks in the current observation window *)
   mutable win_marks : int; (* CE-echo acks in the window *)
   mutable done_ : bool;
   mutable progress_stamp : int; (* n_acked at last timeout check *)
 }
+
+(* A constant-rate UDP sender: each paced send is a typed engine event
+   (flow id, seq) that [paced] resolves back to this record. *)
+type pacer = { p_flow : Flow.t; p_total : int; p_interval : Time_ns.t }
 
 type receiver = {
   r_flow : Flow.t;
@@ -114,6 +127,7 @@ type t = {
   window : int;
   rto : Time_ns.t;
   senders : sender store;
+  pacers : pacer store;
   receivers : receiver store;
   mutable completed : int;
   mutable reordering : int;
@@ -129,6 +143,7 @@ let create ?(mode = Windowed) ?(window = 64) ?(rto = Time_ns.of_us 500) cb =
     window;
     rto;
     senders = store_create ();
+    pacers = store_create ();
     receivers = store_create ();
     completed = 0;
     reordering = 0;
@@ -159,7 +174,7 @@ let received_distinct t ~flow_id =
   | None -> 0
   | Some r -> r.n_received
 
-let effective_cwnd t s = max 1 (min t.window (int_of_float s.cwnd))
+let effective_cwnd t s = Int.max 1 (Int.min t.window (int_of_float s.w.cwnd))
 
 (* Reliable sender: keep the congestion window full. *)
 let pump t s =
@@ -178,7 +193,7 @@ let rec arm_timeout t s =
         if s.n_acked = s.progress_stamp then begin
           (* No progress over a full RTO: go-back-N from the lowest
              unacked sequence. *)
-          s.cwnd <- Float.min initial_cwnd (float_of_int t.window);
+          s.w.cwnd <- Float.min initial_cwnd (float_of_int t.window);
           s.in_slow_start <- true;
           let resent = ref 0 in
           let seq = ref 0 in
@@ -206,9 +221,8 @@ let start_reliable t flow =
       acked = Bytes.make total '\000';
       n_acked = 0;
       inflight = 0;
-      cwnd = Float.min initial_cwnd (float_of_int t.window);
+      w = { cwnd = Float.min initial_cwnd (float_of_int t.window); alpha = 1.0 };
       in_slow_start = true;
-      alpha = 1.0;
       win_acks = 0;
       win_marks = 0;
       done_ = false;
@@ -219,18 +233,29 @@ let start_reliable t flow =
   pump t s;
   arm_timeout t s
 
+let send_paced t p seq =
+  if seq < p.p_total then begin
+    t.cb.send_data p.p_flow ~seq ~size:(packet_size p.p_flow seq)
+      ~retransmit:false;
+    t.cb.pace p.p_interval ~flow_id:p.p_flow.Flow.id ~seq:(seq + 1)
+  end
+
+let paced t ~flow_id ~seq =
+  match store_find t.pacers flow_id with
+  | Some p -> send_paced t p seq
+  | None -> invalid_arg "Transport.paced: no UDP sender for this flow"
+
 let start_udp t flow rate_bps =
-  let total = Flow.packet_count flow in
-  let interval =
-    Time_ns.of_rate_bytes ~bits_per_sec:rate_bps flow.Flow.pkt_bytes
+  let p =
+    {
+      p_flow = flow;
+      p_total = Flow.packet_count flow;
+      p_interval =
+        Time_ns.of_rate_bytes ~bits_per_sec:rate_bps flow.Flow.pkt_bytes;
+    }
   in
-  let rec send_next seq =
-    if seq < total then begin
-      t.cb.send_data flow ~seq ~size:(packet_size flow seq) ~retransmit:false;
-      t.cb.schedule interval (fun () -> send_next (seq + 1))
-    end
-  in
-  send_next 0
+  store_set t.pacers flow.Flow.id p;
+  send_paced t p 0
 
 let make_receiver flow =
   let total = Flow.packet_count flow in
@@ -296,24 +321,24 @@ let dctcp_on_ack t s ~marked =
   if s.in_slow_start then begin
     if marked then begin
       s.in_slow_start <- false;
-      s.cwnd <- Float.max 2.0 (s.cwnd /. 2.0)
+      s.w.cwnd <- Float.max 2.0 (s.w.cwnd /. 2.0)
     end
-    else s.cwnd <- Float.min (float_of_int t.window) (s.cwnd +. 1.0)
+    else s.w.cwnd <- Float.min (float_of_int t.window) (s.w.cwnd +. 1.0)
   end;
   if s.win_acks >= effective_cwnd t s then begin
     let f = float_of_int s.win_marks /. float_of_int s.win_acks in
-    s.alpha <- ((1.0 -. dctcp_g) *. s.alpha) +. (dctcp_g *. f);
+    s.w.alpha <- ((1.0 -. dctcp_g) *. s.w.alpha) +. (dctcp_g *. f);
     if not s.in_slow_start then begin
       if s.win_marks > 0 then
-        s.cwnd <- Float.max 2.0 (s.cwnd *. (1.0 -. (s.alpha /. 2.0)))
-      else s.cwnd <- Float.min (float_of_int t.window) (s.cwnd +. 1.0)
+        s.w.cwnd <- Float.max 2.0 (s.w.cwnd *. (1.0 -. (s.w.alpha /. 2.0)))
+      else s.w.cwnd <- Float.min (float_of_int t.window) (s.w.cwnd +. 1.0)
     end;
     s.win_acks <- 0;
     s.win_marks <- 0
   end
 
 let windowed_on_ack t s =
-  if s.cwnd < float_of_int t.window then s.cwnd <- s.cwnd +. 1.0
+  if s.w.cwnd < float_of_int t.window then s.w.cwnd <- s.w.cwnd +. 1.0
 
 let on_ack t (pkt : Packet.t) =
   match store_find t.senders pkt.Packet.flow_id with
@@ -343,5 +368,5 @@ let cwnd t ~flow_id =
 
 let alpha t ~flow_id =
   match store_find t.senders flow_id with
-  | Some s -> Some s.alpha
+  | Some s -> Some s.w.alpha
   | None -> None

@@ -11,6 +11,11 @@
 type callbacks = {
   now : unit -> Dessim.Time_ns.t;
   schedule : Dessim.Time_ns.t -> (unit -> unit) -> unit;  (** relative delay *)
+  pace : Dessim.Time_ns.t -> flow_id:int -> seq:int -> unit;
+      (** [pace delay ~flow_id ~seq] must call {!paced}[ t ~flow_id ~seq]
+          [delay] from now: the next send of a UDP flow. Two ints, so
+          the host can queue it as a typed engine event rather than a
+          closure. *)
   send_data :
     Netcore.Flow.t -> seq:int -> size:int -> retransmit:bool -> unit;
   send_ack : Netcore.Flow.t -> seq:int -> ecn_echo:bool -> unit;
@@ -56,6 +61,12 @@ val on_data : t -> Netcore.Packet.t -> unit
 
 (** [on_ack t pkt] — an ACK arrived back at the sender. *)
 val on_ack : t -> Netcore.Packet.t -> unit
+
+(** [paced t ~flow_id ~seq] sends packet [seq] of the UDP flow
+    [flow_id] started on [t] (if [seq] is still inside the flow) and
+    asks {!callbacks.pace} for the next one. Raises [Invalid_argument]
+    if no UDP sender for [flow_id] was started on [t]. *)
+val paced : t -> flow_id:int -> seq:int -> unit
 
 val flows_completed : t -> int
 

@@ -9,7 +9,8 @@ module Cache = Switchv2p.Cache
 let nocache () =
   {
     Scheme.name = "NoCache";
-    resolve_at_host = (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Send_via_gateway);
+    resolve_at_host =
+      (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Resolution.via_gateway);
     pipeline = Pipeline.passthrough;
     on_misdelivery = (fun _env ~host:_ _pkt -> Scheme.Follow_me);
     on_mapping_update = (fun _env _vip ~old_pip:_ ~new_pip:_ -> ());
@@ -25,7 +26,8 @@ let direct () =
         (* Hosts hold the full, instantly synchronized table; reading
            the ground truth models that (update costs are out of scope,
            as in the paper). *)
-        Scheme.Send_resolved (Netcore.Mapping.lookup env.Scheme.mapping dst_vip));
+        Scheme.Resolution.resolved
+          (Netcore.Mapping.lookup env.Scheme.mapping dst_vip));
     pipeline = Pipeline.passthrough;
     on_misdelivery = (fun _env ~host:_ _pkt -> Scheme.Follow_me);
     on_mapping_update = (fun _env _vip ~old_pip:_ ~new_pip:_ -> ());
@@ -47,12 +49,12 @@ let ondemand ?(miss_penalty = Time_ns.of_us 40) () =
         incr lookups;
         let key = (host, Vip.to_int dst_vip) in
         match Hashtbl.find_opt host_caches key with
-        | Some pip -> Scheme.Send_resolved pip
+        | Some pip -> Scheme.Resolution.resolved pip
         | None ->
             incr misses;
             let pip = Netcore.Mapping.lookup env.Scheme.mapping dst_vip in
             Hashtbl.replace host_caches key pip;
-            Scheme.Send_after (miss_penalty, pip));
+            Scheme.Resolution.after miss_penalty pip);
     pipeline = Pipeline.passthrough;
     on_misdelivery = (fun _env ~host:_ _pkt -> Scheme.Follow_me);
     on_mapping_update =
@@ -84,7 +86,7 @@ let hoverboard ?(offload_threshold = 20) () =
       (fun env ~host ~flow_id:_ ~dst_vip ->
         let key = (host, Vip.to_int dst_vip) in
         match Hashtbl.find_opt installed key with
-        | Some pip -> Scheme.Send_resolved pip
+        | Some pip -> Scheme.Resolution.resolved pip
         | None ->
             let count =
               match Hashtbl.find_opt counters key with
@@ -102,7 +104,7 @@ let hoverboard ?(offload_threshold = 20) () =
               Hashtbl.replace installed key
                 (Netcore.Mapping.lookup env.Scheme.mapping dst_vip)
             end;
-            Scheme.Send_via_gateway);
+            Scheme.Resolution.via_gateway);
     pipeline = Pipeline.passthrough;
     on_misdelivery = (fun _env ~host:_ _pkt -> Scheme.Follow_me);
     on_mapping_update =
@@ -122,7 +124,8 @@ let flat_cache_scheme ~name ~switches ~total_slots ~topo =
   in
   ( {
     Scheme.name;
-    resolve_at_host = (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Send_via_gateway);
+    resolve_at_host =
+      (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Resolution.via_gateway);
     pipeline =
       Pipeline.make
         ~reset:(fun ~switch -> Learning_cache.fail_switch lc ~switch)
@@ -196,7 +199,8 @@ let bluebird ?(cp_rate_bps = 20e9) ?(cp_fwd_delay = Time_ns.of_ns 8_500)
     Scheme.name = "Bluebird";
     (* No gateways in Bluebird: the ToR always resolves. The initial
        outer destination is never reached. *)
-    resolve_at_host = (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Send_via_gateway);
+    resolve_at_host =
+      (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Resolution.via_gateway);
     pipeline =
       Pipeline.make
         ~reset:(fun ~switch ->

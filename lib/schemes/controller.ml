@@ -171,7 +171,7 @@ let make ?(gw_cost_hops = 40.0) ~topo ~total_slots ~interval () =
           periodic st env
         end;
         record_demand st ~host ~vip:dst_vip;
-        Scheme.Send_via_gateway);
+        Scheme.Resolution.via_gateway);
     pipeline =
       Pipeline.make
         ~reset:(fun ~switch ->

@@ -59,7 +59,7 @@ let make_with_control topo =
          sender's ToR immediately redirects toward the home switch; a
          gateway is only reached on partition failure. *)
       resolve_at_host =
-        (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Send_via_gateway);
+        (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Resolution.via_gateway);
       pipeline =
         Pipeline.make
           [

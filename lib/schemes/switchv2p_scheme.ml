@@ -51,7 +51,7 @@ let make_with_dataplane ?(config = Switchv2p.Config.default) ?partition topo
     {
       Scheme.name = "SwitchV2P";
       resolve_at_host =
-        (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Send_via_gateway);
+        (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Resolution.via_gateway);
       pipeline;
       on_misdelivery = (fun _env ~host:_ _pkt -> Scheme.Reforward_to_gateway);
       on_mapping_update = (fun _env _vip ~old_pip:_ ~new_pip:_ -> ());

@@ -1,30 +1,44 @@
+(* Accumulators keep their floats in all-float records, whose fields
+   are stored unboxed: a [mutable x : float] field in a mixed record
+   boxes a fresh float on every write. The [add_int]/[add_ns] entry
+   points take ints, so no float crosses a module boundary (where it
+   would be boxed at the call unless the caller inlines across
+   modules) on the per-delivery path. *)
+
+(* [Time_ns.to_sec], written out: seconds from integer nanoseconds. *)
+let[@inline] sec_of_ns ns = float_of_int ns /. 1e9
+
 module Summary = struct
+  (* All-float: [count] is exact as a float below 2^53 samples. *)
   type t = {
-    mutable count : int;
+    mutable count : float;
     mutable sum : float;
     mutable min : float;
     mutable max : float;
   }
 
-  let create () = { count = 0; sum = 0.0; min = infinity; max = neg_infinity }
+  let create () =
+    { count = 0.0; sum = 0.0; min = infinity; max = neg_infinity }
 
-  let add t x =
-    t.count <- t.count + 1;
+  let[@inline] add t x =
+    t.count <- t.count +. 1.0;
     t.sum <- t.sum +. x;
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
-  let count t = t.count
-  let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
-  let min t = if t.count = 0 then raise Not_found else t.min
-  let max t = if t.count = 0 then raise Not_found else t.max
+  let add_int t n = add t (float_of_int n)
+  let add_ns t ns = add t (sec_of_ns ns)
+  let count t = int_of_float t.count
+  let mean t = if t.count = 0.0 then 0.0 else t.sum /. t.count
+  let min t = if t.count = 0.0 then raise Not_found else t.min
+  let max t = if t.count = 0.0 then raise Not_found else t.max
   let sum t = t.sum
 
   (* Exact and commutative: count/sum are additive, min/max associative
      (the empty-summary sentinels are the identities). *)
   let merge a b =
     {
-      count = a.count + b.count;
+      count = a.count +. b.count;
       sum = a.sum +. b.sum;
       min = Stdlib.min a.min b.min;
       max = Stdlib.max a.max b.max;
@@ -32,20 +46,32 @@ module Summary = struct
 end
 
 module Reservoir = struct
+  type acc = { mutable total : float }
+
   type t = {
     mutable data : float array;
     mutable size : int;
     mutable seen : int;
-    mutable sum : float;
+    sum : acc;
     capacity : int option;
     rng : Rng.t;
     mutable sorted : bool;
   }
 
   let create ?capacity rng =
-    { data = [||]; size = 0; seen = 0; sum = 0.0; capacity; rng; sorted = true }
+    {
+      data = [||];
+      size = 0;
+      seen = 0;
+      sum = { total = 0.0 };
+      capacity;
+      rng;
+      sorted = true;
+    }
 
-  let store t i x =
+  (* Make slot [i] (at most [size]) writable; the caller stores the
+     sample itself, so the float is never passed (boxed) to a call. *)
+  let claim t i =
     if i = t.size then begin
       if t.size = Array.length t.data then begin
         let ncap = if t.size = 0 then 256 else t.size * 2 in
@@ -55,12 +81,15 @@ module Reservoir = struct
       end;
       t.size <- t.size + 1
     end;
-    t.data.(i) <- x;
     t.sorted <- false
 
-  let add t x =
+  let[@inline] store t i x =
+    claim t i;
+    t.data.(i) <- x
+
+  let[@inline] add t x =
     t.seen <- t.seen + 1;
-    t.sum <- t.sum +. x;
+    t.sum.total <- t.sum.total +. x;
     match t.capacity with
     | None -> store t t.size x
     | Some cap ->
@@ -70,8 +99,11 @@ module Reservoir = struct
           if j < cap then store t j x
         end
 
+  let add_ns t ns = add t (sec_of_ns ns)
   let count t = t.seen
-  let mean t = if t.seen = 0 then 0.0 else t.sum /. float_of_int t.seen
+
+  let mean t =
+    if t.seen = 0 then 0.0 else t.sum.total /. float_of_int t.seen
 
   (* Only defined for unbounded reservoirs (capacity [None]), where the
      stored samples are exactly the observed samples: the merge is a
@@ -91,7 +123,7 @@ module Reservoir = struct
       data;
       size = a.size + b.size;
       seen = a.seen + b.seen;
-      sum = a.sum +. b.sum;
+      sum = { total = a.sum.total +. b.sum.total };
       capacity = None;
       rng = a.rng;
       sorted = false;

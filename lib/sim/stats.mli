@@ -7,6 +7,14 @@ module Summary : sig
 
   val create : unit -> t
   val add : t -> float -> unit
+
+  (** [add_int t n] is [add t (float_of_int n)], and [add_ns t ns] is
+      [add t (Time_ns.to_sec ns)] (the sample in seconds). Both take an
+      int, so a caller in another module passes no boxed float: they
+      allocate nothing in any build profile. *)
+  val add_int : t -> int -> unit
+
+  val add_ns : t -> int -> unit
   val count : t -> int
   val mean : t -> float
 
@@ -30,6 +38,10 @@ module Reservoir : sig
 
   val create : ?capacity:int -> Rng.t -> t
   val add : t -> float -> unit
+
+  (** [add_ns t ns] is [add t (Time_ns.to_sec ns)]; see
+      {!Summary.add_ns}. *)
+  val add_ns : t -> int -> unit
   val count : t -> int
   val mean : t -> float
 

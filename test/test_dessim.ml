@@ -101,6 +101,119 @@ let test_rng_invalid () =
   Alcotest.check_raises "empty choose" (Invalid_argument "Rng.choose: empty array")
     (fun () -> ignore (Rng.choose rng [||]))
 
+(* The streams are pinned: the first 16 draws of each kind, for two
+   seeds, captured from the boxed-[int64] generator this one replaced.
+   Any change to the state representation must reproduce them. *)
+let pinned_int64 =
+  [
+    ( 42,
+      [
+        -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+        885919558081284366L; -353919125003956057L; 4337243929683858115L;
+        5152897204343404489L; 2820384354626331986L; -4414613273027670835L;
+        4497339579670313847L; -4345211542386587372L; -2098947937136382188L;
+        -1845073873574444724L; 1482940387686048950L; 700186318760072552L;
+        -2693559979281954569L;
+      ] );
+    ( 7,
+      [
+        -8774268681488515761L; 5573481420429128725L; -1088427420777695408L;
+        -2154039811576856741L; -6203870116991129099L; 6356872459430266104L;
+        7350602455885783398L; -7292045186689573744L; -3479047613037813530L;
+        1613712488631262144L; -1615696404408695004L; 3139284951441052361L;
+        -109919309315196042L; -7876530903962661552L; 4681804011161508313L;
+        -3662424523995147477L;
+      ] );
+  ]
+
+let pinned_float =
+  [
+    ( 42,
+      [
+        0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+        0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+        0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3; 0x1.8578493c50ec1p-1;
+        0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1; 0x1.c5be13f199e4dp-1;
+        0x1.ccc9f62cda7b8p-1; 0x1.494766cf71b6p-4; 0x1.36f1f7e8c90ap-5;
+        0x1.b53d1af09b619p-1;
+      ] );
+    ( 7,
+      [
+        0x1.0c77123e98157p-1; 0x1.3563ef4a0babcp-2; 0x1.e1ca420e19806p-1;
+        0x1.c436a0686dd2fp-1; 0x1.53ced9ff082a5p-1; 0x1.60e097496b38p-2;
+        0x1.980a57f430be8p-2; 0x1.359ae713428abp-1; 0x1.9f6fe141e86bcp-1;
+        0x1.6650ef5667a58p-4; 0x1.d327c95c6cbp-1; 0x1.5c87d83edafc8p-3;
+        0x1.fcf2f9f0ec9f7p-1; 0x1.2561e1bfbdd69p-1; 0x1.03e46fc5851f6p-2;
+        0x1.9a58e8997d2e2p-1;
+      ] );
+  ]
+
+let pinned_int1000 =
+  [
+    ( 42,
+      [
+        236; 595; 570; 183; 875; 57; 244; 993; 486; 923; 218; 810; 542; 475;
+        276; 619;
+      ] );
+    ( 7,
+      [
+        23; 362; 200; 533; 354; 52; 699; 32; 139; 72; 402; 180; 883; 128;
+        156; 165;
+      ] );
+  ]
+
+let test_rng_pinned_streams () =
+  let draws seed f =
+    let r = Rng.create seed in
+    List.init 16 (fun _ -> f r)
+  in
+  List.iter
+    (fun (seed, want) ->
+      check Alcotest.(list int64) "int64 draws" want (draws seed Rng.int64))
+    pinned_int64;
+  List.iter
+    (fun (seed, want) ->
+      check Alcotest.(list (float 0.0)) "float draws" want (draws seed Rng.float))
+    pinned_float;
+  List.iter
+    (fun (seed, want) ->
+      check Alcotest.(list int) "int 1000 draws" want
+        (draws seed (fun r -> Rng.int r 1000)))
+    pinned_int1000
+
+(* [int] and [bernoulli] return immediates, so they allocate nothing in
+   every build profile. [float] returns a float: across a module
+   boundary it is boxed unless the call is inlined, which the dev
+   profile's -opaque forbids, so there one box (2 words) per draw is
+   the expected cost. The loops are written out, not passed as
+   closures, so the float accumulator stays unboxed. *)
+let test_rng_draws_allocation_free () =
+  let r = Rng.create 42 in
+  let n = 100_000 in
+  let zero = Alcotest.float 0.0 in
+  let sink = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    sink := !sink + Rng.int r 1000
+  done;
+  check zero "int" 0.0 (Gc.minor_words () -. w0);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    if Rng.bernoulli r 0.5 then incr sink
+  done;
+  check zero "bernoulli" 0.0 (Gc.minor_words () -. w0);
+  let acc = ref 0.0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc +. Rng.float r
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if Build_profile.name = "dev" then
+    checkb "float: at most the boxed result" true
+      (words <= 2.0 *. float_of_int n)
+  else check zero "float" 0.0 words;
+  ignore (Sys.opaque_identity (!sink, !acc))
+
 (* --- Heap ---
 
    The engine's binary heap, driven as a priority queue: a typed event
@@ -505,6 +618,38 @@ let test_summary_empty () =
   Alcotest.check_raises "min of empty" Not_found (fun () ->
       ignore (Stats.Summary.min s))
 
+(* The int entry points record exactly what [add] records for the
+   converted sample: [add_int n] is [float_of_int n], [add_ns ns] is
+   [Time_ns.to_sec ns], bit for bit. *)
+let test_stats_int_entry_points () =
+  let exact = Alcotest.float 0.0 in
+  let samples = [ 1; 999; 123_456_789; 42; 7_000_000_001 ] in
+  let s_int = Stats.Summary.create () and s_ns = Stats.Summary.create () in
+  let f_int = Stats.Summary.create () and f_ns = Stats.Summary.create () in
+  let r_ns = Stats.Reservoir.create (Rng.create 18) in
+  let r_f = Stats.Reservoir.create (Rng.create 18) in
+  List.iter
+    (fun n ->
+      Stats.Summary.add_int s_int n;
+      Stats.Summary.add f_int (float_of_int n);
+      Stats.Summary.add_ns s_ns n;
+      Stats.Summary.add f_ns (Time_ns.to_sec n);
+      Stats.Reservoir.add_ns r_ns n;
+      Stats.Reservoir.add r_f (Time_ns.to_sec n))
+    samples;
+  List.iter
+    (fun (name, a, b) ->
+      checki (name ^ " count") (Stats.Summary.count b) (Stats.Summary.count a);
+      check exact (name ^ " sum") (Stats.Summary.sum b) (Stats.Summary.sum a);
+      check exact (name ^ " mean") (Stats.Summary.mean b) (Stats.Summary.mean a);
+      check exact (name ^ " min") (Stats.Summary.min b) (Stats.Summary.min a);
+      check exact (name ^ " max") (Stats.Summary.max b) (Stats.Summary.max a))
+    [ ("add_int", s_int, f_int); ("add_ns", s_ns, f_ns) ];
+  check exact "reservoir mean" (Stats.Reservoir.mean r_f) (Stats.Reservoir.mean r_ns);
+  check exact "reservoir p50"
+    (Stats.Reservoir.percentile r_f 50.0)
+    (Stats.Reservoir.percentile r_ns 50.0)
+
 let test_reservoir_percentiles () =
   let r = Stats.Reservoir.create (Rng.create 15) in
   for i = 1 to 100 do
@@ -573,6 +718,9 @@ let () =
           Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "invalid arguments" `Quick test_rng_invalid;
           Alcotest.test_case "copy continues stream" `Quick test_rng_copy_divergence;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "draws allocation-free" `Quick
+            test_rng_draws_allocation_free;
         ] );
       ( "heap",
         [
@@ -614,5 +762,6 @@ let () =
           Alcotest.test_case "reservoir capacity" `Quick test_reservoir_capacity;
           Alcotest.test_case "reservoir empty" `Quick test_reservoir_empty;
           Alcotest.test_case "counter" `Quick test_counter;
+          Alcotest.test_case "int entry points" `Quick test_stats_int_entry_points;
         ] );
     ]

@@ -375,6 +375,100 @@ let delivery_qcheck =
       && Metrics.hit_rate m >= 0.0
       && Metrics.hit_rate m <= 1.0)
 
+(* --- allocation ---
+
+   The layers every workload shares on each delivery: delivery metrics,
+   the sender's ACK path (window growth, DCTCP's control law, the pump
+   that refills the window) and Direct's host resolution. None may
+   allocate, in any build profile: the claim must not rest on
+   cross-module inlining, which the dev profile turns off. *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let zero_words = Alcotest.float 0.0
+let n_alloc = 10_000
+
+let test_delivery_metrics_allocation_free () =
+  let t = topo () in
+  let m = Metrics.create t (Dessim.Rng.create 3) in
+  let tor = (Topology.tors t).(0) in
+  let pkt =
+    Netcore.Packet.make_data ~id:0 ~flow_id:0 ~seq:0 ~size:1500
+      ~src_vip:(Vip.of_int 0) ~dst_vip:(Vip.of_int 8)
+      ~src_pip:(Topology.pip t (Topology.hosts t).(0))
+      ~dst_pip:(Topology.pip t (Topology.hosts t).(2))
+      ~now:0
+  in
+  pkt.Netcore.Packet.hops <- 4;
+  let words =
+    minor_words (fun () ->
+        for i = 1 to n_alloc do
+          (* Alternate a switch hit with a host resolution. *)
+          pkt.Netcore.Packet.hit_switch <- (if i land 1 = 0 then tor else -1);
+          Metrics.delivered m pkt ~now:(Time_ns.of_us i) ~first_of_flow:(i land 7 = 0);
+          Metrics.first_packet_latency m (Time_ns.of_us 3)
+        done)
+  in
+  checki "every delivery counted" n_alloc (Metrics.delivered_packets m);
+  Alcotest.check zero_words "minor words over 10k deliveries" 0.0 words
+
+let test_ack_path_allocation_free mode () =
+  let eng = Dessim.Engine.create () in
+  let sent = ref 0 in
+  let cb =
+    {
+      Netsim.Transport.now = (fun () -> Dessim.Engine.now eng);
+      schedule = (fun delay f -> Dessim.Engine.schedule_after eng ~delay f);
+      pace = (fun _ ~flow_id:_ ~seq:_ -> ());
+      send_data = (fun _ ~seq:_ ~size:_ ~retransmit:_ -> incr sent);
+      send_ack = (fun _ ~seq:_ ~ecn_echo:_ -> ());
+      flow_done = (fun _ ~fct:_ -> ());
+      first_packet = (fun _ ~latency:_ -> ());
+    }
+  in
+  let tr = Netsim.Transport.create ~mode ~window:64 cb in
+  let packets = n_alloc + 1 in
+  Netsim.Transport.start tr (cross_host_flow ~packets ~src:0 ~dst:8 ());
+  let ack =
+    Netcore.Packet.make_ack ~id:0 ~flow_id:0 ~seq:0 ~src_vip:(Vip.of_int 8)
+      ~dst_vip:(Vip.of_int 0) ~src_pip:Netcore.Addr.Pip.none
+      ~dst_pip:Netcore.Addr.Pip.none ~now:0
+  in
+  let words =
+    minor_words (fun () ->
+        for seq = 0 to n_alloc - 1 do
+          ack.Netcore.Packet.seq <- seq;
+          (* Marks in bursts, so DCTCP both cuts and regrows. *)
+          ack.Netcore.Packet.ecn <- seq land 31 < 4;
+          Netsim.Transport.on_ack tr ack
+        done)
+  in
+  checki "the window refilled on every ack" packets !sent;
+  Alcotest.check zero_words "minor words over 10k acks" 0.0 words
+
+let test_direct_resolution_allocation_free () =
+  let t = topo () in
+  let scheme = Schemes.Baselines.direct () in
+  let net = Network.create t ~scheme in
+  let env = Network.env net in
+  let host = (Topology.hosts t).(0) in
+  let sink = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to n_alloc do
+          sink :=
+            !sink
+            + scheme.Netsim.Scheme.resolve_at_host env ~host ~flow_id:i
+                ~dst_vip:(Vip.of_int (i land 15))
+        done)
+  in
+  checkb "resolved at the host" true
+    (Netsim.Scheme.Resolution.tag !sink = Netsim.Scheme.Resolution.tag_resolved);
+  Alcotest.check zero_words "minor words over 10k resolutions" 0.0 words
+
 let () =
   Alcotest.run "network"
     [
@@ -404,5 +498,16 @@ let () =
           Alcotest.test_case "gateway subset respected" `Quick test_gateway_subset_respected;
           Alcotest.test_case "bytes conservation" `Quick test_metrics_bytes_conservation;
           QCheck_alcotest.to_alcotest delivery_qcheck;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "delivery metrics" `Quick
+            test_delivery_metrics_allocation_free;
+          Alcotest.test_case "windowed acks" `Quick
+            (test_ack_path_allocation_free Netsim.Transport.Windowed);
+          Alcotest.test_case "dctcp acks" `Quick
+            (test_ack_path_allocation_free Netsim.Transport.Dctcp);
+          Alcotest.test_case "direct host resolution" `Quick
+            test_direct_resolution_allocation_free;
         ] );
     ]

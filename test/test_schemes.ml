@@ -144,6 +144,33 @@ let test_gwcache_caches_only_gateway_tors () =
   checkb "gateway ToR resolves" true (probe gw_tor);
   checkb "other switches have no cache" false (probe other)
 
+(* --- host resolution --- *)
+
+(* Int-coded host resolutions, decoded into a value tests can match. *)
+type resolution = Resolved of Pip.t | Via_gateway | After of Time_ns.t * Pip.t
+
+let resolve_with (s : Scheme.t) env ~host ~flow_id ~dst_vip =
+  let module R = Scheme.Resolution in
+  let r = s.Scheme.resolve_at_host env ~host ~flow_id ~dst_vip in
+  let tag = R.tag r in
+  if tag = R.tag_resolved then Resolved (R.pip r)
+  else if tag = R.tag_via_gateway then Via_gateway
+  else After (R.delay r, R.pip r)
+
+let test_resolution_coding () =
+  let module R = Scheme.Resolution in
+  let pip = Pip.of_int 12345 in
+  checki "resolved tag" R.tag_resolved (R.tag (R.resolved pip));
+  checkb "resolved pip" true (Pip.equal pip (R.pip (R.resolved pip)));
+  checki "via-gateway tag" R.tag_via_gateway (R.tag R.via_gateway);
+  let a = R.after (Time_ns.of_us 40) pip in
+  checki "after tag" R.tag_after (R.tag a);
+  checki "after delay" (Time_ns.of_us 40) (R.delay a);
+  checkb "after pip" true (Pip.equal pip (R.pip a));
+  Alcotest.check_raises "delay out of range"
+    (Invalid_argument "Scheme.Resolution.after: delay out of range") (fun () ->
+      ignore (R.after (-1) pip))
+
 (* --- ondemand --- *)
 
 let test_ondemand_resolution_sequence () =
@@ -152,24 +179,24 @@ let test_ondemand_resolution_sequence () =
   let scheme = Schemes.Baselines.ondemand () in
   let host = (Topology.hosts t).(0) in
   (match
-     scheme.Scheme.resolve_at_host env ~host ~flow_id:1 ~dst_vip:(Vip.of_int 12)
+     resolve_with scheme env ~host ~flow_id:1 ~dst_vip:(Vip.of_int 12)
    with
-  | Scheme.Send_after (d, _) -> checki "penalty 40us" (Time_ns.of_us 40) d
-  | Scheme.Send_resolved _ | Scheme.Send_via_gateway ->
+  | After (d, _) -> checki "penalty 40us" (Time_ns.of_us 40) d
+  | Resolved _ | Via_gateway ->
       Alcotest.fail "first lookup must pay the penalty");
   (match
-     scheme.Scheme.resolve_at_host env ~host ~flow_id:2 ~dst_vip:(Vip.of_int 12)
+     resolve_with scheme env ~host ~flow_id:2 ~dst_vip:(Vip.of_int 12)
    with
-  | Scheme.Send_resolved _ -> ()
-  | Scheme.Send_after _ | Scheme.Send_via_gateway ->
+  | Resolved _ -> ()
+  | After _ | Via_gateway ->
       Alcotest.fail "second lookup must hit");
   (* Caches are per host. *)
   match
-    scheme.Scheme.resolve_at_host env ~host:(Topology.hosts t).(1) ~flow_id:3
+    resolve_with scheme env ~host:(Topology.hosts t).(1) ~flow_id:3
       ~dst_vip:(Vip.of_int 12)
   with
-  | Scheme.Send_after _ -> ()
-  | Scheme.Send_resolved _ | Scheme.Send_via_gateway ->
+  | After _ -> ()
+  | Resolved _ | Via_gateway ->
       Alcotest.fail "other hosts miss independently"
 
 let test_ondemand_stale_after_migration () =
@@ -178,11 +205,11 @@ let test_ondemand_stale_after_migration () =
   let scheme = Schemes.Baselines.ondemand () in
   let host = (Topology.hosts t).(0) in
   let first =
-    scheme.Scheme.resolve_at_host env ~host ~flow_id:1 ~dst_vip:(Vip.of_int 12)
+    resolve_with scheme env ~host ~flow_id:1 ~dst_vip:(Vip.of_int 12)
   in
   let old_pip =
     match first with
-    | Scheme.Send_after (_, pip) -> pip
+    | After (_, pip) -> pip
     | _ -> Alcotest.fail "expected penalty"
   in
   (* Migrate in the ground truth; OnDemand hosts are not refreshed. *)
@@ -191,9 +218,9 @@ let test_ondemand_stale_after_migration () =
   scheme.Scheme.on_mapping_update env (Vip.of_int 12) ~old_pip
     ~new_pip:(Topology.pip t (Topology.hosts t).(5));
   match
-    scheme.Scheme.resolve_at_host env ~host ~flow_id:2 ~dst_vip:(Vip.of_int 12)
+    resolve_with scheme env ~host ~flow_id:2 ~dst_vip:(Vip.of_int 12)
   with
-  | Scheme.Send_resolved pip -> checkb "still stale" true (Pip.equal pip old_pip)
+  | Resolved pip -> checkb "still stale" true (Pip.equal pip old_pip)
   | _ -> Alcotest.fail "expected stale resolution"
 
 (* --- hoverboard --- *)
@@ -204,27 +231,27 @@ let test_hoverboard_offload_after_threshold () =
   let scheme = Schemes.Baselines.hoverboard ~offload_threshold:3 () in
   let host = (Topology.hosts t).(0) in
   let resolve () =
-    scheme.Scheme.resolve_at_host env ~host ~flow_id:1 ~dst_vip:(Vip.of_int 12)
+    resolve_with scheme env ~host ~flow_id:1 ~dst_vip:(Vip.of_int 12)
   in
   (* Packets 1..3 ride via the gateway; the third crosses the
      threshold and triggers the offload. *)
   for _ = 1 to 3 do
     match resolve () with
-    | Scheme.Send_via_gateway -> ()
-    | Scheme.Send_resolved _ | Scheme.Send_after _ ->
+    | Via_gateway -> ()
+    | Resolved _ | After _ ->
         Alcotest.fail "below threshold must use the gateway"
   done;
   (match resolve () with
-  | Scheme.Send_resolved _ -> ()
-  | Scheme.Send_via_gateway | Scheme.Send_after _ ->
+  | Resolved _ -> ()
+  | Via_gateway | After _ ->
       Alcotest.fail "offloaded rule must resolve at the host");
   (* Other hosts are unaffected. *)
   match
-    scheme.Scheme.resolve_at_host env ~host:(Topology.hosts t).(1) ~flow_id:2
+    resolve_with scheme env ~host:(Topology.hosts t).(1) ~flow_id:2
       ~dst_vip:(Vip.of_int 12)
   with
-  | Scheme.Send_via_gateway -> ()
-  | Scheme.Send_resolved _ | Scheme.Send_after _ ->
+  | Via_gateway -> ()
+  | Resolved _ | After _ ->
       Alcotest.fail "per-host counters"
 
 let test_hoverboard_validates_threshold () =
@@ -501,6 +528,62 @@ let test_switchv2p_miss_path_allocation_free () =
   checkb "the core consumed the promotion" true (hit_pkt.Packet.promo_vip = -1);
   Alcotest.check (Alcotest.float 0.0) "minor words over 10k dispatches" 0.0 words
 
+(* The gateway-ToR learning-packet coin. The miss-path loop above turns
+   learning packets off, so it never draws it; here they are on with
+   [p_learn = 0]: every resolved packet leaving the gateway draws the
+   coin ([Rng.bernoulli]) and none is emitted, so the loop measures the
+   draw alone. *)
+let test_switchv2p_learning_coin_allocation_free () =
+  let t = topo () in
+  let env = make_env t in
+  let config = Switchv2p.Config.make ~learning_packets:true ~p_learn:0.0 () in
+  let scheme, dp =
+    Schemes.Switchv2p_scheme.make_with_dataplane ~config t
+      ~total_cache_slots:(Array.length (Topology.switches t))
+  in
+  let pl = scheme.Scheme.pipeline in
+  Pipeline.prepare pl env;
+  let gw_tor =
+    Array.to_list (Topology.tors t)
+    |> List.find (fun sw -> Topology.role t sw = Node.Gateway_tor)
+  in
+  let gw = (Topology.gateways t).(0) in
+  let hosts = Topology.hosts t in
+  let remote =
+    Array.to_list hosts
+    |> List.find (fun h -> Topology.pod t h <> Topology.pod t gw_tor)
+  in
+  let pkt = mk_pkt t ~src_host:remote ~dst_vip:(Vip.of_int 12) in
+  let dst_pip = Topology.pip t hosts.(3) in
+  let dispatch () =
+    pkt.Packet.resolved <- true;
+    pkt.Packet.gw_visited <- true;
+    pkt.Packet.dst_pip <- dst_pip;
+    pkt.Packet.spill_vip <- -1;
+    pkt.Packet.spill_pip <- -1;
+    ignore (Pipeline.run pl env ~switch:gw_tor ~from:gw pkt : int)
+  in
+  for _ = 1 to 100 do
+    dispatch ()
+  done;
+  let before = Dessim.Rng.copy env.Scheme.rng in
+  let iters = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    dispatch ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  (* Exactly one coin per dispatch: the snapshot, advanced [iters]
+     draws, is back in step with the live stream. *)
+  for _ = 1 to iters do
+    ignore (Dessim.Rng.int64 before : int64)
+  done;
+  checkb "one coin drawn per dispatch" true
+    (Int64.equal (Dessim.Rng.int64 before) (Dessim.Rng.int64 env.Scheme.rng));
+  checki "no learning packet emitted" 0
+    (Switchv2p.Dataplane.learning_packets_sent dp);
+  Alcotest.check (Alcotest.float 0.0) "minor words over 10k coin draws" 0.0 words
+
 let test_switchv2p_requires_prepare () =
   let t = topo () in
   let scheme = Schemes.Switchv2p_scheme.make t ~total_cache_slots:64 in
@@ -613,6 +696,7 @@ let () =
         [
           Alcotest.test_case "resolution sequence" `Quick test_ondemand_resolution_sequence;
           Alcotest.test_case "stale after migration" `Quick test_ondemand_stale_after_migration;
+          Alcotest.test_case "resolution coding" `Quick test_resolution_coding;
         ] );
       ( "hoverboard",
         [
@@ -650,6 +734,8 @@ let () =
             test_switchv2p_requires_prepare;
           Alcotest.test_case "stage resources re-sum" `Quick
             test_pipeline_stage_resources_sum;
+          Alcotest.test_case "learning coin allocation-free" `Quick
+            test_switchv2p_learning_coin_allocation_free;
         ] );
       ("metadata", [ Alcotest.test_case "names" `Quick test_scheme_names ]);
     ]

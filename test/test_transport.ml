@@ -31,6 +31,9 @@ let make_world ?mode () =
     {
       Transport.now = (fun () -> Engine.now eng);
       schedule = (fun delay f -> Engine.schedule_after eng ~delay f);
+      pace =
+        (fun delay ~flow_id ~seq ->
+          Engine.schedule_event_after eng ~delay ~code:0 ~a:flow_id ~b:seq);
       send_data =
         (fun flow ~seq ~size:_ ~retransmit ->
           data_sent := (flow.Flow.id, seq, retransmit) :: !data_sent);
@@ -44,6 +47,7 @@ let make_world ?mode () =
     }
   in
   let tr = Transport.create ?mode ~window:4 ~rto:(Time_ns.of_us 100) cb in
+  Engine.set_handler eng (fun ~code:_ ~a ~b -> Transport.paced tr ~flow_id:a ~seq:b);
   { eng; tr; data_sent; acks_sent; completed; firsts }
 
 let flow ?(id = 1) ~packets () =
@@ -284,6 +288,7 @@ let run_lossy ~packets ~model ~seed =
     {
       Transport.now = (fun () -> Engine.now eng);
       schedule = (fun d f -> Engine.schedule_after eng ~delay:d f);
+      pace = (fun _ ~flow_id:_ ~seq:_ -> assert false (* TCP only *));
       send_data =
         (fun f ~seq ~size:_ ~retransmit ->
           if retransmit then incr retransmits;
