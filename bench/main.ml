@@ -1,12 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (on the scaled-down default topology; pass `--paper` for the full
-   Table 3 sizes), runs Bechamel micro-benchmarks of the core
-   primitives, and checks the perf smokes against one gate table.
+   Table 3 sizes), runs the perf smokes, and checks them against one
+   gate table.
 
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe fig5a tab4 # selected targets
-     dune exec bench/main.exe micro      # primitive benchmarks only
 
    `--csv DIR` captures every table as CSV; `--telemetry DIR` writes
    one structured-telemetry JSON report per instrumented run (see
@@ -767,199 +766,6 @@ let ft16 () : stats =
     num "peak_rss_mb" rss;
   ]
 
-(* --- Bechamel micro-benchmarks of the primitives ------------------- *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  (* Each benchmark is a (name, closure) pair: Bechamel times the
-     closure, and we separately count minor-heap words across a plain
-     loop over the same closure (see [words_per_op] below). *)
-  let cache_lookup =
-    let cache = Switchv2p.Cache.create ~slots:4096 in
-    for i = 0 to 4095 do
-      ignore
-        (Switchv2p.Cache.insert cache ~admission:`All
-           (Netcore.Addr.Vip.of_int i)
-           (Netcore.Addr.Pip.of_int i))
-    done;
-    let i = ref 0 in
-    ( "cache lookup",
-      fun () ->
-        incr i;
-        ignore
-          (Switchv2p.Cache.lookup cache
-             (Netcore.Addr.Vip.of_int (!i land 4095))) )
-  in
-  let cache_insert =
-    let cache = Switchv2p.Cache.create ~slots:4096 in
-    let i = ref 0 in
-    ( "cache insert",
-      fun () ->
-        incr i;
-        ignore
-          (Switchv2p.Cache.insert cache ~admission:`All
-             (Netcore.Addr.Vip.of_int (!i land 16383))
-             (Netcore.Addr.Pip.of_int !i)) )
-  in
-  let routing_topo =
-    Topo.Topology.build
-      (Topo.Params.scaled ~pods:8 ~racks_per_pod:4 ~hosts_per_rack:2
-         ~vms_per_host:2 ())
-  in
-  let ecmp =
-    let t = routing_topo in
-    let hosts = Topo.Topology.hosts t in
-    let i = ref 0 in
-    ( "ecmp full path",
-      fun () ->
-        incr i;
-        let src = hosts.(!i mod Array.length hosts) in
-        let dst = hosts.(((!i * 7) + 13) mod Array.length hosts) in
-        if src <> dst then ignore (Topo.Routing.path t ~src ~dst ~salt:!i) )
-  in
-  (* The forwarding hot path proper: a spine picking the ECMP core
-     toward a host in another pod — the one case where the oracle
-     allocates its candidate array. The table-based path must show
-     0 w/op here. *)
-  let next_hop_pairs =
-    let t = routing_topo in
-    let spines = Topo.Topology.spines t in
-    let hosts = Topo.Topology.hosts t in
-    let pod_of id =
-      match Topo.Topology.kind t id with
-      | Topo.Node.Host { pod; _ }
-      | Topo.Node.Gateway { pod; _ }
-      | Topo.Node.Tor { pod; _ }
-      | Topo.Node.Spine { pod; _ } ->
-          pod
-      | Topo.Node.Core _ -> -1
-    in
-    Array.init 1024 (fun i ->
-        let at = spines.(i mod Array.length spines) in
-        let rec pick j =
-          let dst = hosts.(((i * 7) + j) mod Array.length hosts) in
-          if pod_of dst <> pod_of at then dst else pick (j + 1)
-        in
-        (at, pick 13))
-  in
-  let next_hop_table =
-    let t = routing_topo in
-    let i = ref 0 in
-    ( "next_hop (table)",
-      fun () ->
-        incr i;
-        let at, dst = next_hop_pairs.(!i land 1023) in
-        ignore (Topo.Routing.next_hop t ~at ~dst ~salt:!i) )
-  in
-  let next_hop_oracle =
-    let t = routing_topo in
-    let i = ref 0 in
-    ( "next_hop (oracle)",
-      fun () ->
-        incr i;
-        let at, dst = next_hop_pairs.(!i land 1023) in
-        ignore (Topo.Routing.next_hop_oracle t ~at ~dst ~salt:!i) )
-  in
-  (* End-to-end per-packet cost: one single-packet UDP flow through the
-     full simulator (transport, links, engine, metrics) with the Direct
-     scheme, host -> ToR -> fabric -> host. *)
-  let e2e =
-    let topo =
-      Topo.Topology.build
-        (Topo.Params.scaled ~pods:2 ~racks_per_pod:2 ~hosts_per_rack:2
-           ~vms_per_host:2 ())
-    in
-    let net = Netsim.Network.create topo ~scheme:(Schemes.Baselines.direct ()) in
-    let num_vms = Netsim.Network.num_vms net in
-    let vms_per_host = 2 in
-    let module Time_ns = Dessim.Time_ns in
-    let module Flow = Netcore.Flow in
-    let i = ref 0 in
-    ( "transmit+arrive (pkt e2e, direct)",
-      fun () ->
-        incr i;
-        let src = !i * vms_per_host mod num_vms in
-        let dst = (src + vms_per_host) mod num_vms in
-        let start =
-          Time_ns.add
-            (Dessim.Engine.now (Netsim.Network.engine net))
-            (Time_ns.of_ns 10)
-        in
-        let flow =
-          Flow.make ~id:!i ~pkt_bytes:1500
-            ~src_vip:(Netcore.Addr.Vip.of_int src)
-            ~dst_vip:(Netcore.Addr.Vip.of_int dst)
-            ~size_bytes:1000 ~start
-            (Flow.Udp { rate_bps = 1e12 })
-        in
-        Netsim.Network.run net [ flow ] ~migrations:[]
-          ~until:(Time_ns.add start (Time_ns.of_ms 1)) )
-  in
-  let rng_bench =
-    let rng = Dessim.Rng.create 7 in
-    ("rng int", fun () -> ignore (Dessim.Rng.int rng 1_000_000))
-  in
-  let benches =
-    [
-      cache_lookup; cache_insert; ecmp; next_hop_table;
-      next_hop_oracle; e2e; rng_bench;
-    ]
-  in
-  let tests =
-    Test.make_grouped ~name:"primitives"
-      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) benches)
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let times = Analyze.all ols Instance.monotonic_clock raw in
-  (* Allocation is counted directly: minor-heap words across [n] calls
-     of the closure, divided by [n]. The loop and the closure call
-     themselves allocate nothing, so 0.0 here means the operation truly
-     performs zero allocation per call. *)
-  let words_per_op f =
-    f ();
-    let n = 10_000 in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to n do
-      f ()
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int n
-  in
-  let words =
-    List.map (fun (name, f) -> ("primitives/" ^ name, words_per_op f)) benches
-  in
-  let estimate results name =
-    match Hashtbl.find_opt results name with
-    | Some r -> (
-        match Analyze.OLS.estimates r with Some [ est ] -> Some est | _ -> None)
-    | None -> None
-  in
-  print_newline ();
-  print_endline "== micro: primitive costs ==";
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) times [] in
-  List.iter
-    (fun name ->
-      let time =
-        match estimate times name with
-        | Some ns -> Printf.sprintf "%8.1f ns/op" ns
-        | None -> "     (no est.)"
-      in
-      let alloc =
-        match List.assoc_opt name words with
-        | Some w -> Printf.sprintf "%8.1f w/op" w
-        | None -> "     (no est.)"
-      in
-      Printf.printf "  %-44s %s  %s\n" name time alloc)
-    (List.sort compare names);
-  flush stdout
-
 (* --- Container-churn benchmark: sustained remapping pressure ------- *)
 
 (* A container-overlay migration storm (Workloads.Container_churn)
@@ -1075,7 +881,6 @@ let targets =
     ("resilience", ("Switch-failure resilience (§2)", table resilience));
     ("dht", ("DHT-store alternative (§2.4)", table dht));
     ("cachegeo", ("Cache geometry study (§3.2)", cachegeo));
-    ("micro", ("Micro-benchmarks", table micro));
     ("eventcore", ("Event-core throughput (forwarding path)", eventcore));
     ("scheme", ("Scheme pipeline (per-dispatch allocation)", scheme_bench));
     ("ft16", ("FT16-400K scale (CSR topology, 10^6 mappings)", ft16));
@@ -1088,7 +893,7 @@ let default_order =
   [
     "datasets"; "fig5a"; "fig5b"; "fig5c"; "fig5d"; "fig6"; "fig7"; "fig9";
     "fig10"; "tab4"; "tab5"; "tab6"; "appA2"; "ablation"; "multitenant";
-    "resilience"; "dht"; "cachegeo"; "micro"; "eventcore"; "scheme"; "ft16";
+    "resilience"; "dht"; "cachegeo"; "eventcore"; "scheme"; "ft16";
     "churn"; "dst";
   ]
 

@@ -78,6 +78,41 @@ let results_json (r : result) =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.extra) );
     ]
 
+(* The result row of a finished run. [extra] is the scheme's own
+   stats ([] where they do not merge across shards). *)
+let result_of ~scheme ~topo ~reordering_events ~extra m =
+  let pods = (Topo.Topology.params topo).Topo.Params.pods in
+  {
+    scheme;
+    hit_rate = Netsim.Metrics.hit_rate m;
+    mean_fct = Netsim.Metrics.mean_fct m;
+    mean_fpl = Netsim.Metrics.mean_first_packet_latency m;
+    mean_pkt_latency = Netsim.Metrics.mean_packet_latency m;
+    gw_packets = Netsim.Metrics.gateway_packets m;
+    packets_sent = Netsim.Metrics.packets_sent m;
+    packets_dropped = Netsim.Metrics.packets_dropped m;
+    drops_by_kind = Netsim.Metrics.drops_by_kind m;
+    drops_by_site = Netsim.Metrics.drops_by_site m;
+    misdelivered = Netsim.Metrics.misdelivered_packets m;
+    flows_started = Netsim.Metrics.flows_started m;
+    flows_completed = Netsim.Metrics.flows_completed m;
+    stretch = Netsim.Metrics.mean_stretch m;
+    layer_hits = Netsim.Metrics.layer_hits m;
+    fp_layer_hits = Netsim.Metrics.first_packet_layer_hits m;
+    last_misdelivered_arrival = Netsim.Metrics.last_misdelivered_arrival m;
+    reordering_events;
+    extra;
+    class_hit_rates =
+      List.map (fun c -> (c, Netsim.Metrics.class_hit_rate m c))
+        (Netsim.Metrics.classes m);
+    bytes_by_pod =
+      Array.init pods (fun pod -> (pod, Netsim.Metrics.bytes_of_pod m pod));
+    bytes_by_switch =
+      Array.map
+        (fun sw -> (sw, Netsim.Metrics.bytes_of_switch m sw))
+        (Topo.Topology.switches topo);
+  }
+
 let run ?net_config ?report_name ?faults (setup : Setup.t) ~scheme ~flows
     ~migrations ~until =
   let tel, net_config =
@@ -93,41 +128,12 @@ let run ?net_config ?report_name ?faults (setup : Setup.t) ~scheme ~flows
   let net = Netsim.Network.create ?config:net_config setup.Setup.topo ~scheme in
   Option.iter (Netsim.Network.install_faults net) faults;
   Netsim.Network.run net flows ~migrations ~until;
-  let m = Netsim.Network.metrics net in
-  let topo = setup.Setup.topo in
-  let pods = (Topo.Topology.params topo).Topo.Params.pods in
   let result =
-    {
-      scheme = scheme.Netsim.Scheme.name;
-      hit_rate = Netsim.Metrics.hit_rate m;
-      mean_fct = Netsim.Metrics.mean_fct m;
-      mean_fpl = Netsim.Metrics.mean_first_packet_latency m;
-      mean_pkt_latency = Netsim.Metrics.mean_packet_latency m;
-      gw_packets = Netsim.Metrics.gateway_packets m;
-      packets_sent = Netsim.Metrics.packets_sent m;
-      packets_dropped = Netsim.Metrics.packets_dropped m;
-      drops_by_kind = Netsim.Metrics.drops_by_kind m;
-      drops_by_site = Netsim.Metrics.drops_by_site m;
-      misdelivered = Netsim.Metrics.misdelivered_packets m;
-      flows_started = Netsim.Metrics.flows_started m;
-      flows_completed = Netsim.Metrics.flows_completed m;
-      stretch = Netsim.Metrics.mean_stretch m;
-      layer_hits = Netsim.Metrics.layer_hits m;
-      fp_layer_hits = Netsim.Metrics.first_packet_layer_hits m;
-      last_misdelivered_arrival = Netsim.Metrics.last_misdelivered_arrival m;
-      reordering_events =
-        Netsim.Transport.reordering_events (Netsim.Network.transport net);
-      extra = scheme.Netsim.Scheme.stats ();
-      class_hit_rates =
-        List.map (fun c -> (c, Netsim.Metrics.class_hit_rate m c))
-          (Netsim.Metrics.classes m);
-      bytes_by_pod =
-        Array.init pods (fun pod -> (pod, Netsim.Metrics.bytes_of_pod m pod));
-      bytes_by_switch =
-        Array.map
-          (fun sw -> (sw, Netsim.Metrics.bytes_of_switch m sw))
-          (Topo.Topology.switches topo);
-    }
+    result_of ~scheme:scheme.Netsim.Scheme.name ~topo:setup.Setup.topo
+      ~reordering_events:
+        (Netsim.Transport.reordering_events (Netsim.Network.transport net))
+      ~extra:(scheme.Netsim.Scheme.stats ())
+      (Netsim.Network.metrics net)
   in
   (match (report_name, Report.telemetry_dir ()) with
   | Some name, Some dir when Telemetry.is_enabled tel ->
@@ -162,40 +168,10 @@ let run_sharded ?net_config ?faults ~shards (setup : Setup.t) ~make_scheme
     Netsim.Parnet.run ?config:net_config ?faults ~shards setup.Setup.topo
       ~make_scheme ~flows ~migrations ~until
   in
-  let m = Netsim.Parnet.metrics par in
-  let topo = setup.Setup.topo in
-  let pods = (Topo.Topology.params topo).Topo.Params.pods in
   let result =
-    {
-      scheme = !scheme_name;
-      hit_rate = Netsim.Metrics.hit_rate m;
-      mean_fct = Netsim.Metrics.mean_fct m;
-      mean_fpl = Netsim.Metrics.mean_first_packet_latency m;
-      mean_pkt_latency = Netsim.Metrics.mean_packet_latency m;
-      gw_packets = Netsim.Metrics.gateway_packets m;
-      packets_sent = Netsim.Metrics.packets_sent m;
-      packets_dropped = Netsim.Metrics.packets_dropped m;
-      drops_by_kind = Netsim.Metrics.drops_by_kind m;
-      drops_by_site = Netsim.Metrics.drops_by_site m;
-      misdelivered = Netsim.Metrics.misdelivered_packets m;
-      flows_started = Netsim.Metrics.flows_started m;
-      flows_completed = Netsim.Metrics.flows_completed m;
-      stretch = Netsim.Metrics.mean_stretch m;
-      layer_hits = Netsim.Metrics.layer_hits m;
-      fp_layer_hits = Netsim.Metrics.first_packet_layer_hits m;
-      last_misdelivered_arrival = Netsim.Metrics.last_misdelivered_arrival m;
-      reordering_events = Netsim.Parnet.reordering_events par;
-      extra = [];
-      class_hit_rates =
-        List.map (fun c -> (c, Netsim.Metrics.class_hit_rate m c))
-          (Netsim.Metrics.classes m);
-      bytes_by_pod =
-        Array.init pods (fun pod -> (pod, Netsim.Metrics.bytes_of_pod m pod));
-      bytes_by_switch =
-        Array.map
-          (fun sw -> (sw, Netsim.Metrics.bytes_of_switch m sw))
-          (Topo.Topology.switches topo);
-    }
+    result_of ~scheme:!scheme_name ~topo:setup.Setup.topo
+      ~reordering_events:(Netsim.Parnet.reordering_events par) ~extra:[]
+      (Netsim.Parnet.metrics par)
   in
   (par, result)
 

@@ -55,6 +55,12 @@ let compute_lookahead topo owner =
 let run ?config ?faults ?assign ~shards:n topo ~make_scheme ~(flows : Flow.t list)
     ~(migrations : Network.migration list) ~until =
   if n <= 0 then invalid_arg "Parnet.run: shards must be positive";
+  (* Every shard's network would observe the one collector from its own
+     domain, per packet: a data race. *)
+  (match config with
+  | Some c when Dessim.Telemetry.is_enabled c.Network.telemetry ->
+      invalid_arg "Parnet.run: telemetry is not supported in sharded runs"
+  | _ -> ());
   let num_nodes = Topology.num_nodes topo in
   let assign =
     match assign with

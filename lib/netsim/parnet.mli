@@ -14,8 +14,8 @@
     regardless of wall-clock interleaving. Different shard counts are
     different (equally valid) interleavings of the same workload.
 
-    Telemetry is not supported in sharded runs (pass a config with
-    telemetry disabled, the default). *)
+    Telemetry is not supported in sharded runs: {!run} raises
+    [Invalid_argument] if [config]'s collector is enabled. *)
 
 type t
 

@@ -105,7 +105,10 @@ let thunk_store t f =
    Every index is [stride * h + f] with [h < t.heap_size <=
    length/stride] and [f < stride], maintained by the heap shape
    invariant — the bounds checks were pure overhead on the hottest
-   loop in the simulator.
+   loop in the simulator. The rest of the build keeps its bounds
+   checks, which cost nothing measurable; checking these two loops
+   too grew bench/e2e's run_s by 11-24% across its four
+   workloads (median of 10 alternating pairs, 2-core VM).
 
    The [int array] annotations on the helpers that take the record
    array as a parameter are load-bearing: left unannotated the

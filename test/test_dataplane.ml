@@ -94,6 +94,14 @@ let cache h sw = Dataplane.cache h.dp ~switch:sw
 
 (* --- learning rules (Table 1) --- *)
 
+(* The build keeps OCaml's bounds checks: a node id one past the
+   per-node table raises instead of reading the next heap block. *)
+let test_bounds_checked () =
+  let h = harness () in
+  Alcotest.check_raises "role_of past the end"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Dataplane.role_of h.dp ~switch:(Topology.num_nodes h.t)))
+
 let test_gateway_tor_destination_learning () =
   let h = harness () in
   let gt = gw_tor h in
@@ -690,6 +698,7 @@ let test_tor_only_mode () =
 let () =
   Alcotest.run "dataplane"
     [
+      ("bounds", [ Alcotest.test_case "bounds checked" `Quick test_bounds_checked ]);
       ( "learning",
         [
           Alcotest.test_case "gateway ToR destination learning" `Quick

@@ -29,6 +29,14 @@ let run_flows ?config ?(migrations = []) ~scheme flows =
   Network.run net flows ~migrations ~until:(Time_ns.of_ms 100);
   net
 
+(* The build keeps OCaml's bounds checks: an index one past a table's
+   end raises instead of reading the next heap block. *)
+let test_bounds_checked () =
+  let net = Network.create (topo ()) ~scheme:(Schemes.Baselines.direct ()) in
+  Alcotest.check_raises "host_of_vm_index past the end"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Network.host_of_vm_index net (Network.num_vms net)))
+
 let test_nocache_end_to_end () =
   let net = run_flows ~scheme:(Schemes.Baselines.nocache ())
       [ cross_host_flow ~src:0 ~dst:8 () ]
@@ -497,6 +505,7 @@ let () =
           Alcotest.test_case "gateways_used validated" `Quick test_gateways_used_validation;
           Alcotest.test_case "gateway subset respected" `Quick test_gateway_subset_respected;
           Alcotest.test_case "bytes conservation" `Quick test_metrics_bytes_conservation;
+          Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
           QCheck_alcotest.to_alcotest delivery_qcheck;
         ] );
       ( "alloc",

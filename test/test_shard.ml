@@ -389,6 +389,21 @@ let dst_sharded_smoke () =
   Alcotest.check Alcotest.int "all sharded DST runs pass" 0
     (List.length (Dst.failed outcomes))
 
+(* Every shard would observe one collector from its own domain, per
+   packet; the run refuses it up front. *)
+let telemetry_rejected () =
+  let topo = Topology.build params in
+  let config =
+    { Network.default_config with telemetry = Dessim.Telemetry.create () }
+  in
+  Alcotest.check_raises "enabled collector"
+    (Invalid_argument "Parnet.run: telemetry is not supported in sharded runs")
+    (fun () ->
+      ignore
+        (Parnet.run ~config ~shards:2 topo
+           ~make_scheme:(fun ~shard:_ -> mk_scheme "direct" topo)
+           ~flows:[] ~migrations:[] ~until))
+
 let () =
   Alcotest.run "shard"
     [
@@ -414,4 +429,7 @@ let () =
         [ Alcotest.test_case "fixed shard count" `Quick determinism_fixed_shards ]
       );
       ("dst", [ Alcotest.test_case "sharded smoke" `Quick dst_sharded_smoke ]);
+      ( "telemetry",
+        [ Alcotest.test_case "enabled collector rejected" `Quick telemetry_rejected ]
+      );
     ]

@@ -52,6 +52,14 @@ let test_build_counts () =
   (* Gateways in pods 0 and 2. *)
   checki "gateways" 4 (Array.length (Topology.gateways t))
 
+(* The build keeps OCaml's bounds checks: an index one past a table's
+   end raises instead of reading the next heap block. *)
+let test_bounds_checked () =
+  let t = small () in
+  Alcotest.check_raises "link_of_edge past the end"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Topology.link_of_edge t (Topology.num_links t)))
+
 let test_roles () =
   let t = small () in
   let count role =
@@ -399,8 +407,8 @@ let csr_vs_oracle_qcheck =
             done
         done
       done;
-      (* Out-of-range sources raise rather than reading wild memory
-         (lib/topo compiles with -unsafe; [link] guards explicitly). *)
+      (* Out-of-range sources raise [Not_found]: [link] guards the
+         CSR range explicitly. *)
       (match Topology.link t ~src:(-1) ~dst:0 with
       | exception Not_found -> ()
       | _ -> QCheck.Test.fail_report "src -1 did not raise");
@@ -539,6 +547,7 @@ let () =
       ( "build",
         [
           Alcotest.test_case "counts" `Quick test_build_counts;
+          Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
           Alcotest.test_case "roles" `Quick test_roles;
           Alcotest.test_case "gateway racks" `Quick test_gateway_tor_hosts_only_gateways;
           Alcotest.test_case "endpoint/tor symmetry" `Quick test_endpoint_tor_symmetry;
