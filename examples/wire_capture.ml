@@ -25,7 +25,7 @@ let show name pkt =
     (if Bytes.length b > 40 then " ..." else "");
   let decoded = Netcore.Wire.decode b in
   assert (Vip.equal decoded.Packet.dst_vip pkt.Packet.dst_vip);
-  assert (decoded.Packet.resolved = pkt.Packet.resolved)
+  assert (Packet.resolved decoded = Packet.resolved pkt)
 
 let () =
   print_endline "SwitchV2P wire format (outer IPv4 | options | inner IPv4):\n";
@@ -37,7 +37,7 @@ let () =
   show "plain unresolved data" base;
 
   let resolved = Netcore.Wire.decode (Netcore.Wire.encode base) in
-  resolved.Packet.resolved <- true;
+  Packet.set_resolved resolved true;
   resolved.Packet.hit_switch <- 42;
   show "resolved (cache hit)" resolved;
 

@@ -8,6 +8,7 @@ type env = {
   now : unit -> Time_ns.t;
   emit : src_switch:int -> Packet.t -> unit;
   fresh_packet_id : unit -> int;
+  pooled_packet : unit -> Packet.t;
   rng : Rng.t;
 }
 
@@ -301,7 +302,7 @@ let insert_no_spill t st ~admission vip pip =
 
 let rewrite_to st (pkt : Packet.t) pip =
   pkt.Packet.dst_pip <- pip;
-  pkt.Packet.resolved <- true;
+  Packet.set_resolved pkt true;
   pkt.Packet.hit_switch <- st.sw_id
 
 (* §3.3: on assigning a misdelivery tag the ToR targets an invalidation
@@ -316,13 +317,12 @@ let send_invalidation t env st ~target ~vip ~stale =
         | None -> true
     in
     if allowed then begin
-      let pkt =
-        Packet.make_control ~id:(env.fresh_packet_id ()) ~kind:Packet.Invalidation
-          ~mapping:(vip, stale)
-          ~src_pip:(Topo.Topology.pip t.topo st.sw_id)
-          ~dst_pip:(Topo.Topology.pip t.topo target)
-          ~now:(env.now ())
-      in
+      let pkt = env.pooled_packet () in
+      Packet.reset_control pkt ~id:(env.fresh_packet_id ())
+        ~kind:Packet.Invalidation ~mapping_vip:vip ~mapping_pip:stale
+        ~src_pip:(Topo.Topology.pip t.topo st.sw_id)
+        ~dst_pip:(Topo.Topology.pip t.topo target)
+        ~now:(env.now ());
       t.invalidation_packets_sent <- t.invalidation_packets_sent + 1;
       env.emit ~src_switch:st.sw_id pkt
     end
@@ -341,14 +341,13 @@ let maybe_send_learning_packet t env st (pkt : Packet.t) =
     then begin
       let sender_tor = Topo.Topology.tor_of t.topo sender in
       if sender_tor <> st.sw_id then begin
-        let lp =
-          Packet.make_control ~id:(env.fresh_packet_id ())
-            ~kind:Packet.Learning
-            ~mapping:(pkt.Packet.dst_vip, pkt.Packet.dst_pip)
-            ~src_pip:(Topo.Topology.pip t.topo st.sw_id)
-            ~dst_pip:(Topo.Topology.pip t.topo sender_tor)
-            ~now:(env.now ())
-        in
+        let lp = env.pooled_packet () in
+        Packet.reset_control lp ~id:(env.fresh_packet_id ())
+          ~kind:Packet.Learning ~mapping_vip:pkt.Packet.dst_vip
+          ~mapping_pip:pkt.Packet.dst_pip
+          ~src_pip:(Topo.Topology.pip t.topo st.sw_id)
+          ~dst_pip:(Topo.Topology.pip t.topo sender_tor)
+          ~now:(env.now ());
         t.learning_packets_sent <- t.learning_packets_sent + 1;
         env.emit ~src_switch:st.sw_id lp
       end
@@ -374,7 +373,7 @@ let handle_tagged t env st (pkt : Packet.t) =
         flight t env st pkt "invalidated"
       end
     end
-    else if not pkt.Packet.gw_pinned then begin
+    else if not (Packet.gw_pinned pkt) then begin
       rewrite_to st pkt (Cache.hit_pip r);
       flight t env st pkt "hit"
     end
@@ -446,11 +445,11 @@ let absorb_spill t env st (pkt : Packet.t) =
 let learn t env st (pkt : Packet.t) =
   match st.role with
   | Topo.Node.Gateway_tor ->
-      if pkt.Packet.resolved then
+      if Packet.resolved pkt then
         insert_with_spill t env st pkt ~admission:`All
           pkt.Packet.dst_vip pkt.Packet.dst_pip
   | Topo.Node.Gateway_spine ->
-      if pkt.Packet.resolved then
+      if Packet.resolved pkt then
         insert_with_spill t env st pkt ~admission:`A_bit_clear
           pkt.Packet.dst_vip pkt.Packet.dst_pip
   | Topo.Node.Regular_tor ->
@@ -458,7 +457,7 @@ let learn t env st (pkt : Packet.t) =
         insert_with_spill t env st pkt ~admission:`All
           pkt.Packet.src_vip pkt.Packet.src_pip
   | Topo.Node.Regular_spine ->
-      if pkt.Packet.resolved then
+      if Packet.resolved pkt then
         insert_with_spill t env st pkt ~admission:`A_bit_clear
           pkt.Packet.dst_vip pkt.Packet.dst_pip
   | Topo.Node.Core_switch ->
@@ -530,10 +529,10 @@ let lookup t env ~switch ~from:_ (pkt : Packet.t) =
   (match pkt.Packet.kind with
   | Packet.Data | Packet.Ack ->
       (* Tagged packets use the conservative variant. *)
-      if not pkt.Packet.resolved then begin
+      if not (Packet.resolved pkt) then begin
         let st = state t switch in
         if pkt.Packet.misdelivery >= 0 then handle_tagged t env st pkt
-        else if pkt.Packet.gw_pinned then handle_pinned t env st pkt
+        else if Packet.gw_pinned pkt then handle_pinned t env st pkt
         else regular_lookup t env st pkt
       end
   | Packet.Learning | Packet.Invalidation -> ());
@@ -555,7 +554,7 @@ let emit t env ~switch ~from:_ (pkt : Packet.t) =
       let st = state t switch in
       match st.role with
       | Topo.Node.Gateway_tor ->
-          if pkt.Packet.resolved then maybe_send_learning_packet t env st pkt
+          if Packet.resolved pkt then maybe_send_learning_packet t env st pkt
       | Topo.Node.Gateway_spine | Topo.Node.Regular_tor
       | Topo.Node.Regular_spine | Topo.Node.Core_switch ->
           ())

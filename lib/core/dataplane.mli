@@ -13,6 +13,9 @@ type env = {
   emit : src_switch:int -> Netcore.Packet.t -> unit;
       (** inject a freshly generated control packet at a switch *)
   fresh_packet_id : unit -> int;
+  pooled_packet : unit -> Netcore.Packet.t;
+      (** a packet to fill with {!Netcore.Packet.reset_control} for a
+          control message; the simulator may recycle it from a pool *)
   rng : Dessim.Rng.t;
 }
 

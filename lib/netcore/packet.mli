@@ -27,7 +27,10 @@ type t = {
   mutable dst_vip : Addr.Vip.t;
   mutable src_pip : Addr.Pip.t;
   mutable dst_pip : Addr.Pip.t;
-  mutable resolved : bool;
+  mutable flags : int;
+      (** the five flags and the hop count below, packed into one word
+          so a pooled packet stays small; read and write them with the
+          accessors after this type, not through this field *)
   mutable misdelivery : int;
       (** misdelivery tag (§3.3); carries the stale physical address
           (as a raw PIP int) the packet was wrongly delivered to, so
@@ -35,12 +38,6 @@ type t = {
           [-1] = untagged — an int field rather than a [Pip.t option]
           so setting and clearing the tag on the per-hop path never
           allocates *)
-  mutable gw_pinned : bool;
-      (** set when a tagged packet is misdelivered a second time (the
-          VIP moved more than once and some switch "trusted" a cached
-          value that was itself stale): a pinned packet may no longer
-          be translated from any cache, only by the gateway, which
-          breaks ping-pong loops between two stale entries *)
   mutable hit_switch : int;  (** node id of the switch that served the hit; -1 if none *)
   mutable spill_vip : int;
       (** spilled entry riding along, as a raw (VIP, PIP) int pair with
@@ -54,19 +51,43 @@ type t = {
   mutable mapping_vip : int;
       (** payload of [Learning]/[Invalidation] packets; [-1] = none *)
   mutable mapping_pip : int;
-  mutable ecn : bool;
-      (** congestion-experienced mark (set by links past their ECN
-          threshold); on ACKs this is the echo bit the DCTCP sender
-          reads *)
-  mutable hops : int;  (** switches traversed so far (packet stretch) *)
-  mutable gw_visited : bool;
   mutable sent_at : Dessim.Time_ns.t;
-  mutable retransmit : bool;
   mutable pool_slot : int;
       (** index in the owning simulator's packet pool; -1 if the packet
           is not pool-managed. Maintained by the pool, not by
           {!reset}. *)
 }
+
+(** {2 Flags}
+
+    Accessors for the bits of [flags]. All are cleared by {!reset}. *)
+
+val resolved : t -> bool
+(** the outer destination is the true physical address *)
+
+val gw_pinned : t -> bool
+(** set when a tagged packet is misdelivered a second time (the VIP
+    moved more than once and some switch "trusted" a cached value that
+    was itself stale): a pinned packet may no longer be translated from
+    any cache, only by the gateway, which breaks ping-pong loops between
+    two stale entries *)
+
+val ecn : t -> bool
+(** congestion-experienced mark (set by links past their ECN
+    threshold); on ACKs this is the echo bit the DCTCP sender reads *)
+
+val gw_visited : t -> bool
+val retransmit : t -> bool
+
+val hops : t -> int
+(** switches traversed so far (packet stretch) *)
+
+val set_resolved : t -> bool -> unit
+val set_gw_pinned : t -> bool -> unit
+val set_ecn : t -> bool -> unit
+val set_gw_visited : t -> bool -> unit
+val set_retransmit : t -> bool -> unit
+val set_hops : t -> int -> unit
 
 (** [make_data ~id ~flow_id ~seq ~size ~src_vip ~dst_vip ~src_pip
     ~dst_pip ~now] is a fresh unresolved data packet addressed (outer)
@@ -97,6 +118,10 @@ val make_ack :
   now:Dessim.Time_ns.t ->
   t
 
+(** [blank ()] is a packet to be filled by {!reset} or
+    {!reset_control}: the form in which a packet pool creates one. *)
+val blank : unit -> t
+
 (** [make_control ~id ~kind ~mapping ~src_pip ~dst_pip ~now] is a
     switch-to-switch control packet ([Learning] or [Invalidation])
     carrying [mapping], addressed to the target switch's PIP.
@@ -123,6 +148,22 @@ val reset :
   seq:int ->
   src_vip:Addr.Vip.t ->
   dst_vip:Addr.Vip.t ->
+  src_pip:Addr.Pip.t ->
+  dst_pip:Addr.Pip.t ->
+  now:Dessim.Time_ns.t ->
+  unit
+
+(** [reset_control t ~id ~kind ~mapping_vip ~mapping_pip ~src_pip
+    ~dst_pip ~now] re-initializes a recycled packet in place to the
+    state {!make_control} would produce, without building the mapping
+    pair. [pool_slot] is untouched. Raises [Invalid_argument] if
+    [kind] is [Data] or [Ack]. *)
+val reset_control :
+  t ->
+  id:int ->
+  kind:kind ->
+  mapping_vip:Addr.Vip.t ->
+  mapping_pip:Addr.Pip.t ->
   src_pip:Addr.Pip.t ->
   dst_pip:Addr.Pip.t ->
   now:Dessim.Time_ns.t ->

@@ -78,11 +78,11 @@ let encode (pkt : Packet.t) =
     ~proto:4 ~total_len:(20 + pkt.Packet.size);
   (* Option block. *)
   let flags =
-    (if pkt.Packet.resolved then flag_resolved else 0)
+    (if Packet.resolved pkt then flag_resolved else 0)
     lor (if pkt.Packet.misdelivery >= 0 then flag_misdelivery else 0)
-    lor (if pkt.Packet.gw_visited then flag_gw_visited else 0)
-    lor (if pkt.Packet.retransmit then flag_retransmit else 0)
-    lor if pkt.Packet.ecn then flag_ecn else 0
+    lor (if Packet.gw_visited pkt then flag_gw_visited else 0)
+    lor (if Packet.retransmit pkt then flag_retransmit else 0)
+    lor if Packet.ecn pkt then flag_ecn else 0
   in
   put_u8 buf flags;
   put_u8 buf (kind_code pkt.Packet.kind);
@@ -176,10 +176,10 @@ let decode b =
           ~src_pip:(Addr.Pip.of_int src_pip) ~dst_pip:(pip_unwire dst_pip)
           ~now:0
   in
-  base.Packet.resolved <- flags land flag_resolved <> 0;
-  base.Packet.gw_visited <- flags land flag_gw_visited <> 0;
-  base.Packet.retransmit <- flags land flag_retransmit <> 0;
-  base.Packet.ecn <- flags land flag_ecn <> 0;
+  Packet.set_resolved base (flags land flag_resolved <> 0);
+  Packet.set_gw_visited base (flags land flag_gw_visited <> 0);
+  Packet.set_retransmit base (flags land flag_retransmit <> 0);
+  Packet.set_ecn base (flags land flag_ecn <> 0);
   if flags land flag_misdelivery <> 0 then
     base.Packet.misdelivery <- !misdelivery;
   base.Packet.hit_switch <-

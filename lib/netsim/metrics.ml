@@ -194,7 +194,7 @@ let classify_into t table pkt =
 let packet_sent t pkt =
   if tenant_packet pkt then begin
     t.packets_sent <- t.packets_sent + 1;
-    if pkt.Packet.retransmit then t.retransmits <- t.retransmits + 1;
+    if Packet.retransmit pkt then t.retransmits <- t.retransmits + 1;
     classify_into t t.class_sent pkt
   end
 
@@ -238,13 +238,13 @@ let delivered t (pkt : Packet.t) ~now ~first_of_flow =
   if Packet.is_data pkt then begin
     (* Ints into [Stats]: a float argument would be boxed at the call
        unless this module is inlined into its caller. *)
-    Stats.Summary.add_int t.stretch pkt.Packet.hops;
+    Stats.Summary.add_int t.stretch (Packet.hops pkt);
     Stats.Summary.add_ns t.pkt_latency
       (Time_ns.to_ns (Time_ns.sub now pkt.Packet.sent_at));
     if pkt.Packet.misdelivery >= 0 then
       t.last_misdelivered_arrival <- now;
     let layer =
-      if pkt.Packet.gw_visited then `Gateway
+      if Packet.gw_visited pkt then `Gateway
       else if pkt.Packet.hit_switch >= 0 then
         match Topo.Topology.role t.topo pkt.Packet.hit_switch with
         | Topo.Node.Core_switch -> `Core

@@ -40,27 +40,39 @@ let default_config =
 
 (* --- typed events ------------------------------------------------------
 
-   The per-hop path schedules typed engine events instead of closures:
-   an event code plus two int operands, with the packet referenced by
-   its pool slot in [b]. A hop's [a] is the edge (directed-link id,
+   Every event the network queues is typed: an event code plus two int
+   operands, never a closure. Packet events reference the packet by its
+   pool slot in [b]. A hop's [a] is the edge (directed-link id,
    {!Topology.edge}) the packet crossed: routing returned it, and the
    link, its source and its destination are one array load away. Only
    [ev_host_fwd] packs a node id with its action, in [node_bits] (a
-   24-bit id space is ~16M nodes). *)
+   24-bit id space is ~16M nodes). Codes from [ev_no_packet] up carry
+   no packet, so dispatch tells the two families apart with one
+   compare. *)
 
 let node_bits = 24
 let node_mask = (1 lsl node_bits) - 1
 let ev_arrive = 0 (* a = edge,                          b = slot *)
 let ev_gateway = 1 (* a = gateway node,                 b = slot *)
 let ev_forward = 2 (* a = switch node (scheme Delay),   b = slot *)
-let ev_loopback = 3 (* a unused,                        b = slot *)
+let ev_deliver = 3 (* loopback or cross-shard delivery, b = slot *)
 let ev_host_fwd = 4 (* a = (action lsl node_bits) lor node, b = slot *)
-let ev_fault = 5 (* a = index into the installed fault plan, b unused *)
-let ev_link_deq = 6 (* a = edge, b = BYTES, no packet *)
-let ev_arrive_remote = 7 (* like ev_arrive, but the link dequeue runs remotely *)
-let ev_send_after = 8 (* a = sending host,              b = slot *)
-let ev_pace = 9 (* a = flow id, b = seq, no packet: a UDP flow's next send *)
-let ev_flow_start = 10 (* a = slot in [starts], b unused, no packet *)
+let ev_arrive_remote = 5 (* like ev_arrive, but the link dequeue runs remotely *)
+let ev_send_after = 6 (* a = sending host,              b = slot *)
+let ev_remote_send = 7 (* a tenant send replayed by its host's shard, b = slot *)
+let ev_no_packet = 16
+let ev_fault = 16 (* a = index into the installed fault plan *)
+let ev_link_deq = 17 (* a = edge, b = bytes *)
+let ev_pace = 18 (* a = flow id, b = seq: a UDP flow's next send *)
+let ev_flow_start = 19 (* a = slot in [starts], b = the half_* bits to start *)
+let ev_rto = 20 (* a = flow id, b = the flow's start generation *)
+let ev_migrate = 21 (* a = slot in [moves] *)
+
+(* The transport halves of a flow, as bits: an unsharded network starts
+   both in one [ev_flow_start], a shard only those it is home to. *)
+let half_recv = 1
+let half_send = 2
+let half_both = half_recv lor half_send
 
 (* ev_host_fwd actions; must be decided before the processing delay,
    exactly as the closure version captured the scheme's answer at
@@ -106,6 +118,57 @@ type handoff = {
   mutable hs_sent : int; (* records pushed (conservation: in-flight) *)
   mutable hs_recv : int; (* records injected *)
 }
+
+(* Values parked for a typed event that carries their slot: flows to
+   start and migrations to run. Fired slots are reused; both arrays
+   grow together. *)
+type 'a slots = {
+  mutable items : 'a array;
+  mutable len : int;
+  mutable free : int array;
+  mutable free_top : int;
+}
+
+let slots_create () = { items = [||]; len = 0; free = [||]; free_top = 0 }
+
+let slots_grow s ncap x =
+  let items = Array.make ncap x in
+  Array.blit s.items 0 items 0 s.len;
+  s.items <- items;
+  let free = Array.make ncap 0 in
+  Array.blit s.free 0 free 0 s.free_top;
+  s.free <- free
+
+(* Room for [n] more values, [x] filling the new space. *)
+let slots_reserve s n x =
+  let cap = Array.length s.items in
+  if s.len + n > cap then slots_grow s (max (s.len + n) (2 * cap)) x
+
+let slots_put s x =
+  let slot =
+    if s.free_top > 0 then begin
+      s.free_top <- s.free_top - 1;
+      s.free.(s.free_top)
+    end
+    else begin
+      let cap = Array.length s.items in
+      if s.len = cap then slots_grow s (if cap = 0 then 256 else 2 * cap) x;
+      let i = s.len in
+      s.len <- i + 1;
+      i
+    end
+  in
+  s.items.(slot) <- x;
+  slot
+
+let slots_take s slot =
+  s.free.(s.free_top) <- slot;
+  s.free_top <- s.free_top + 1;
+  s.items.(slot)
+
+(* Queue [x] for a typed event at [at]. *)
+let slots_schedule eng s ~at ~code ~b x =
+  Engine.schedule_event eng ~at ~code ~a:(slots_put s x) ~b
 
 type t = {
   cfg : config;
@@ -154,13 +217,9 @@ type t = {
      consumed by a switch, or still pooled at the horizon. *)
   mutable injected_pkts : int;
   mutable consumed_pkts : int;
-  (* Flows scheduled by [run] and not yet started: slot -> flow, and a
-     stack of free slots, grown together like the packet pool. A start
-     is an [ev_flow_start] event carrying the slot, not a closure. *)
-  mutable starts : Flow.t array;
-  mutable starts_len : int;
-  mutable starts_free : int array;
-  mutable starts_free_top : int;
+  (* Flows and migrations handed to [load] and not yet fired. *)
+  starts : Flow.t slots;
+  moves : migration slots;
 }
 
 let fresh_packet_id t () =
@@ -189,9 +248,9 @@ let pool_grow t =
 
 (* Register [pkt] under a pool slot. Reuses a free slot when one is
    available (the recycled packet previously living there is simply
-   replaced; this only happens for the rare scheme-built control
-   packets — data/acks go through [pool_acquire] and reuse the resident
-   packet itself). *)
+   replaced). Only packets built outside the pool take this branch:
+   data, acks and scheme control packets come from [pool_acquire] and
+   reuse the resident packet itself. *)
 let pool_adopt t (pkt : Packet.t) =
   if pkt.Packet.pool_slot < 0 then begin
     let slot =
@@ -221,11 +280,7 @@ let pool_acquire t =
     if t.pool_len = Array.length t.pool then pool_grow t;
     let slot = t.pool_len in
     t.pool_len <- slot + 1;
-    let pkt =
-      Packet.make_data ~id:(-1) ~flow_id:(-1) ~seq:0 ~size:0
-        ~src_vip:(Vip.of_int 0) ~dst_vip:(Vip.of_int 0) ~src_pip:Pip.none
-        ~dst_pip:Pip.none ~now:Time_ns.zero
-    in
+    let pkt = Packet.blank () in
     pkt.Packet.pool_slot <- slot;
     t.pool.(slot) <- pkt;
     pkt
@@ -249,18 +304,12 @@ let pool_release t (pkt : Packet.t) =
 
 (* Record layout (all ints): 0 mode, 1 arrival, 2 edge (mode 0 only;
    every shard shares one Topology.t, so edge ids agree), 3 id,
-   4 flow_id, 5 kind+flags, 6 size, 7 seq, 8 src_vip, 9 dst_vip,
-   10 src_pip, 11 dst_pip, 12 misdelivery, 13 hit_switch, 14 hops,
-   15 sent_at, 16-21 the three (vip, pip) riders (spill, promo,
-   mapping payload) as the packet's raw ints, -1 when absent. *)
+   4 flow_id, 5 kind, 6 size, 7 seq, 8 src_vip, 9 dst_vip,
+   10 src_pip, 11 dst_pip, 12 misdelivery, 13 hit_switch, 14 flags
+   (with the hop count), 15 sent_at, 16-21 the three (vip, pip) riders
+   (spill, promo, mapping payload) as the packet's raw ints, -1 when
+   absent. *)
 let hoff_stride = 22
-
-(* Word 5: 2-bit kind code below the flag bits. *)
-let hf_resolved = 4
-let hf_gw_pinned = 8
-let hf_ecn = 16
-let hf_gw_visited = 32
-let hf_retransmit = 64
 
 let kind_code = function
   | Packet.Data -> 0
@@ -280,13 +329,7 @@ let kind_of_code = function
 let hoff_encode buf off (pkt : Packet.t) =
   buf.(off + 3) <- pkt.Packet.id;
   buf.(off + 4) <- pkt.Packet.flow_id;
-  let fl = ref (kind_code pkt.Packet.kind) in
-  if pkt.Packet.resolved then fl := !fl lor hf_resolved;
-  if pkt.Packet.gw_pinned then fl := !fl lor hf_gw_pinned;
-  if pkt.Packet.ecn then fl := !fl lor hf_ecn;
-  if pkt.Packet.gw_visited then fl := !fl lor hf_gw_visited;
-  if pkt.Packet.retransmit then fl := !fl lor hf_retransmit;
-  buf.(off + 5) <- !fl;
+  buf.(off + 5) <- kind_code pkt.Packet.kind;
   buf.(off + 6) <- pkt.Packet.size;
   buf.(off + 7) <- pkt.Packet.seq;
   buf.(off + 8) <- Vip.to_int pkt.Packet.src_vip;
@@ -295,7 +338,7 @@ let hoff_encode buf off (pkt : Packet.t) =
   buf.(off + 11) <- Pip.to_int pkt.Packet.dst_pip;
   buf.(off + 12) <- pkt.Packet.misdelivery;
   buf.(off + 13) <- pkt.Packet.hit_switch;
-  buf.(off + 14) <- pkt.Packet.hops;
+  buf.(off + 14) <- pkt.Packet.flags;
   buf.(off + 15) <- Time_ns.to_ns pkt.Packet.sent_at;
   buf.(off + 16) <- pkt.Packet.spill_vip;
   buf.(off + 17) <- pkt.Packet.spill_pip;
@@ -305,10 +348,9 @@ let hoff_encode buf off (pkt : Packet.t) =
   buf.(off + 21) <- pkt.Packet.mapping_pip
 
 let hoff_decode buf off (pkt : Packet.t) =
-  let fl = buf.(off + 5) in
   pkt.Packet.id <- buf.(off + 3);
   pkt.Packet.flow_id <- buf.(off + 4);
-  pkt.Packet.kind <- kind_of_code (fl land 3);
+  pkt.Packet.kind <- kind_of_code buf.(off + 5);
   pkt.Packet.size <- buf.(off + 6);
   pkt.Packet.seq <- buf.(off + 7);
   pkt.Packet.src_vip <- Vip.of_int buf.(off + 8);
@@ -317,13 +359,8 @@ let hoff_decode buf off (pkt : Packet.t) =
   pkt.Packet.dst_pip <- Pip.of_int buf.(off + 11);
   pkt.Packet.misdelivery <- buf.(off + 12);
   pkt.Packet.hit_switch <- buf.(off + 13);
-  pkt.Packet.hops <- buf.(off + 14);
+  pkt.Packet.flags <- buf.(off + 14);
   pkt.Packet.sent_at <- Time_ns.of_ns buf.(off + 15);
-  pkt.Packet.resolved <- fl land hf_resolved <> 0;
-  pkt.Packet.gw_pinned <- fl land hf_gw_pinned <> 0;
-  pkt.Packet.ecn <- fl land hf_ecn <> 0;
-  pkt.Packet.gw_visited <- fl land hf_gw_visited <> 0;
-  pkt.Packet.retransmit <- fl land hf_retransmit <> 0;
   pkt.Packet.spill_vip <- buf.(off + 16);
   pkt.Packet.spill_pip <- buf.(off + 17);
   pkt.Packet.promo_vip <- buf.(off + 18);
@@ -408,7 +445,7 @@ let transmit t ~edge (pkt : Packet.t) =
         pool_release t pkt
       end
       else begin
-        if Topo.Link.packed_ce p then pkt.Packet.ecn <- true;
+        if Topo.Link.packed_ce p then Packet.set_ecn pkt true;
         let arrival = Topo.Link.packed_arrival p in
         let next = link.Topo.Link.dst in
         match t.shard with
@@ -450,7 +487,7 @@ let rec arrive t ~node ~from (pkt : Packet.t) =
   let node_tag = Topology.tag t.topo node in
   if node_tag >= Topology.tag_tor then begin
     Metrics.switch_processed t.metrics ~switch:node pkt;
-    pkt.Packet.hops <- pkt.Packet.hops + 1;
+    Packet.set_hops pkt (Packet.hops pkt + 1);
     let v = Pipeline.run t.scheme.Scheme.pipeline t.env ~switch:node ~from pkt in
     let tag = Verdict.tag v in
     if tag = Verdict.tag_forward then forward_from t ~node pkt
@@ -485,8 +522,8 @@ and gateway_forward t ~node (pkt : Packet.t) =
       pool_release t pkt
   | pip ->
       pkt.Packet.dst_pip <- pip;
-      pkt.Packet.resolved <- true;
-      pkt.Packet.gw_visited <- true;
+      Packet.set_resolved pkt true;
+      Packet.set_gw_visited pkt true;
       forward_from t ~node pkt
 
 and host_receive t ~node (pkt : Packet.t) =
@@ -511,7 +548,7 @@ and host_receive t ~node (pkt : Packet.t) =
         if
           pkt.Packet.misdelivery >= 0
           || Pip.equal pkt.Packet.src_pip (Topology.pip t.topo node)
-        then pkt.Packet.gw_pinned <- true;
+        then Packet.set_gw_pinned pkt true;
         let action =
           match t.scheme.Scheme.on_misdelivery t.env ~host:node pkt with
           | Scheme.Reforward_to_gateway -> act_reforward
@@ -525,8 +562,8 @@ and host_receive t ~node (pkt : Packet.t) =
 
 and host_forward t ~node ~action (pkt : Packet.t) =
   if action = act_reforward then begin
-    pkt.Packet.resolved <- false;
-    pkt.Packet.gw_visited <- false;
+    Packet.set_resolved pkt false;
+    Packet.set_gw_visited pkt false;
     pkt.Packet.dst_pip <-
       Topology.pip t.topo (gateway_for_flow t pkt.Packet.flow_id);
     if t.scheme.Scheme.host_tags_misdelivery then begin
@@ -542,7 +579,7 @@ and host_forward t ~node ~action (pkt : Packet.t) =
         pool_release t pkt
     | pip ->
         pkt.Packet.dst_pip <- pip;
-        pkt.Packet.resolved <- true;
+        Packet.set_resolved pkt true;
         pkt.Packet.misdelivery <- Pip.to_int (Topology.pip t.topo node);
         transmit t ~edge:(Topology.uplink_edge t.topo node) pkt
 
@@ -651,53 +688,6 @@ let apply_fault t ~index =
       ~now_sec:(Time_ns.to_sec (Engine.now t.engine))
       (float_of_int t.fault_counts.(k))
 
-(* Typed-event dispatcher. The [b] operand of every packet-carrying
-   code is a pool slot; packets are adopted into the pool before their
-   first hop, so the slot is always live here. [ev_fault], [ev_pace],
-   [ev_flow_start] and [ev_link_deq] events carry no packet and must
-   be dispatched before the slot dereference. *)
-let handle_event t ~code ~a ~b =
-  if code = ev_fault then apply_fault t ~index:a
-  else if code = ev_pace then Transport.paced (transport_exn t) ~flow_id:a ~seq:b
-  else if code = ev_flow_start then begin
-    let flow = t.starts.(a) in
-    t.starts_free.(t.starts_free_top) <- a;
-    t.starts_free_top <- t.starts_free_top + 1;
-    Metrics.flow_started t.metrics;
-    Transport.start (transport_exn t) flow
-  end
-  else if code = ev_link_deq then
-    (* [b] is a byte count, not a pool slot — dispatched before the
-       slot dereference below. Source-side half of a cross-shard hop:
-       the packet itself arrives on the peer shard. *)
-    Topo.Link.delivered (Topology.link_of_edge t.topo a) ~bytes:b
-  else begin
-    let pkt = t.pool.(b) in
-    if code = ev_arrive then begin
-      let link = Topology.link_of_edge t.topo a in
-      Topo.Link.delivered link ~bytes:pkt.Packet.size;
-      arrive t ~node:link.Topo.Link.dst ~from:link.Topo.Link.src pkt
-    end
-    else if code = ev_arrive_remote then begin
-      (* Cross-shard arrival: the sender's shard already drained its
-         link queue via [ev_link_deq]. *)
-      let link = Topology.link_of_edge t.topo a in
-      arrive t ~node:link.Topo.Link.dst ~from:link.Topo.Link.src pkt
-    end
-    else if code = ev_gateway then gateway_forward t ~node:a pkt
-    else if code = ev_forward then forward_from t ~node:a pkt
-    else if code = ev_loopback then deliver t pkt
-    else if code = ev_host_fwd then
-      host_forward t ~node:(a land node_mask) ~action:(a lsr node_bits) pkt
-    else if code = ev_send_after then begin
-      (* The scheme's resolution penalty has elapsed; [dst_pip] was
-         written when it answered. *)
-      pkt.Packet.resolved <- true;
-      transmit t ~edge:(Topology.uplink_edge t.topo a) pkt
-    end
-    else assert false
-  end
-
 (* --- sending ---------------------------------------------------------- *)
 
 let send_tenant_body t ~src_host (pkt : Packet.t) =
@@ -705,11 +695,11 @@ let send_tenant_body t ~src_host (pkt : Packet.t) =
   if dst_home = src_host then begin
     (* Hypervisor-local switching for co-located VMs: no network, no
        translation. *)
-    pkt.Packet.resolved <- true;
+    Packet.set_resolved pkt true;
     pkt.Packet.dst_pip <- Topology.pip t.topo src_host;
     pool_adopt t pkt;
     Engine.schedule_event_after t.engine ~delay:t.cfg.loopback_delay
-      ~code:ev_loopback ~a:0 ~b:pkt.Packet.pool_slot
+      ~code:ev_deliver ~a:0 ~b:pkt.Packet.pool_slot
   end
   else begin
     (* Loopback packets are excluded from the hit-rate denominator:
@@ -722,7 +712,7 @@ let send_tenant_body t ~src_host (pkt : Packet.t) =
     let tag = Scheme.Resolution.tag r in
     if tag = Scheme.Resolution.tag_resolved then begin
       pkt.Packet.dst_pip <- Scheme.Resolution.pip r;
-      pkt.Packet.resolved <- true;
+      Packet.set_resolved pkt true;
       transmit t ~edge:(Topology.uplink_edge t.topo src_host) pkt
     end
     else if tag = Scheme.Resolution.tag_via_gateway then begin
@@ -770,9 +760,68 @@ let send_from_host t ~counted (pkt : Packet.t) =
       end
       else send_tenant_packet t ~src_host pkt
 
+(* Typed-event dispatcher. The [b] operand of every packet-carrying
+   code is a pool slot; packets are adopted into the pool before their
+   first hop, so the slot is always live here. *)
+let handle_event t ~code ~a ~b =
+  if code >= ev_no_packet then begin
+    if code = ev_link_deq then
+      (* Source-side half of a cross-shard hop: the packet itself
+         arrives on the peer shard. *)
+      Topo.Link.delivered (Topology.link_of_edge t.topo a) ~bytes:b
+    else if code = ev_rto then
+      Transport.timed_out (transport_exn t) ~flow_id:a ~gen:b
+    else if code = ev_pace then
+      Transport.paced (transport_exn t) ~flow_id:a ~seq:b
+    else if code = ev_flow_start then begin
+      let flow = slots_take t.starts a in
+      if b = half_recv then Transport.start_receiver (transport_exn t) flow
+      else begin
+        Metrics.flow_started t.metrics;
+        if b = half_send then Transport.start_sender (transport_exn t) flow
+        else Transport.start (transport_exn t) flow
+      end
+    end
+    else if code = ev_fault then apply_fault t ~index:a
+    else if code = ev_migrate then begin
+      let m = slots_take t.moves a in
+      migrate_now t ~vip:m.vip ~to_host:m.to_host
+    end
+    else assert false
+  end
+  else begin
+    let pkt = t.pool.(b) in
+    if code = ev_arrive then begin
+      let link = Topology.link_of_edge t.topo a in
+      Topo.Link.delivered link ~bytes:pkt.Packet.size;
+      arrive t ~node:link.Topo.Link.dst ~from:link.Topo.Link.src pkt
+    end
+    else if code = ev_arrive_remote then begin
+      (* Cross-shard arrival: the sender's shard already drained its
+         link queue via [ev_link_deq]. *)
+      let link = Topology.link_of_edge t.topo a in
+      arrive t ~node:link.Topo.Link.dst ~from:link.Topo.Link.src pkt
+    end
+    else if code = ev_gateway then gateway_forward t ~node:a pkt
+    else if code = ev_forward then forward_from t ~node:a pkt
+    else if code = ev_deliver then deliver t pkt
+    else if code = ev_host_fwd then
+      host_forward t ~node:(a land node_mask) ~action:(a lsr node_bits) pkt
+    else if code = ev_send_after then begin
+      (* The scheme's resolution penalty has elapsed; [dst_pip] was
+         written when it answered. *)
+      Packet.set_resolved pkt true;
+      transmit t ~edge:(Topology.uplink_edge t.topo a) pkt
+    end
+    else if code = ev_remote_send then send_from_host t ~counted:true pkt
+    else assert false
+  end
+
 let make_transport t =
   let now () = Engine.now t.engine in
-  let schedule delay f = Engine.schedule_after t.engine ~delay f in
+  let timeout delay ~flow_id ~gen =
+    Engine.schedule_event_after t.engine ~delay ~code:ev_rto ~a:flow_id ~b:gen
+  in
   let pace delay ~flow_id ~seq =
     Engine.schedule_event_after t.engine ~delay ~code:ev_pace ~a:flow_id ~b:seq
   in
@@ -784,7 +833,7 @@ let make_transport t =
       ~dst_vip:flow.Flow.dst_vip
       ~src_pip:(Topology.pip t.topo src_host)
       ~dst_pip:Pip.none ~now:(now ());
-    pkt.Packet.retransmit <- retransmit;
+    Packet.set_retransmit pkt retransmit;
     send_from_host t ~counted:false pkt
   in
   let send_ack flow ~seq ~ecn_echo =
@@ -795,7 +844,7 @@ let make_transport t =
       ~dst_vip:flow.Flow.src_vip
       ~src_pip:(Topology.pip t.topo src_host)
       ~dst_pip:Pip.none ~now:(now ());
-    pkt.Packet.ecn <- ecn_echo;
+    Packet.set_ecn pkt ecn_echo;
     send_from_host t ~counted:false pkt
   in
   let tel = t.cfg.telemetry in
@@ -814,7 +863,7 @@ let make_transport t =
     ~rto:t.cfg.rto
     {
       Transport.now;
-      schedule;
+      timeout;
       pace;
       send_data;
       send_ack;
@@ -854,11 +903,7 @@ let create ?(config = default_config) topo ~scheme =
           invalid_arg "Network.create: gateways_used out of range";
         Array.sub all 0 k
   in
-  let pool_seed =
-    Packet.make_data ~id:(-1) ~flow_id:(-1) ~seq:0 ~size:0
-      ~src_vip:(Vip.of_int 0) ~dst_vip:(Vip.of_int 0) ~src_pip:Pip.none
-      ~dst_pip:Pip.none ~now:Time_ns.zero
-  in
+  let pool_seed = Packet.blank () in
   pool_seed.Packet.pool_slot <- 0;
   (* One physical stream for loss draws and churn until a sharded run
      re-seeds them separately (see [install_faults]). *)
@@ -891,10 +936,8 @@ let create ?(config = default_config) topo ~scheme =
       gw_down = Array.make (Topology.num_nodes topo) false;
       injected_pkts = 0;
       consumed_pkts = 0;
-      starts = [||];
-      starts_len = 0;
-      starts_free = [||];
-      starts_free_top = 0;
+      starts = slots_create ();
+      moves = slots_create ();
     }
   and env =
     {
@@ -904,6 +947,7 @@ let create ?(config = default_config) topo ~scheme =
       mapping;
       base_rtt = Topo.Params.base_rtt params;
       fresh_packet_id = (fun () -> fresh_packet_id t ());
+      pooled_packet = (fun () -> pool_acquire t);
       emit_at_switch =
         (fun ~src_switch pkt ->
           t.injected_pkts <- t.injected_pkts + 1;
@@ -1050,13 +1094,12 @@ let receive_handoff t buf off =
   let arrival = Time_ns.of_ns buf.(off + 1) in
   let a = buf.(off + 2) in
   let pkt = hoff_read t buf off in
-  if mode = 0 then
-    Engine.schedule_event t.engine ~at:arrival ~code:ev_arrive_remote ~a
-      ~b:pkt.Packet.pool_slot
-  else if mode = 1 then
-    Engine.schedule t.engine ~at:arrival (fun () ->
-        send_from_host t ~counted:true pkt)
-  else Engine.schedule t.engine ~at:arrival (fun () -> deliver t pkt)
+  let code =
+    if mode = 0 then ev_arrive_remote
+    else if mode = 1 then ev_remote_send
+    else ev_deliver
+  in
+  Engine.schedule_event t.engine ~at:arrival ~code ~a ~b:pkt.Packet.pool_slot
 
 let handoffs_sent t = match t.shard with Some sc -> sc.hs_sent | None -> 0
 let handoffs_received t = match t.shard with Some sc -> sc.hs_recv | None -> 0
@@ -1073,42 +1116,81 @@ let vm_host t vip = t.vm_host.(Vip.to_int vip)
 let num_vms t = Array.length t.vm_host
 let host_of_vm_index t i = t.vm_host.(i)
 
-let start_slot t (flow : Flow.t) =
-  let slot =
-    if t.starts_free_top > 0 then begin
-      t.starts_free_top <- t.starts_free_top - 1;
-      t.starts_free.(t.starts_free_top)
-    end
-    else begin
-      let cap = Array.length t.starts in
-      if t.starts_len = cap then begin
-        let ncap = if cap = 0 then 256 else cap * 2 in
-        let nstarts = Array.make ncap flow in
-        Array.blit t.starts 0 nstarts 0 t.starts_len;
-        t.starts <- nstarts;
-        let nfree = Array.make ncap 0 in
-        Array.blit t.starts_free 0 nfree 0 t.starts_free_top;
-        t.starts_free <- nfree
-      end;
-      let s = t.starts_len in
-      t.starts_len <- s + 1;
-      s
-    end
+(* The halves of [flow] that start on [t]: both on an unsharded
+   network, else those whose home shard is this one. *)
+let halves_here t (flow : Flow.t) =
+  match t.shard with
+  | None -> half_both
+  | Some sc ->
+      (if sc.hs_recv_home.(flow.Flow.id) = sc.hs_my then half_recv else 0)
+      lor if sc.hs_send_home.(flow.Flow.id) = sc.hs_my then half_send else 0
+
+(* [ev_flow_start] events for [flow]: one starting both halves on an
+   unsharded network, else one per half here. *)
+let start_events t halves =
+  match t.shard with
+  | None -> min halves 1
+  | Some _ -> (halves land 1) + (halves lsr 1)
+
+(* One pass over the workload sizes the transport and the start table,
+   so the run grows nothing per flow. Written as a loop with int
+   accumulators: [run] is also called once per tiny flow batch (the
+   eventcore bench), where closures and refs would be its only
+   allocation. *)
+let rec reserve_flows t flows ~rows ~events ~acks ~recvs ~max_id =
+  match flows with
+  | [] ->
+      Transport.reserve (transport_exn t) ~flows:rows ~ack_packets:acks
+        ~recv_packets:recvs ~max_id;
+      events
+  | (flow : Flow.t) :: rest ->
+      let h = halves_here t flow and n = Flow.packet_count flow in
+      let reliable =
+        match flow.Flow.proto with Flow.Tcpish -> true | Flow.Udp _ -> false
+      in
+      reserve_flows t rest
+        ~rows:(if h = 0 then rows else rows + 1)
+        ~events:(events + start_events t h)
+        ~acks:(if reliable && h land half_send <> 0 then acks + n else acks)
+        ~recvs:(if h land half_recv <> 0 then recvs + n else recvs)
+        ~max_id:(if h = 0 then max_id else max max_id flow.Flow.id)
+
+let start_event t (flow : Flow.t) b =
+  slots_schedule t.engine t.starts ~at:flow.Flow.start ~code:ev_flow_start ~b
+    flow
+
+(* Receiver before sender when one shard holds both, as
+   [Transport.start] does. *)
+let rec schedule_starts t = function
+  | [] -> ()
+  | flow :: rest ->
+      let h = halves_here t flow in
+      (match t.shard with
+      | None -> start_event t flow half_both
+      | Some _ ->
+          if h land half_recv <> 0 then start_event t flow half_recv;
+          if h land half_send <> 0 then start_event t flow half_send);
+      schedule_starts t rest
+
+let rec schedule_moves t = function
+  | [] -> ()
+  | m :: rest ->
+      slots_schedule t.engine t.moves ~at:m.at ~code:ev_migrate ~b:0 m;
+      schedule_moves t rest
+
+let load t flows ~migrations =
+  let events =
+    reserve_flows t flows ~rows:0 ~events:0 ~acks:0 ~recvs:0 ~max_id:(-1)
   in
-  t.starts.(slot) <- flow;
-  slot
+  (match flows with f :: _ -> slots_reserve t.starts events f | [] -> ());
+  (match migrations with
+  | m :: _ -> slots_reserve t.moves (List.length migrations) m
+  | [] -> ());
+  schedule_starts t flows;
+  schedule_moves t migrations
 
 let run t flows ~migrations ~until =
-  List.iter
-    (fun (flow : Flow.t) ->
-      Engine.schedule_event t.engine ~at:flow.Flow.start ~code:ev_flow_start
-        ~a:(start_slot t flow) ~b:0)
-    flows;
-  List.iter
-    (fun m ->
-      Engine.schedule t.engine ~at:m.at (fun () ->
-          migrate_now t ~vip:m.vip ~to_host:m.to_host))
-    migrations;
+  load t flows ~migrations;
   let tel = t.cfg.telemetry in
   if Dessim.Telemetry.is_enabled tel then begin
     (* Periodic probes are pure observers: they draw no randomness and

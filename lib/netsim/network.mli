@@ -48,9 +48,18 @@ type t
     installs the ground-truth mappings. *)
 val create : ?config:config -> Topo.Topology.t -> scheme:Scheme.t -> t
 
-(** [run t flows ~migrations ~until] schedules every flow and
-    migration and executes the event loop up to [until] (simulation
-    time). *)
+(** [load t flows ~migrations] hands [t] a workload: it sizes the
+    transport's flow tables from [flows] (flow count, summed packet
+    counts, largest id), then queues every flow start and every
+    migration as a typed engine event, in list order. On a shard (see
+    {!set_shard}) a flow's receiver starts on its receiver-home shard
+    and its sender on its sender-home shard, receiver first when both
+    are here. *)
+val load :
+  t -> Netcore.Flow.t list -> migrations:migration list -> unit
+
+(** [run t flows ~migrations ~until] is {!load} followed by the event
+    loop up to [until] (simulation time). *)
 val run :
   t -> Netcore.Flow.t list -> migrations:migration list -> until:Dessim.Time_ns.t -> unit
 

@@ -1,4 +1,3 @@
-module Engine = Dessim.Engine
 module Time_ns = Dessim.Time_ns
 module Spsc = Dessim.Spsc
 module Shard = Dessim.Shard
@@ -103,33 +102,10 @@ let run ?config ?faults ?assign ~shards:n topo ~make_scheme ~(flows : Flow.t lis
         Option.iter (Network.install_faults net) faults;
         net)
   in
-  (* Schedule the workload: a flow's receiver registers on its
-     receiver-home shard and its sender starts on its sender-home shard
-     (receiver first when both land on one shard, matching
-     Transport.start); migrations replay on every shard so the
-     placement replicas stay identical. *)
-  Array.iteri
-    (fun s net ->
-      let eng = Network.engine net in
-      let tr = Network.transport net in
-      let m = Network.metrics net in
-      List.iter
-        (fun (flow : Flow.t) ->
-          if s = recv_home.(flow.Flow.id) then
-            Engine.schedule eng ~at:flow.Flow.start (fun () ->
-                Transport.start_receiver tr flow);
-          if s = send_home.(flow.Flow.id) then
-            Engine.schedule eng ~at:flow.Flow.start (fun () ->
-                Metrics.flow_started m;
-                Transport.start_sender tr flow))
-        flows;
-      List.iter
-        (fun (mg : Network.migration) ->
-          Engine.schedule eng ~at:mg.Network.at (fun () ->
-              Network.migrate_now net ~vip:mg.Network.vip
-                ~to_host:mg.Network.to_host))
-        migrations)
-    nets;
+  (* Every shard gets the whole workload: it starts the flow halves
+     whose hosts it owns, and replays every migration so the placement
+     replicas stay identical. *)
+  Array.iter (fun net -> Network.load net flows ~migrations) nets;
   let engines = Array.map Network.engine nets in
   let drain ~shard =
     let net = nets.(shard) in

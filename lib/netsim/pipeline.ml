@@ -7,6 +7,7 @@ type env = {
   mapping : Netcore.Mapping.t;
   base_rtt : Dessim.Time_ns.t;
   fresh_packet_id : unit -> int;
+  pooled_packet : unit -> Netcore.Packet.t;
   emit_at_switch : src_switch:int -> Netcore.Packet.t -> unit;
 }
 

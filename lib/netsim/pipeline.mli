@@ -25,6 +25,11 @@ type env = {
   mapping : Netcore.Mapping.t;  (** gateway ground truth *)
   base_rtt : Dessim.Time_ns.t;
   fresh_packet_id : unit -> int;
+  pooled_packet : unit -> Netcore.Packet.t;
+      (** a packet for a scheme-generated control message, to be
+          filled by {!Netcore.Packet.reset_control}: the network
+          recycles it from its packet pool, so emitting control
+          packets allocates nothing *)
   emit_at_switch : src_switch:int -> Netcore.Packet.t -> unit;
       (** inject a scheme-generated packet into the fabric at a switch *)
 }

@@ -219,12 +219,12 @@ let bluebird ?(cp_rate_bps = 20e9) ?(cp_fwd_delay = Time_ns.of_ns 8_500)
                   match pkt.Packet.kind with
                   | Packet.Learning | Packet.Invalidation -> Verdict.forward
                   | Packet.Data | Packet.Ack ->
-                      if pkt.Packet.resolved then Verdict.forward
+                      if Packet.resolved pkt then Verdict.forward
                       else begin
                         let r = Cache.lookup st.cache pkt.Packet.dst_vip in
                         if r >= 0 then begin
                           pkt.Packet.dst_pip <- Cache.hit_pip r;
-                          pkt.Packet.resolved <- true;
+                          Packet.set_resolved pkt true;
                           pkt.Packet.hit_switch <- switch;
                           Verdict.forward
                         end
@@ -262,7 +262,7 @@ let bluebird ?(cp_rate_bps = 20e9) ?(cp_fwd_delay = Time_ns.of_ns 8_500)
                               pkt.Packet.dst_vip
                           in
                           pkt.Packet.dst_pip <- pip;
-                          pkt.Packet.resolved <- true;
+                          Packet.set_resolved pkt true;
                           let vip = pkt.Packet.dst_vip in
                           Dessim.Engine.schedule_after env.Scheme.engine
                             ~delay:cp_insert_delay (fun () ->

@@ -185,7 +185,7 @@ let make ?(gw_cost_hops = 40.0) ~topo ~total_slots ~interval () =
                 match pkt.Packet.kind with
                 | Packet.Data | Packet.Ack ->
                     if
-                      (not pkt.Packet.resolved)
+                      (not (Packet.resolved pkt))
                       && pkt.Packet.misdelivery < 0
                     then begin
                       match
@@ -194,7 +194,7 @@ let make ?(gw_cost_hops = 40.0) ~topo ~total_slots ~interval () =
                       with
                       | Some pip ->
                           pkt.Packet.dst_pip <- pip;
-                          pkt.Packet.resolved <- true;
+                          Packet.set_resolved pkt true;
                           pkt.Packet.hit_switch <- switch
                       | None -> ()
                     end

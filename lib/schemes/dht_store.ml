@@ -68,7 +68,7 @@ let make_with_control topo =
                 match pkt.Packet.kind with
                 | Packet.Learning | Packet.Invalidation -> Verdict.forward
                 | Packet.Data | Packet.Ack ->
-                    if pkt.Packet.resolved then Verdict.forward
+                    if Packet.resolved pkt then Verdict.forward
                     else begin
                       let pos = home_pos c pkt.Packet.dst_vip in
                       let home = c.switches.(pos) in
@@ -86,7 +86,7 @@ let make_with_control topo =
                           | Some pip ->
                               c.home_hits <- c.home_hits + 1;
                               pkt.Packet.dst_pip <- pip;
-                              pkt.Packet.resolved <- true;
+                              Packet.set_resolved pkt true;
                               pkt.Packet.hit_switch <- switch;
                               Verdict.forward
                           | None -> Verdict.drop

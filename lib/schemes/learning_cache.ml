@@ -43,11 +43,11 @@ let lookup t ~switch (pkt : Packet.t) =
             ignore
               (Cache.invalidate cache pkt.Packet.dst_vip
                  ~stale:(Pip.of_int pkt.Packet.misdelivery))
-          else if not pkt.Packet.resolved && not pkt.Packet.gw_pinned then begin
+          else if not (Packet.resolved pkt || Packet.gw_pinned pkt) then begin
             let r = Cache.lookup cache pkt.Packet.dst_vip in
             if r >= 0 then begin
               pkt.Packet.dst_pip <- Cache.hit_pip r;
-              pkt.Packet.resolved <- true;
+              Packet.set_resolved pkt true;
               pkt.Packet.hit_switch <- switch
             end
           end
@@ -64,7 +64,7 @@ let learn t ~switch (pkt : Packet.t) =
         | Packet.Data | Packet.Ack -> true
         | Packet.Learning | Packet.Invalidation -> false
       in
-      if pkt.Packet.resolved && tenant then
+      if Packet.resolved pkt && tenant then
         ignore
           (Cache.insert cache ~admission:`All pkt.Packet.dst_vip
              pkt.Packet.dst_pip)

@@ -23,6 +23,7 @@ let make_with_dataplane ?(config = Switchv2p.Config.default) ?partition topo
           Dataplane.now = (fun () -> Dessim.Engine.now env.Scheme.engine);
           emit = env.Scheme.emit_at_switch;
           fresh_packet_id = env.Scheme.fresh_packet_id;
+          pooled_packet = env.Scheme.pooled_packet;
           rng = env.Scheme.rng;
         }
   in

@@ -50,6 +50,7 @@ type t = {
   mutable thunk_len : int;
   mutable thunk_free : int array;
   mutable thunk_free_top : int;
+  mutable thunks_scheduled : int;
 }
 
 let create ?(reserve = 4096) () =
@@ -65,6 +66,7 @@ let create ?(reserve = 4096) () =
     thunk_len = 0;
     thunk_free = Array.make 64 0;
     thunk_free_top = 0;
+    thunks_scheduled = 0;
   }
 
 let now t = t.clock
@@ -95,6 +97,7 @@ let thunk_store t f =
     end
   in
   t.thunks.(slot) <- f;
+  t.thunks_scheduled <- t.thunks_scheduled + 1;
   slot
 
 (* --- binary heap -------------------------------------------------------
@@ -264,6 +267,7 @@ let run_until t ~limit =
 
 let pending t = t.heap_size
 let executed t = t.executed
+let thunks_scheduled t = t.thunks_scheduled
 
 (* Earliest pending timestamp, or [max_int] when the queue is empty.
    Used by the domain-sharded runtime to agree on the next conservative

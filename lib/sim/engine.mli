@@ -13,7 +13,19 @@
       and allocates nothing — this is the hot path for per-packet
       simulation events.
     - {b Thunks}: [(unit -> unit)] closures, for rare or irregular
-      events where packing state into two ints isn't worth it. *)
+      events where packing state into two ints isn't worth it.
+
+    Every per-packet, per-flow and per-message event of the packet
+    simulator is typed. The paths in [lib/] that still queue thunks
+    are cold, once per run or per interval rather than per flow:
+    - the telemetry sampling tick in [Network.run] (telemetry on only);
+    - the periodic solve of [Schemes.Controller];
+    - the control-plane detour of the Bluebird baseline
+      ([Schemes.Baselines.bluebird]), two per detoured packet: the
+      miss path of a baseline, not of SwitchV2P;
+    - experiments that probe a running network
+      ([Experiments.Resilience], [Experiments.Dht_compare]).
+    {!thunks_scheduled} counts them. *)
 
 type t
 
@@ -75,6 +87,10 @@ val pending : t -> int
 
 (** [executed t] is the total number of events executed so far. *)
 val executed : t -> int
+
+(** [thunks_scheduled t] is the number of closures queued by
+    {!schedule}/{!schedule_after} so far (typed events excluded). *)
+val thunks_scheduled : t -> int
 
 (** [next_at t] is the timestamp of the earliest pending event, or
     [max_int] when the queue is empty. Read-only (never advances the

@@ -45,6 +45,7 @@ let harness ?(config = Config.default) ?(slots_per_switch = 16) () =
         (fun () ->
           incr next_id;
           !next_id);
+      pooled_packet = Packet.blank;
       rng = Dessim.Rng.create 99;
     }
   in
@@ -74,7 +75,7 @@ let mk_data ?(resolved = false) ?(id = 1) h ~src_host ~dst_vip ~dst_node =
       ~dst_pip:(Topology.pip h.t dst_node)
       ~now:0
   in
-  p.Packet.resolved <- resolved;
+  Packet.set_resolved p resolved;
   p
 
 let process h ~switch ~from pkt = Dataplane.process h.dp h.env ~switch ~from pkt
@@ -148,7 +149,7 @@ let test_spine_conservative_admission () =
   (* Hit it so its access bit is set. *)
   let p1b = mk_data ~id:2 h ~src_host:sender ~dst_vip:(vip 7) ~dst_node:(gateway h) in
   ignore (process h ~switch:sp ~from:sender p1b);
-  checkb "was rewritten" true p1b.Packet.resolved;
+  checkb "was rewritten" true (Packet.resolved p1b);
   (* A different destination maps to the same (single) slot; the spine
      must refuse to evict the active entry. *)
   let p2 = mk_data ~id:3 ~resolved:true h ~src_host:sender ~dst_vip:(vip 8) ~dst_node:d2 in
@@ -183,7 +184,7 @@ let test_lookup_rewrites_and_records_switch () =
   let sender = host_in h ~pod:0 ~rack:0 ~idx:0 in
   let p = mk_data h ~src_host:sender ~dst_vip:(vip 7) ~dst_node:(gateway h) in
   ignore (process h ~switch:rt ~from:sender p);
-  checkb "resolved" true p.Packet.resolved;
+  checkb "resolved" true (Packet.resolved p);
   checki "rewritten to destination" dst_host
     (Pip.to_int p.Packet.dst_pip);
   checki "hit switch recorded" rt p.Packet.hit_switch
@@ -394,7 +395,7 @@ let test_ack_packets_teach_gateway_tor () =
       ~dst_pip:(Topology.pip h.t dst_host)
       ~now:0
   in
-  ack.Packet.resolved <- true;
+  Packet.set_resolved ack true;
   ignore (process h ~switch:gt ~from:(gateway h) ack);
   checkb "learned from ack" true (Cache.peek (cache h gt) (vip 7) <> None)
 
@@ -529,7 +530,7 @@ let test_tagged_packet_invalidates_stale_entry () =
   p.Packet.misdelivery <- Pip.to_int (Topology.pip h.t old_host);
   ignore (process h ~switch:sp ~from:(Topology.tor_of h.t old_host) p);
   checkb "stale entry removed" true (Cache.peek (cache h sp) (vip 7) = None);
-  checkb "packet not rewritten from stale entry" false p.Packet.resolved;
+  checkb "packet not rewritten from stale entry" false (Packet.resolved p);
   checki "stat" 1 (Dataplane.entries_invalidated h.dp)
 
 let test_tagged_packet_uses_fresh_entry () =
@@ -542,7 +543,7 @@ let test_tagged_packet_uses_fresh_entry () =
   let p = mk_data h ~src_host:sender ~dst_vip:(vip 7) ~dst_node:(gateway h) in
   p.Packet.misdelivery <- Pip.to_int (Topology.pip h.t old_host);
   ignore (process h ~switch:sp ~from:(Topology.tor_of h.t old_host) p);
-  checkb "fresh mapping used" true p.Packet.resolved;
+  checkb "fresh mapping used" true (Packet.resolved p);
   checki "rewritten to new host" new_host (Pip.to_int p.Packet.dst_pip)
 
 let test_invalidation_packet_en_route_and_at_target () =
@@ -597,7 +598,7 @@ let test_tagged_lookup_counts_one_access () =
   let p = mk_data h ~src_host:sender ~dst_vip:(vip 7) ~dst_node:(gateway h) in
   p.Packet.misdelivery <- Pip.to_int (Topology.pip h.t old_host);
   ignore (process h ~switch:sp ~from:(Topology.tor_of h.t old_host) p);
-  checkb "fresh case: rewritten" true p.Packet.resolved;
+  checkb "fresh case: rewritten" true (Packet.resolved p);
   checki "fresh case: one access" (before + 1) (count_accesses (cache h sp));
   checki "fresh case: counted as hit" (before_hits + 1) (Cache.hits (cache h sp));
   checkb "fresh case: access bit set" true

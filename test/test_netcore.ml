@@ -88,7 +88,7 @@ let set_mapping (p : Packet.t) v w =
 
 let test_packet_data_initial_state () =
   let p = mk_data () in
-  checkb "unresolved" false p.Packet.resolved;
+  checkb "unresolved" false (Packet.resolved p);
   checkb "no tag" true (p.Packet.misdelivery < 0);
   checki "no hit switch" (-1) p.Packet.hit_switch;
   checkb "no spill" true (p.Packet.spill_vip = -1 && p.Packet.spill_pip = -1);
@@ -96,7 +96,7 @@ let test_packet_data_initial_state () =
   checkb "no mapping payload" true
     (p.Packet.mapping_vip = -1 && p.Packet.mapping_pip = -1);
   checkb "is data" true (Packet.is_data p);
-  checki "hops" 0 p.Packet.hops
+  checki "hops" 0 (Packet.hops p)
 
 let test_packet_control () =
   let p =
@@ -104,7 +104,7 @@ let test_packet_control () =
       ~mapping:(Vip.of_int 3, Pip.of_int 30)
       ~src_pip:(Pip.of_int 1) ~dst_pip:(Pip.of_int 2) ~now:0
   in
-  checkb "control resolved" true p.Packet.resolved;
+  checkb "control resolved" true (Packet.resolved p);
   checki "carries mapping VIP" 3 p.Packet.mapping_vip;
   checki "carries mapping PIP" 30 p.Packet.mapping_pip;
   checki "control size" Packet.control_size p.Packet.size;
@@ -117,6 +117,43 @@ let test_packet_control_kind_checked () =
         (Packet.make_control ~id:1 ~kind:Packet.Data
            ~mapping:(Vip.of_int 1, Pip.of_int 1)
            ~src_pip:(Pip.of_int 1) ~dst_pip:(Pip.of_int 2) ~now:0))
+
+(* The five flags and the hop count share one word: any sequence of
+   writes must read back as six independent fields would, and [reset]
+   must clear them all. *)
+let flags_qcheck =
+  QCheck.Test.make ~name:"flag bits and hops are independent" ~count:500
+    QCheck.(list (pair (int_bound 5) (int_bound 100_000)))
+    (fun writes ->
+      let p = mk_data () in
+      let model = Array.make 6 0 in
+      List.iter
+        (fun (field, v) ->
+          let b = v land 1 = 1 in
+          model.(field) <- (if field = 5 then v else Bool.to_int b);
+          match field with
+          | 0 -> Packet.set_resolved p b
+          | 1 -> Packet.set_gw_pinned p b
+          | 2 -> Packet.set_ecn p b
+          | 3 -> Packet.set_gw_visited p b
+          | 4 -> Packet.set_retransmit p b
+          | _ -> Packet.set_hops p v)
+        writes;
+      let read () =
+        [|
+          Bool.to_int (Packet.resolved p);
+          Bool.to_int (Packet.gw_pinned p);
+          Bool.to_int (Packet.ecn p);
+          Bool.to_int (Packet.gw_visited p);
+          Bool.to_int (Packet.retransmit p);
+          Packet.hops p;
+        |]
+      in
+      let same = read () = model in
+      Packet.reset p ~id:1 ~flow_id:0 ~kind:Packet.Data ~size:1 ~seq:0
+        ~src_vip:(Vip.of_int 0) ~dst_vip:(Vip.of_int 1)
+        ~src_pip:(Pip.of_int 0) ~dst_pip:(Pip.of_int 1) ~now:0;
+      same && read () = Array.make 6 0)
 
 let test_flow_packet_count () =
   let f ~size =
@@ -155,7 +192,7 @@ let packet_equal (a : Packet.t) (b : Packet.t) =
   && Vip.equal a.Packet.dst_vip b.Packet.dst_vip
   && Pip.equal a.Packet.src_pip b.Packet.src_pip
   && Pip.equal a.Packet.dst_pip b.Packet.dst_pip
-  && a.Packet.resolved = b.Packet.resolved
+  && Packet.resolved a = Packet.resolved b
   && a.Packet.misdelivery = b.Packet.misdelivery
   && a.Packet.hit_switch = b.Packet.hit_switch
   && a.Packet.spill_vip = b.Packet.spill_vip
@@ -164,8 +201,8 @@ let packet_equal (a : Packet.t) (b : Packet.t) =
   && a.Packet.promo_pip = b.Packet.promo_pip
   && a.Packet.mapping_vip = b.Packet.mapping_vip
   && a.Packet.mapping_pip = b.Packet.mapping_pip
-  && a.Packet.gw_visited = b.Packet.gw_visited
-  && a.Packet.retransmit = b.Packet.retransmit
+  && Packet.gw_visited a = Packet.gw_visited b
+  && Packet.retransmit a = Packet.retransmit b
 
 let test_wire_roundtrip_plain_data () =
   let p = mk_data ~seq:3 ~id:99 () in
@@ -174,9 +211,9 @@ let test_wire_roundtrip_plain_data () =
 
 let test_wire_roundtrip_decorated () =
   let p = mk_data () in
-  p.Packet.resolved <- true;
-  p.Packet.gw_visited <- true;
-  p.Packet.retransmit <- true;
+  Packet.set_resolved p true;
+  Packet.set_gw_visited p true;
+  Packet.set_retransmit p true;
   p.Packet.hit_switch <- 42;
   p.Packet.misdelivery <- 7;
   set_spill p 3 30;
@@ -219,9 +256,9 @@ let test_handoff_roundtrip_rider_subsets () =
     (fun (bits, pkts) ->
       List.iter
         (fun (p : Packet.t) ->
-          p.Packet.hops <- 3;
-          p.Packet.gw_pinned <- true;
-          p.Packet.ecn <- bits land 1 = 0;
+          Packet.set_hops p 3;
+          Packet.set_gw_pinned p true;
+          Packet.set_ecn p (bits land 1 = 0);
           (* Record at a non-zero offset, as in a drained mailbox. *)
           let buf = Array.make (2 * stride) 0 in
           Netsim.Network.handoff_encode buf stride p;
@@ -233,9 +270,9 @@ let test_handoff_roundtrip_rider_subsets () =
           Netsim.Network.handoff_decode buf stride q;
           checkb (Printf.sprintf "riders %d handoff roundtrip" bits) true
             (packet_equal p q
-            && q.Packet.hops = 3
-            && q.Packet.gw_pinned
-            && q.Packet.ecn = p.Packet.ecn))
+            && Packet.hops q = 3
+            && Packet.gw_pinned q
+            && Packet.ecn q = Packet.ecn p))
         pkts)
     (rider_subsets ())
 
@@ -317,7 +354,7 @@ let wire_qcheck =
           ~src_vip:(Vip.of_int a) ~dst_vip:(Vip.of_int b)
           ~src_pip:(Pip.of_int (a * 2)) ~dst_pip:(Pip.of_int (b * 2)) ~now:0
       in
-      p.Packet.resolved <- resolved;
+      Packet.set_resolved p resolved;
       if with_spill then set_spill p decor b;
       if with_md then p.Packet.misdelivery <- decor;
       if decor > 1 then set_promo p a decor;
@@ -346,6 +383,7 @@ let () =
           Alcotest.test_case "data initial state" `Quick test_packet_data_initial_state;
           Alcotest.test_case "control packets" `Quick test_packet_control;
           Alcotest.test_case "control kind checked" `Quick test_packet_control_kind_checked;
+          QCheck_alcotest.to_alcotest flags_qcheck;
         ] );
       ( "flow",
         [

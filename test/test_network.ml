@@ -410,7 +410,7 @@ let test_delivery_metrics_allocation_free () =
       ~dst_pip:(Topology.pip t (Topology.hosts t).(2))
       ~now:0
   in
-  pkt.Netcore.Packet.hops <- 4;
+  Netcore.Packet.set_hops pkt 4;
   let words =
     minor_words (fun () ->
         for i = 1 to n_alloc do
@@ -429,7 +429,7 @@ let test_ack_path_allocation_free mode () =
   let cb =
     {
       Netsim.Transport.now = (fun () -> Dessim.Engine.now eng);
-      schedule = (fun delay f -> Dessim.Engine.schedule_after eng ~delay f);
+      timeout = (fun _ ~flow_id:_ ~gen:_ -> ());
       pace = (fun _ ~flow_id:_ ~seq:_ -> ());
       send_data = (fun _ ~seq:_ ~size:_ ~retransmit:_ -> incr sent);
       send_ack = (fun _ ~seq:_ ~ecn_echo:_ -> ());
@@ -450,12 +450,129 @@ let test_ack_path_allocation_free mode () =
         for seq = 0 to n_alloc - 1 do
           ack.Netcore.Packet.seq <- seq;
           (* Marks in bursts, so DCTCP both cuts and regrows. *)
-          ack.Netcore.Packet.ecn <- seq land 31 < 4;
+          Netcore.Packet.set_ecn ack (seq land 31 < 4);
           Netsim.Transport.on_ack tr ack
         done)
   in
   checki "the window refilled on every ack" packets !sent;
   Alcotest.check zero_words "minor words over 10k acks" 0.0 words
+
+(* The whole reliable-flow lifecycle on a transport sized for it:
+   start (the initial window and the RTO timer), a timeout without
+   progress (go-back-N resend and re-arm, through a typed engine
+   event), every data packet and ACK, completion, and the leftover
+   timers firing on finished flows. Each flow is a row of the
+   transport's flat tables, so none of it allocates. *)
+let test_flow_lifecycle_allocation_free mode () =
+  let n_flows = 1000 and packets = 8 in
+  let rto = Time_ns.of_us 100 in
+  let eng = Dessim.Engine.create () in
+  let sent = ref 0 and resent = ref 0 and acks = ref 0 and finished = ref 0 in
+  let cb =
+    {
+      Netsim.Transport.now = (fun () -> Dessim.Engine.now eng);
+      timeout =
+        (fun delay ~flow_id ~gen ->
+          Dessim.Engine.schedule_event_after eng ~delay ~code:0 ~a:flow_id ~b:gen);
+      pace = (fun _ ~flow_id:_ ~seq:_ -> ());
+      send_data =
+        (fun _ ~seq:_ ~size:_ ~retransmit ->
+          if retransmit then incr resent else incr sent);
+      send_ack = (fun _ ~seq:_ ~ecn_echo:_ -> incr acks);
+      flow_done = (fun _ ~fct:_ -> incr finished);
+      first_packet = (fun _ ~latency:_ -> ());
+    }
+  in
+  let tr = Netsim.Transport.create ~mode ~window:4 ~rto cb in
+  Dessim.Engine.set_handler eng (fun ~code:_ ~a ~b ->
+      Netsim.Transport.timed_out tr ~flow_id:a ~gen:b);
+  Netsim.Transport.reserve tr ~flows:n_flows ~ack_packets:(n_flows * packets)
+    ~recv_packets:(n_flows * packets) ~max_id:(n_flows - 1);
+  let flows =
+    Array.init n_flows (fun id -> cross_host_flow ~id ~packets ~src:0 ~dst:8 ())
+  in
+  let data =
+    Netcore.Packet.make_data ~id:0 ~flow_id:0 ~seq:0 ~size:1500
+      ~src_vip:(Vip.of_int 0) ~dst_vip:(Vip.of_int 8)
+      ~src_pip:Netcore.Addr.Pip.none ~dst_pip:Netcore.Addr.Pip.none ~now:0
+  in
+  let ack =
+    Netcore.Packet.make_ack ~id:0 ~flow_id:0 ~seq:0 ~src_vip:(Vip.of_int 8)
+      ~dst_vip:(Vip.of_int 0) ~src_pip:Netcore.Addr.Pip.none
+      ~dst_pip:Netcore.Addr.Pip.none ~now:0
+  in
+  let words =
+    minor_words (fun () ->
+        for id = 0 to n_flows - 1 do
+          Netsim.Transport.start tr flows.(id);
+          (* Nothing arrives for a full RTO: the timer fires. *)
+          Dessim.Engine.run_until eng
+            ~limit:(Time_ns.add (Dessim.Engine.now eng) rto);
+          data.Netcore.Packet.flow_id <- id;
+          ack.Netcore.Packet.flow_id <- id;
+          for seq = 0 to packets - 1 do
+            data.Netcore.Packet.seq <- seq;
+            Netsim.Transport.on_data tr data;
+            ack.Netcore.Packet.seq <- seq;
+            Netcore.Packet.set_ecn ack (seq land 3 = 0);
+            Netsim.Transport.on_ack tr ack
+          done
+        done;
+        Dessim.Engine.run eng)
+  in
+  checki "every flow completed" n_flows !finished;
+  checki "every packet sent once" (n_flows * packets) !sent;
+  checki "one window resent per timeout" (n_flows * 4) !resent;
+  checki "every data packet acked" (n_flows * packets) !acks;
+  checki "timers drained" 0 (Dessim.Engine.pending eng);
+  Alcotest.check zero_words "minor words over 1000 flow lifecycles" 0.0 words
+
+(* Two shards; both VMs of a flow migrate, before it starts, from their
+   pod-0 hosts (shard 0, where the flow's transport lives) to pod-1
+   hosts (shard 1). Direct resolves at the host, so the packets never
+   leave pod 1 and every handoff is a replayed send (mode 1) or a
+   delivery home to the transport (modes 2 and 3). All of them, the
+   flow starts and the migrations are typed events: no closure is
+   queued anywhere. *)
+let test_sharded_migrated_delivery_no_thunks () =
+  let t = topo () in
+  let hosts_in pod =
+    Array.to_list (Topology.hosts t)
+    |> List.filter (fun h -> Topo.Node.pod_of (Topology.kind t h) = pod)
+  in
+  let vms_per_host = (Topology.params t).Topo.Params.vms_per_host in
+  let vm_on h =
+    let rec find i = if (Topology.hosts t).(i) = h then i else find (i + 1) in
+    find 0 * vms_per_host
+  in
+  let src, dst =
+    match hosts_in 0 with a :: b :: _ -> (vm_on a, vm_on b) | _ -> assert false
+  in
+  let a1, b1 =
+    match hosts_in 1 with a :: b :: _ -> (a, b) | _ -> assert false
+  in
+  let migrations =
+    [
+      { Network.at = 0; vip = Vip.of_int src; to_host = a1 };
+      { Network.at = 0; vip = Vip.of_int dst; to_host = b1 };
+    ]
+  in
+  let flows =
+    List.init 4 (fun id ->
+        cross_host_flow ~id ~start:(Time_ns.of_us (1 + (5 * id))) ~packets:20 ~src
+          ~dst ())
+  in
+  let p =
+    Netsim.Parnet.run ~shards:2 t
+      ~make_scheme:(fun ~shard:_ -> Schemes.Baselines.direct ())
+      ~flows ~migrations ~until:(Time_ns.of_ms 20)
+  in
+  let nets = Netsim.Parnet.nets p in
+  let total f = Array.fold_left (fun acc n -> acc + f n) 0 nets in
+  checki "flows completed" 4 (Metrics.flows_completed (Netsim.Parnet.metrics p));
+  checkb "deliveries crossed shards" true (total Network.handoffs_received > 40);
+  checki "thunks queued" 0
+    (total (fun n -> Dessim.Engine.thunks_scheduled (Network.engine n)))
 
 let test_direct_resolution_allocation_free () =
   let t = topo () in
@@ -518,5 +635,11 @@ let () =
             (test_ack_path_allocation_free Netsim.Transport.Dctcp);
           Alcotest.test_case "direct host resolution" `Quick
             test_direct_resolution_allocation_free;
+          Alcotest.test_case "windowed flow lifecycle" `Quick
+            (test_flow_lifecycle_allocation_free Netsim.Transport.Windowed);
+          Alcotest.test_case "dctcp flow lifecycle" `Quick
+            (test_flow_lifecycle_allocation_free Netsim.Transport.Dctcp);
+          Alcotest.test_case "sharded migrated delivery" `Quick
+            test_sharded_migrated_delivery_no_thunks;
         ] );
     ]

@@ -233,6 +233,7 @@ let test_reassigned_tor_changes_learning () =
       Dataplane.now = (fun () -> 0);
       emit = (fun ~src_switch:_ _ -> ());
       fresh_packet_id = (fun () -> 0);
+      pooled_packet = Netcore.Packet.blank;
       rng = Dessim.Rng.create 3;
     }
   in

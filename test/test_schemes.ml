@@ -45,6 +45,7 @@ let make_env t =
       (fun () ->
         incr next;
         !next);
+    pooled_packet = Packet.blank;
     emit_at_switch = (fun ~src_switch:_ _ -> ());
   }
 
@@ -81,13 +82,13 @@ let test_learning_cache_lookup_and_learn () =
   let dst_host = (Topology.hosts t).(3) in
   (* A resolved packet teaches the mapping... *)
   let p1 = mk_pkt t ~src_host:(Topology.hosts t).(0) ~dst_vip:(Vip.of_int 12) in
-  p1.Packet.resolved <- true;
+  Packet.set_resolved p1 true;
   p1.Packet.dst_pip <- Topology.pip t dst_host;
   Schemes.Learning_cache.on_switch lc ~switch:sw p1;
   (* ...which then resolves a later packet. *)
   let p2 = mk_pkt t ~src_host:(Topology.hosts t).(1) ~dst_vip:(Vip.of_int 12) in
   Schemes.Learning_cache.on_switch lc ~switch:sw p2;
-  checkb "second packet resolved" true p2.Packet.resolved;
+  checkb "second packet resolved" true (Packet.resolved p2);
   checki "rewritten" dst_host (Pip.to_int p2.Packet.dst_pip);
   checki "hit switch" sw p2.Packet.hit_switch
 
@@ -100,17 +101,17 @@ let test_learning_cache_tagged_conservative () =
   in
   let stale_host = (Topology.hosts t).(3) in
   let p1 = mk_pkt t ~src_host:(Topology.hosts t).(0) ~dst_vip:(Vip.of_int 12) in
-  p1.Packet.resolved <- true;
+  Packet.set_resolved p1 true;
   p1.Packet.dst_pip <- Topology.pip t stale_host;
   Schemes.Learning_cache.on_switch lc ~switch:sw p1;
   (* A tagged packet removes the stale entry and is never rewritten. *)
   let p2 = mk_pkt t ~src_host:(Topology.hosts t).(1) ~dst_vip:(Vip.of_int 12) in
   p2.Packet.misdelivery <- Pip.to_int (Topology.pip t stale_host);
   Schemes.Learning_cache.on_switch lc ~switch:sw p2;
-  checkb "not rewritten" false p2.Packet.resolved;
+  checkb "not rewritten" false (Packet.resolved p2);
   let p3 = mk_pkt t ~src_host:(Topology.hosts t).(1) ~dst_vip:(Vip.of_int 12) in
   Schemes.Learning_cache.on_switch lc ~switch:sw p3;
-  checkb "stale entry was removed" false p3.Packet.resolved
+  checkb "stale entry was removed" false (Packet.resolved p3)
 
 (* --- gwcache --- *)
 
@@ -130,7 +131,7 @@ let test_gwcache_caches_only_gateway_tors () =
   Pipeline.prepare scheme.Scheme.pipeline env;
   let teach sw =
     let p = mk_pkt t ~src_host:(Topology.hosts t).(0) ~dst_vip:(Vip.of_int 12) in
-    p.Packet.resolved <- true;
+    Packet.set_resolved p true;
     p.Packet.dst_pip <- Topology.pip t dst_host;
     ignore (Pipeline.run scheme.Scheme.pipeline env ~switch:sw ~from:0 p)
   in
@@ -139,7 +140,7 @@ let test_gwcache_caches_only_gateway_tors () =
   let probe sw =
     let p = mk_pkt t ~src_host:(Topology.hosts t).(1) ~dst_vip:(Vip.of_int 12) in
     ignore (Pipeline.run scheme.Scheme.pipeline env ~switch:sw ~from:0 p);
-    p.Packet.resolved
+    Packet.resolved p
   in
   checkb "gateway ToR resolves" true (probe gw_tor);
   checkb "other switches have no cache" false (probe other)
@@ -353,7 +354,7 @@ let test_bluebird_detour_and_insert_delay () =
   checkb "expected a CP detour" true (Verdict.tag v = Verdict.tag_delay);
   checkb "detour includes CP latency" true
     (Verdict.delay_ns v >= Time_ns.of_ns 8_500);
-  checkb "resolved by SFE" true p.Packet.resolved;
+  checkb "resolved by SFE" true (Packet.resolved p);
   (* The route cache is installed only after the 2 ms insertion delay. *)
   let p2 = mk_pkt t ~src_host:(Topology.hosts t).(1) ~dst_vip:(Vip.of_int 12) in
   let v2 = Pipeline.run scheme.Scheme.pipeline env ~switch:tor ~from:0 p2 in
@@ -363,7 +364,7 @@ let test_bluebird_detour_and_insert_delay () =
   let p3 = mk_pkt t ~src_host:(Topology.hosts t).(1) ~dst_vip:(Vip.of_int 12) in
   let v3 = Pipeline.run scheme.Scheme.pipeline env ~switch:tor ~from:0 p3 in
   checkb "expected a data-plane hit" true (Verdict.tag v3 = Verdict.tag_forward);
-  checkb "hit after insert" true p3.Packet.resolved
+  checkb "hit after insert" true (Packet.resolved p3)
 
 let test_bluebird_cp_overload_drops () =
   let t = topo () in
@@ -493,7 +494,7 @@ let test_switchv2p_miss_path_allocation_free () =
   let dispatch () =
     (* Gateway-ToR learn: alternate VIPs so every insert evicts. *)
     learn_pkt.Packet.dst_vip <- Vip.of_int (12 + (!i land 1));
-    learn_pkt.Packet.resolved <- true;
+    Packet.set_resolved learn_pkt true;
     learn_pkt.Packet.dst_pip <- remote_pip;
     learn_pkt.Packet.spill_vip <- -1;
     learn_pkt.Packet.spill_pip <- -1;
@@ -501,7 +502,7 @@ let test_switchv2p_miss_path_allocation_free () =
     (* The next hop absorbs the spill. *)
     ignore (Pipeline.run pl env ~switch:next_hop ~from:gw_tor learn_pkt : int);
     (* Regular-spine hit with the access bit set: promotion. *)
-    hit_pkt.Packet.resolved <- false;
+    Packet.set_resolved hit_pkt false;
     hit_pkt.Packet.dst_pip <- gw_pip;
     hit_pkt.Packet.hit_switch <- -1;
     ignore (Pipeline.run pl env ~switch:spine ~from:local hit_pkt : int);
@@ -556,8 +557,8 @@ let test_switchv2p_learning_coin_allocation_free () =
   let pkt = mk_pkt t ~src_host:remote ~dst_vip:(Vip.of_int 12) in
   let dst_pip = Topology.pip t hosts.(3) in
   let dispatch () =
-    pkt.Packet.resolved <- true;
-    pkt.Packet.gw_visited <- true;
+    Packet.set_resolved pkt true;
+    Packet.set_gw_visited pkt true;
     pkt.Packet.dst_pip <- dst_pip;
     pkt.Packet.spill_vip <- -1;
     pkt.Packet.spill_pip <- -1;

@@ -120,7 +120,7 @@ let mk_pkt vip =
       ~src_vip:(Vip.of_int vip) ~dst_vip:(Vip.of_int (vip lxor 1))
       ~src_pip:(Topology.pip mtopo 0) ~dst_pip:(Topology.pip mtopo 1) ~now:0
   in
-  p.Packet.hops <- 2;
+  Packet.set_hops p 2;
   p.Packet.hit_switch <- (Topology.switches mtopo).(0);
   p
 

@@ -19,21 +19,33 @@ type world = {
   acks_sent : (int * int) list ref;
   completed : (int * Time_ns.t) list ref;
   firsts : (int * Time_ns.t) list ref;
+  timers : (int * int) list ref; (* flow, start generation; newest first *)
 }
+
+(* The transport's two timers, as typed engine events. *)
+let ev_pace = 0
+let ev_rto = 1
+
+let dispatch tr ~code ~a ~b =
+  if code = ev_pace then Transport.paced tr ~flow_id:a ~seq:b
+  else Transport.timed_out tr ~flow_id:a ~gen:b
 
 (* Build a transport whose send callbacks just log; the test decides
    when packets "arrive" by calling [deliver_data]/[deliver_ack]. *)
 let make_world ?mode () =
   let eng = Engine.create () in
   let data_sent = ref [] and acks_sent = ref [] in
-  let completed = ref [] and firsts = ref [] in
+  let completed = ref [] and firsts = ref [] and timers = ref [] in
   let cb =
     {
       Transport.now = (fun () -> Engine.now eng);
-      schedule = (fun delay f -> Engine.schedule_after eng ~delay f);
+      timeout =
+        (fun delay ~flow_id ~gen ->
+          timers := (flow_id, gen) :: !timers;
+          Engine.schedule_event_after eng ~delay ~code:ev_rto ~a:flow_id ~b:gen);
       pace =
         (fun delay ~flow_id ~seq ->
-          Engine.schedule_event_after eng ~delay ~code:0 ~a:flow_id ~b:seq);
+          Engine.schedule_event_after eng ~delay ~code:ev_pace ~a:flow_id ~b:seq);
       send_data =
         (fun flow ~seq ~size:_ ~retransmit ->
           data_sent := (flow.Flow.id, seq, retransmit) :: !data_sent);
@@ -47,8 +59,8 @@ let make_world ?mode () =
     }
   in
   let tr = Transport.create ?mode ~window:4 ~rto:(Time_ns.of_us 100) cb in
-  Engine.set_handler eng (fun ~code:_ ~a ~b -> Transport.paced tr ~flow_id:a ~seq:b);
-  { eng; tr; data_sent; acks_sent; completed; firsts }
+  Engine.set_handler eng (dispatch tr);
+  { eng; tr; data_sent; acks_sent; completed; firsts; timers }
 
 let flow ?(id = 1) ~packets () =
   Flow.make ~id ~src_vip:(Vip.of_int 1) ~dst_vip:(Vip.of_int 2)
@@ -142,6 +154,28 @@ let test_no_rto_after_completion () =
   checki "no retransmissions after full ack" 0 retransmits;
   checki "timers drained" 0 (Engine.pending w.eng)
 
+(* A restart of a flow id leaves the first start's timer queued. The
+   timer carries its start's generation, so it must find the flow's
+   current start and do nothing: no resend, no re-arm. *)
+let test_stale_rto_ignored () =
+  let w = make_world () in
+  Transport.start w.tr (flow ~packets:4 ());
+  Transport.start w.tr (flow ~packets:4 ());
+  let stale, current =
+    match !(w.timers) with
+    | [ (1, current); (1, stale) ] -> (stale, current)
+    | _ -> Alcotest.fail "expected one timer per start"
+  in
+  checkb "a restart takes a new generation" true (stale <> current);
+  let sent = List.length !(w.data_sent) and pending = Engine.pending w.eng in
+  Transport.timed_out w.tr ~flow_id:1 ~gen:stale;
+  checki "stale timer resends nothing" sent (List.length !(w.data_sent));
+  checki "stale timer does not re-arm" pending (Engine.pending w.eng);
+  Transport.timed_out w.tr ~flow_id:1 ~gen:current;
+  checki "current timer resends the window" (sent + 4)
+    (List.length !(w.data_sent));
+  checki "current timer re-arms" (pending + 1) (Engine.pending w.eng)
+
 let test_first_packet_latency_measured () =
   let w = make_world () in
   Transport.start w.tr (flow ~packets:2 ());
@@ -186,7 +220,7 @@ let test_udp_no_acks () =
 
 let ack ?(ecn = false) ~flow_id ~seq () =
   let p = mk_pkt ~kind:`Ack ~flow_id ~seq in
-  p.Packet.ecn <- ecn;
+  Packet.set_ecn p ecn;
   p
 
 let test_dctcp_clean_acks_grow_window () =
@@ -287,7 +321,9 @@ let run_lossy ~packets ~model ~seed =
   let cb =
     {
       Transport.now = (fun () -> Engine.now eng);
-      schedule = (fun d f -> Engine.schedule_after eng ~delay:d f);
+      timeout =
+        (fun delay ~flow_id ~gen ->
+          Engine.schedule_event_after eng ~delay ~code:ev_rto ~a:flow_id ~b:gen);
       pace = (fun _ ~flow_id:_ ~seq:_ -> assert false (* TCP only *));
       send_data =
         (fun f ~seq ~size:_ ~retransmit ->
@@ -307,6 +343,7 @@ let run_lossy ~packets ~model ~seed =
     }
   in
   tr_ref := Some (Transport.create ~window:4 ~rto:(Time_ns.of_us 100) cb);
+  Engine.set_handler eng (dispatch (tr ()));
   Transport.start (tr ()) (flow ~packets ());
   Engine.run_until eng ~limit:(Time_ns.of_ms 100);
   (!completed, !retransmits)
@@ -380,6 +417,202 @@ let test_dense_growth_resumes_and_migrates () =
   checkb "migrated receiver completes" true
     (Transport.receiver_done w.tr ~flow_id:2000)
 
+(* --- oracle: the flat transport against the record-based model ------- *)
+
+(* Random operation sequences drive [Transport] and [Transport_ref] (the
+   record-based transport it replaced, test/transport_ref.ml) side by
+   side. Both log every callback; after each operation the logs (sent
+   packets, ACKs, completions, first-packet latencies), the per-flow
+   cwnd/alpha and receiver state, the reordering and completion counts
+   and the number of queued timers must agree. A few flow ids and short
+   flows make restarts, duplicates, out-of-range sequence numbers and
+   timeouts with and without progress common. *)
+
+module Ref = Transport_ref
+
+type op =
+  | Start of int * int * int (* flow id, packets, bytes in the last packet *)
+  | Data of int * int * bool (* flow id, seq, CE mark *)
+  | Ack of int * int * bool (* flow id, seq, ECN echo *)
+  | Fire of int (* run queued timer k (mod their number) *)
+
+let op_to_string = function
+  | Start (id, n, last) -> Printf.sprintf "start %d %dp+%dB" id n last
+  | Data (id, seq, ce) -> Printf.sprintf "data %d.%d%s" id seq (if ce then "ce" else "")
+  | Ack (id, seq, ce) -> Printf.sprintf "ack %d.%d%s" id seq (if ce then "ece" else "")
+  | Fire k -> Printf.sprintf "fire %d" k
+
+let oracle_ids = 4
+
+let gen_op =
+  let open QCheck.Gen in
+  let id = int_bound (oracle_ids - 1) and seq = int_range (-1) 10 in
+  frequency
+    [
+      ( 1,
+        map3 (fun id n last -> Start (id, n, last)) id (int_range 1 10)
+          (int_range 1 Packet.mtu) );
+      (4, map3 (fun id seq ce -> Data (id, seq, ce)) id seq bool);
+      (4, map3 (fun id seq ce -> Ack (id, seq, ce)) id seq bool);
+      (1, map (fun k -> Fire k) (int_bound 7));
+    ]
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map op_to_string ops))
+    QCheck.Gen.(list_size (int_range 1 150) gen_op)
+
+(* One implementation under the harness: operations in, observations
+   out. *)
+type side = {
+  d_start : Flow.t -> unit;
+  d_data : Packet.t -> unit;
+  d_ack : Packet.t -> unit;
+  d_fire : int -> unit;
+  d_timers : unit -> int;
+  d_flow : int -> string;
+  d_totals : unit -> int * int;
+  d_log : Buffer.t;
+}
+
+let logging log =
+  let data (f : Flow.t) ~seq ~size ~retransmit =
+    Printf.bprintf log "D%d.%d/%d%s " f.Flow.id seq size
+      (if retransmit then "r" else "")
+  and ack (f : Flow.t) ~seq ~ecn_echo =
+    Printf.bprintf log "A%d.%d%s " f.Flow.id seq (if ecn_echo then "e" else "")
+  and fin (f : Flow.t) ~fct = Printf.bprintf log "C%d@%d " f.Flow.id fct
+  and first (f : Flow.t) ~latency =
+    Printf.bprintf log "F%d@%d " f.Flow.id latency
+  in
+  (data, ack, fin, first)
+
+let flow_summary ~cwnd ~alpha ~any ~fin ~distinct =
+  Printf.sprintf "cwnd=%s alpha=%s any=%b done=%b distinct=%d"
+    (match cwnd with Some c -> string_of_int c | None -> "-")
+    (match alpha with Some a -> Printf.sprintf "%h" a | None -> "-")
+    any fin distinct
+
+(* Remove queued timer [k] (mod their number) and return it. *)
+let take_timer timers k =
+  match !timers with
+  | [] -> None
+  | l ->
+      let k = k mod List.length l in
+      timers := List.filteri (fun i _ -> i <> k) l;
+      Some (List.nth l k)
+
+let flat_side mode clock =
+  let log = Buffer.create 256 in
+  let timers = ref [] in
+  let data, ack, fin, first = logging log in
+  let tr =
+    Transport.create ~mode ~window:4 ~rto:(Time_ns.of_us 100)
+      {
+        Transport.now = (fun () -> !clock);
+        timeout = (fun _ ~flow_id ~gen -> timers := !timers @ [ (flow_id, gen) ]);
+        pace = (fun _ ~flow_id:_ ~seq:_ -> ());
+        send_data = data;
+        send_ack = ack;
+        flow_done = fin;
+        first_packet = first;
+      }
+  in
+  {
+    d_start = Transport.start tr;
+    d_data = Transport.on_data tr;
+    d_ack = Transport.on_ack tr;
+    d_fire =
+      (fun k ->
+        Option.iter
+          (fun (flow_id, gen) -> Transport.timed_out tr ~flow_id ~gen)
+          (take_timer timers k));
+    d_timers = (fun () -> List.length !timers);
+    d_flow =
+      (fun flow_id ->
+        flow_summary ~cwnd:(Transport.cwnd tr ~flow_id)
+          ~alpha:(Transport.alpha tr ~flow_id)
+          ~any:(Transport.has_received_any tr ~flow_id)
+          ~fin:(Transport.receiver_done tr ~flow_id)
+          ~distinct:(Transport.received_distinct tr ~flow_id));
+    d_totals =
+      (fun () -> (Transport.flows_completed tr, Transport.reordering_events tr));
+    d_log = log;
+  }
+
+let ref_side mode clock =
+  let log = Buffer.create 256 in
+  let timers = ref [] in
+  let data, ack, fin, first = logging log in
+  let mode = match mode with Transport.Windowed -> Ref.Windowed | Dctcp -> Ref.Dctcp in
+  let tr =
+    Ref.create ~mode ~window:4 ~rto:(Time_ns.of_us 100)
+      {
+        Ref.now = (fun () -> !clock);
+        schedule = (fun _ f -> timers := !timers @ [ f ]);
+        pace = (fun _ ~flow_id:_ ~seq:_ -> ());
+        send_data = data;
+        send_ack = ack;
+        flow_done = fin;
+        first_packet = first;
+      }
+  in
+  {
+    d_start = Ref.start tr;
+    d_data = Ref.on_data tr;
+    d_ack = Ref.on_ack tr;
+    d_fire = (fun k -> Option.iter (fun f -> f ()) (take_timer timers k));
+    d_timers = (fun () -> List.length !timers);
+    d_flow =
+      (fun flow_id ->
+        flow_summary ~cwnd:(Ref.cwnd tr ~flow_id) ~alpha:(Ref.alpha tr ~flow_id)
+          ~any:(Ref.has_received_any tr ~flow_id)
+          ~fin:(Ref.receiver_done tr ~flow_id)
+          ~distinct:(Ref.received_distinct tr ~flow_id));
+    d_totals = (fun () -> (Ref.flows_completed tr, Ref.reordering_events tr));
+    d_log = log;
+  }
+
+let apply clock d = function
+  | Start (id, n, last) ->
+      d.d_start
+        (Flow.make ~id ~src_vip:(Vip.of_int 1) ~dst_vip:(Vip.of_int 2)
+           ~size_bytes:(((n - 1) * Packet.mtu) + last)
+           ~start:!clock Flow.Tcpish)
+  | Data (id, seq, ce) ->
+      let p = mk_pkt ~kind:`Data ~flow_id:id ~seq in
+      Packet.set_ecn p ce;
+      d.d_data p
+  | Ack (id, seq, ce) -> d.d_ack (ack ~ecn:ce ~flow_id:id ~seq ())
+  | Fire k -> d.d_fire k
+
+let observe d =
+  let completed, reordering = d.d_totals () in
+  Printf.sprintf "log=[%s] timers=%d completed=%d reordering=%d flows=[%s]"
+    (Buffer.contents d.d_log) (d.d_timers ()) completed reordering
+    (String.concat "; " (List.init oracle_ids d.d_flow))
+
+let agrees_with_reference mode ops =
+  let clock = ref 0 in
+  let flat = flat_side mode clock and model = ref_side mode clock in
+  List.iteri
+    (fun i op ->
+      clock := !clock + Time_ns.of_us 1;
+      apply clock flat op;
+      apply clock model op;
+      let a = observe flat and b = observe model in
+      if a <> b then
+        QCheck.Test.fail_reportf "after op %d (%s):@.flat:  %s@.model: %s" i
+          (op_to_string op) a b;
+      Buffer.clear flat.d_log;
+      Buffer.clear model.d_log)
+    ops;
+  true
+
+let oracle_test name mode =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name arb_ops (agrees_with_reference mode))
+
 let () =
   Alcotest.run "transport"
     [
@@ -393,6 +626,7 @@ let () =
           Alcotest.test_case "reordering detection" `Quick test_reordering_detected;
           Alcotest.test_case "RTO retransmission" `Quick test_rto_retransmits;
           Alcotest.test_case "timers stop after completion" `Quick test_no_rto_after_completion;
+          Alcotest.test_case "stale RTO ignored" `Quick test_stale_rto_ignored;
           Alcotest.test_case "first-packet latency" `Quick test_first_packet_latency_measured;
         ] );
       ( "udp",
@@ -420,6 +654,11 @@ let () =
             test_sparse_flow_id_spills;
           Alcotest.test_case "dense growth resumes and migrates" `Quick
             test_dense_growth_resumes_and_migrates;
+        ] );
+      ( "oracle",
+        [
+          oracle_test "windowed agrees with the record model" Transport.Windowed;
+          oracle_test "dctcp agrees with the record model" Transport.Dctcp;
         ] );
       ( "loss",
         [
