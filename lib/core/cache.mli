@@ -1,37 +1,54 @@
-(** Direct-mapped V2P cache with per-line access bits (§3.2).
+(** V2P cache with per-line access bits (§3.2): a set-indexed table of
+    [ways] subtables, one hash per subtable.
 
     The cache mirrors the paper's P4 register-array layout: one array
-    of keys (VIPs), one of values (PIPs), and one of access bits. The
-    slot for a VIP is a fixed hash of the key, so an insertion can only
-    evict the current occupant of that one slot — no LRU, no chaining.
+    of keys (VIPs), one of values (PIPs), and one of access bits. A
+    VIP may occupy one line per way, chosen by a fixed hash of the key
+    — no LRU, no chaining. One way is the paper's direct-mapped cache,
+    where an insertion can only evict the current occupant of one
+    line; more ways is a d-left table ("Limited Associativity Caching
+    in the Data Plane": associativity without LRU state, feasible as
+    [ways] parallel register-array reads).
 
     Access-bit semantics (paper §3.2, "Cache structure"):
     - a lookup that hits sets the line's access bit;
-    - a lookup that lands on the line but finds a different key (a
-      conflict miss) {e clears} the access bit, marking the entry as
-      not-recently-useful so conservative admission can replace it. *)
+    - a lookup that probes a line holding a different key (a conflict
+      miss) {e clears} that line's access bit, marking the entry as
+      not-recently-useful so conservative admission can replace it.
+      Lookups probe ways in order and stop at the first match, so
+      every way probed before it has its occupant's bit cleared.
+
+    Inserts update an existing key, else fill the first empty way,
+    else evict per the admission policy. With one line per bucket per
+    subtable, d-left's "least loaded" rule degenerates to "first
+    subtable with a free line" (leftmost tie-break). *)
 
 type t
 
-(** Admission policies from Table 1. [`All] always admits (evicting
-    the occupant if needed); [`A_bit_clear] admits only when the
-    occupied slot's access bit is clear (an empty slot always
+(** Admission policies from Table 1, applied when every way's line
+    is occupied. [`All] always admits, evicting the first way whose
+    access bit is clear, else way 0's occupant; [`A_bit_clear] admits
+    only into a way whose access bit is clear (an empty line always
     admits). *)
 type admission = [ `All | `A_bit_clear ]
 
-(** [create ~slots] is an empty cache with [slots] lines. [slots = 0]
-    is a legal degenerate cache on which every lookup misses and every
-    insert is rejected. Raises [Invalid_argument] if [slots < 0]. *)
-val create : slots:int -> t
+(** [create ~ways ~slots] is an empty cache of [slots] lines split as
+    [ways] subtables of [slots / ways]; [~ways:1] is the paper's
+    direct-mapped cache. [slots = 0] is a legal degenerate cache on
+    which every lookup misses and every insert is rejected. Raises
+    [Invalid_argument] if [ways <= 0], [slots < 0], or [ways] does not
+    divide [slots]. *)
+val create : ways:int -> slots:int -> t
 
 val slots : t -> int
+val ways : t -> int
 
 (** [mix v] is the fixed 31-bit hash every cache geometry shares,
     standing in for the hardware CRC (bit-identical to a splitmix64
     finalizer step, computed in native int limbs so the per-hop path
-    stays allocation-free). Exposed so {!Dleft} and {!Tinylfu} index
-    with the same function — way 0 of a d-left table must agree with
-    the direct-mapped slot for the d=1 equivalence to hold. *)
+    stays allocation-free). Way 0 indexes with [mix v] unseeded; way
+    [w] with [mix (v lxor (w * 0x27220A95))]. Exposed so {!Tinylfu}'s
+    sketch and {!Assoc_cache} hash with the same function. *)
 val mix : int -> int
 
 val miss : int

@@ -9,8 +9,6 @@ type allocation =
       gw_spine : float;
     }
 
-type geometry = Geo_direct | Geo_dleft of int
-
 type t = {
   p_learn : float;
   learning_packets : bool;
@@ -20,7 +18,7 @@ type t = {
   invalidations : bool;
   ts_vector : bool;
   allocation : allocation;
-  geometry : geometry;
+  ways : int;
   tinylfu : bool;
 }
 
@@ -34,7 +32,7 @@ let default =
     invalidations = true;
     ts_vector = true;
     allocation = Uniform;
-    geometry = Geo_direct;
+    ways = 1;
     tinylfu = false;
   }
 
@@ -43,12 +41,9 @@ let make ?(p_learn = default.p_learn)
     ?(spillover = default.spillover) ?(promotion = default.promotion)
     ?(source_learning = default.source_learning)
     ?(invalidations = default.invalidations) ?(ts_vector = default.ts_vector)
-    ?(tor_only = false) ?allocation ?(geometry = default.geometry)
+    ?(tor_only = false) ?allocation ?(ways = default.ways)
     ?(tinylfu = default.tinylfu) () =
-  (match geometry with
-  | Geo_dleft d when d <= 0 ->
-      invalid_arg "Config.make: d-left ways must be positive"
-  | Geo_dleft _ | Geo_direct -> ());
+  if ways <= 0 then invalid_arg "Config.make: ways must be positive";
   let allocation =
     match allocation with
     | Some a -> a
@@ -63,6 +58,6 @@ let make ?(p_learn = default.p_learn)
     invalidations;
     ts_vector;
     allocation;
-    geometry;
+    ways;
     tinylfu;
   }

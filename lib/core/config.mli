@@ -15,13 +15,6 @@ type allocation =
       (** per-role weights; a switch's share is its role weight
           normalized over all switches. Negative weights are invalid. *)
 
-(** Cache organization for every switch's V2P cache. [Geo_direct] is
-    the paper's direct-mapped single-access-bit design; [Geo_dleft d]
-    is a d-left table ([d] subtables, independent hashes — see
-    {!Dleft}). Each switch's slot share is rounded down to a multiple
-    of [d]. *)
-type geometry = Geo_direct | Geo_dleft of int
-
 type t = {
   p_learn : float;
       (** probability of emitting a learning packet per resolved packet
@@ -33,7 +26,10 @@ type t = {
   invalidations : bool;  (** §3.3 invalidation packets *)
   ts_vector : bool;  (** §3.3 timestamp vector rate limiting *)
   allocation : allocation;
-  geometry : geometry;  (** cache organization; the paper's is direct *)
+  ways : int;
+      (** ways of every switch's {!Cache} table: 1 is the paper's
+          direct-mapped design, more is a d-left table. Each switch's
+          slot share is rounded down to a multiple of [ways]. *)
   tinylfu : bool;
       (** wrap each cache in a {!Tinylfu} frequency-admission front
           end (4-bit count-min sketch, admit-on-higher-estimate) *)
@@ -44,7 +40,8 @@ type t = {
 val default : t
 
 (** [make ()] is [default] with optional overrides. [tor_only] is a
-    shorthand for [~allocation:Tor_only]. *)
+    shorthand for [~allocation:Tor_only]. Raises [Invalid_argument] if
+    [ways <= 0]. *)
 val make :
   ?p_learn:float ->
   ?learning_packets:bool ->
@@ -55,7 +52,7 @@ val make :
   ?ts_vector:bool ->
   ?tor_only:bool ->
   ?allocation:allocation ->
-  ?geometry:geometry ->
+  ?ways:int ->
   ?tinylfu:bool ->
   unit ->
   t

@@ -146,7 +146,7 @@ let create ?(partition = Partition.single) cfg topo ~total_cache_slots =
       let caches =
         Array.map
           (fun tenant_slots ->
-            Geo_cache.create cfg.Config.geometry ~tinylfu:cfg.Config.tinylfu
+            Geo_cache.create ~ways:cfg.Config.ways ~tinylfu:cfg.Config.tinylfu
               ~slots:tenant_slots)
           (Partition.split_slots partition ~slots)
       in
@@ -244,13 +244,13 @@ let cache_for t st vip = st.caches.(Partition.tenant_of t.partition vip)
 
 let geo_cache t ~switch = (state t switch).caches.(0)
 
-let cache t ~switch = Geo_cache.direct_exn (state t switch).caches.(0)
+let cache t ~switch = Geo_cache.table (state t switch).caches.(0)
 
 let cache_of_tenant t ~switch ~tenant =
   let st = state t switch in
   if tenant < 0 || tenant >= Array.length st.caches then
     invalid_arg "Dataplane.cache_of_tenant: tenant out of range";
-  Geo_cache.direct_exn st.caches.(tenant)
+  Geo_cache.table st.caches.(tenant)
 
 let slots_of t ~switch =
   Array.fold_left

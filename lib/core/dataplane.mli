@@ -76,21 +76,19 @@ val process_packed :
     drops, so the two-constructor variant is lossless here). *)
 val process : t -> env -> switch:int -> from:int -> Netcore.Packet.t -> verdict
 
-(** [geo_cache t ~switch] is the switch's tenant-0 cache under
-    whatever organization [config.geometry] selected. Raises
+(** [geo_cache t ~switch] is the switch's tenant-0 cache, with its
+    TinyLFU filter when [config.tinylfu] is set. Raises
     [Invalid_argument] if [switch] is not a switch node. *)
 val geo_cache : t -> switch:int -> Geo_cache.t
 
-(** [cache t ~switch] is the switch's tenant-0 cache — the whole cache
-    in the default single-tenant configuration (tests, metrics).
-    Raises [Invalid_argument] if [switch] is not a switch node, or if
-    the configured geometry is not direct-mapped (use {!geo_cache}
-    then). *)
+(** [cache t ~switch] is the switch's tenant-0 table — the whole cache
+    in the default single-tenant configuration (tests, metrics), at
+    any way count. Raises [Invalid_argument] if [switch] is not a
+    switch node. *)
 val cache : t -> switch:int -> Cache.t
 
 (** [cache_of_tenant t ~switch ~tenant] is one tenant's private
-    partition. Raises [Invalid_argument] on bad indices or a
-    non-direct geometry. *)
+    partition. Raises [Invalid_argument] on bad indices. *)
 val cache_of_tenant : t -> switch:int -> tenant:int -> Cache.t
 
 (** [slots_of t ~switch] is that switch's total cache capacity across

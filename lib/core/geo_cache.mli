@@ -1,25 +1,34 @@
-(** Geometry dispatcher for the per-switch V2P caches.
+(** The per-switch V2P cache: the access-bit {!Cache} table, bare or
+    behind a {!Tinylfu} frequency-admission filter.
 
-    The dataplane holds [Geo_cache.t] values and selects the concrete
-    organization from {!Config.geometry} / [Config.tinylfu] at build
-    time; every operation is a single branch-only variant match, so
-    geometry selection costs no allocation on the per-hop path (the
-    0.0 words/dispatch CI gate covers it).
+    The dataplane holds [Geo_cache.t] values and builds them from
+    {!Config.t}'s [ways] and [tinylfu] fields; every operation is a
+    single branch-only variant match, so the choice costs no
+    allocation on the per-hop path (the 0.0 words/dispatch CI gate
+    covers it).
 
-    All arms share {!Cache}'s int-packed conventions: {!lookup}
+    Both arms share {!Cache}'s int-packed conventions: {!lookup}
     returns {!Cache.miss} or the packed [(pip lsl 1) lor was_set]
     form (decode with {!Cache.hit_pip} / {!Cache.hit_bit}), and
     {!insert} returns {!Cache.insert}'s int code: {!Cache.ins_rejected},
     {!Cache.ins_updated}, {!Cache.ins_fresh}, or the evicted VIP with
     its PIP in {!evicted_pip}. *)
 
-type t = Direct of Cache.t | Dleft of Dleft.t | Lfu of Tinylfu.t
+(** [Lfu]'s [table] is its filter's backing. Private: {!create} is the
+    only constructor, so the two always agree. *)
+type t = private
+  | Plain of Cache.t
+  | Lfu of { filter : Tinylfu.t; table : Cache.t }
 
-(** [create geometry ~tinylfu ~slots] — the concrete cache for one
-    tenant partition. d-left shares are rounded down to a multiple of
-    [d]; [tinylfu] wraps the result in a {!Tinylfu} front end with
-    default sketch sizing. *)
-val create : Config.geometry -> tinylfu:bool -> slots:int -> t
+(** [create ~ways ~tinylfu ~slots] — the cache for one tenant
+    partition: a [ways]-way table of [slots] lines rounded down to a
+    multiple of [ways]; [tinylfu] wraps it in a {!Tinylfu} filter with
+    default sketch sizing. Raises [Invalid_argument] if [ways <= 0]. *)
+val create : ways:int -> tinylfu:bool -> slots:int -> t
+
+(** [table t] is the access-bit table under any filter: the cache's
+    lines, occupancy and hit/miss/insertion/eviction counters. *)
+val table : t -> Cache.t
 
 val lookup : t -> Netcore.Addr.Vip.t -> int
 
@@ -32,17 +41,17 @@ val evicted_pip : t -> Netcore.Addr.Pip.t
 
 val invalidate : t -> Netcore.Addr.Vip.t -> stale:Netcore.Addr.Pip.t -> bool
 val peek : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t option
+
+(** [clear t] wipes the table and, under TinyLFU, the sketch. *)
 val clear : t -> unit
+
 val slots : t -> int
 val occupancy : t -> int
 val hits : t -> int
 val misses : t -> int
 val insertions : t -> int
 val evictions : t -> int
-val rejections : t -> int
 
-(** [direct_exn t] is the underlying direct-mapped {!Cache} — the
-    compatibility accessor behind [Dataplane.cache] for the default
-    geometry. Raises [Invalid_argument] for d-left or assoc-backed
-    caches. *)
-val direct_exn : t -> Cache.t
+(** [rejections t] counts inserts turned away by the table's admission
+    policy and, under TinyLFU, by the filter. *)
+val rejections : t -> int

@@ -12,10 +12,7 @@ module Vip = Netcore.Addr.Vip
    of the key — exactly the structure a Tofino stage can host, which
    is what the [P4model.Resources] sketch costing charges for. *)
 
-type backing =
-  | Direct of Cache.t
-  | Dleft of Dleft.t
-  | Assoc of Assoc_cache.t
+type backing = Table of Cache.t | Assoc of Assoc_cache.t
 
 type t = {
   backing : backing;
@@ -31,8 +28,7 @@ type t = {
 }
 
 let backing_slots = function
-  | Direct c -> Cache.slots c
-  | Dleft c -> Dleft.slots c
+  | Table c -> Cache.slots c
   | Assoc c -> Assoc_cache.slots c
 
 let next_pow2 n =
@@ -72,7 +68,6 @@ let create ?(rows = 4) ?width ?sample ?(always_admit = false) backing =
     denied = 0;
   }
 
-let backing t = t.backing
 let rows t = t.rows
 let width t = t.width
 let sample_period t = t.sample
@@ -131,20 +126,17 @@ let estimate_vip t vip = estimate t (Vip.to_int vip)
 let lookup t vip =
   touch t (Vip.to_int vip);
   match t.backing with
-  | Direct c -> Cache.lookup c vip
-  | Dleft c -> Dleft.lookup c vip
+  | Table c -> Cache.lookup c vip
   | Assoc c -> Assoc_cache.lookup c vip
 
 let peek t vip =
   match t.backing with
-  | Direct c -> Cache.peek c vip
-  | Dleft c -> Dleft.peek c vip
+  | Table c -> Cache.peek c vip
   | Assoc c -> Assoc_cache.peek c vip
 
 let victim_key t vip =
   match t.backing with
-  | Direct c -> Cache.victim_key c vip
-  | Dleft c -> Dleft.victim_key c vip
+  | Table c -> Cache.victim_key c vip
   | Assoc c -> Assoc_cache.victim_key c vip
 
 let insert t ~admission vip pip =
@@ -163,8 +155,7 @@ let insert t ~admission vip pip =
   else begin
     t.admitted <- t.admitted + 1;
     match t.backing with
-    | Direct c -> Cache.insert c ~admission vip pip
-    | Dleft c -> Dleft.insert c ~admission vip pip
+    | Table c -> Cache.insert c ~admission vip pip
     | Assoc c ->
         (* The LRU backing's evictions are not reported (no spillover
            rider from this geometry, and no eviction counters). *)
@@ -174,20 +165,17 @@ let insert t ~admission vip pip =
 
 let evicted_pip t =
   match t.backing with
-  | Direct c -> Cache.evicted_pip c
-  | Dleft c -> Dleft.evicted_pip c
+  | Table c -> Cache.evicted_pip c
   | Assoc c -> Assoc_cache.evicted_pip c
 
 let invalidate t vip ~stale =
   match t.backing with
-  | Direct c -> Cache.invalidate c vip ~stale
-  | Dleft c -> Dleft.invalidate c vip ~stale
+  | Table c -> Cache.invalidate c vip ~stale
   | Assoc _ -> false
 
 let clear t =
   (match t.backing with
-  | Direct c -> Cache.clear c
-  | Dleft c -> Dleft.clear c
+  | Table c -> Cache.clear c
   | Assoc _ -> ());
   (* The sketch is data-plane register state: a reboot loses it too. *)
   Bytes.fill t.counters 0 (Bytes.length t.counters) '\000';
@@ -197,32 +185,27 @@ let slots t = backing_slots t.backing
 
 let occupancy t =
   match t.backing with
-  | Direct c -> Cache.occupancy c
-  | Dleft c -> Dleft.occupancy c
+  | Table c -> Cache.occupancy c
   | Assoc c -> Assoc_cache.occupancy c
 
 let hits t =
   match t.backing with
-  | Direct c -> Cache.hits c
-  | Dleft c -> Dleft.hits c
+  | Table c -> Cache.hits c
   | Assoc c -> Assoc_cache.hits c
 
 let misses t =
   match t.backing with
-  | Direct c -> Cache.misses c
-  | Dleft c -> Dleft.misses c
+  | Table c -> Cache.misses c
   | Assoc c -> Assoc_cache.misses c
 
 let insertions t =
   match t.backing with
-  | Direct c -> Cache.insertions c
-  | Dleft c -> Dleft.insertions c
+  | Table c -> Cache.insertions c
   | Assoc _ -> 0
 
 let evictions t =
   match t.backing with
-  | Direct c -> Cache.evictions c
-  | Dleft c -> Dleft.evictions c
+  | Table c -> Cache.evictions c
   | Assoc _ -> 0
 
 (* Admission rejections: the sketch's denials plus whatever the
@@ -231,8 +214,7 @@ let rejections t =
   t.denied
   +
   match t.backing with
-  | Direct c -> Cache.rejections c
-  | Dleft c -> Dleft.rejections c
+  | Table c -> Cache.rejections c
   | Assoc _ -> 0
 
 let admitted t = t.admitted

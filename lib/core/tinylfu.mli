@@ -15,16 +15,14 @@
     sequences and counters — the degenerate equivalence the QCheck
     suite pins. *)
 
-(** The wrapped geometry. [Direct]/[Dleft] carry the full protocol
-    semantics (packed access-bit lookups, admission policies,
-    invalidation); [Assoc] is for the cache-geometry study only — its
+(** The wrapped geometry. [Table] (the access-bit table at any way
+    count) carries the full protocol semantics (packed access-bit
+    lookups, admission policies, invalidation); [Assoc] is for the
+    cache-geometry study only — its
     lookups return {!Assoc_cache.lookup}'s unshifted packing,
     [invalidate] is a no-op, and insert/eviction/rejection counters
     read 0. *)
-type backing =
-  | Direct of Cache.t
-  | Dleft of Dleft.t
-  | Assoc of Assoc_cache.t
+type backing = Table of Cache.t | Assoc of Assoc_cache.t
 
 type t
 
@@ -34,7 +32,6 @@ type t
 val create :
   ?rows:int -> ?width:int -> ?sample:int -> ?always_admit:bool -> backing -> t
 
-val backing : t -> backing
 val rows : t -> int
 val width : t -> int
 val sample_period : t -> int

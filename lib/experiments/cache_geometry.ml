@@ -82,84 +82,64 @@ let streams_per_tor (setup : Setup.t) flows =
 
 (* One cache instance replaying a reference stream: [lookup] returns
    hit/miss, inserting on miss; [used_slots]/[sram_bits] record what
-   the organization actually occupies at this per-ToR budget. *)
+   the organization actually occupies at this per-ToR budget. [None]
+   when the organization does not fit in [slots] lines (a 4-way table
+   needs at least 4); capacity is rounded down to a multiple of the
+   way count. *)
 type sim = {
   lookup : Vip.t -> bool; (* true = hit; miss inserts *)
   used_slots : int;
   sram_bits : int;
 }
 
-let direct_sim ~slots ~tinylfu =
-  let base = Switchv2p.Cache.create ~slots in
-  let c =
-    if tinylfu then Switchv2p.Geo_cache.Lfu (Switchv2p.Tinylfu.create (Switchv2p.Tinylfu.Direct base))
-    else Switchv2p.Geo_cache.Direct base
-  in
-  let sketch = if tinylfu then Some (Resources.sketch_of_slots slots) else None in
-  {
-    lookup =
-      (fun vip ->
-        if Switchv2p.Geo_cache.lookup c vip >= 0 then true
-        else begin
-          ignore
-            (Switchv2p.Geo_cache.insert c ~admission:`All vip (Pip.of_int 1));
-          false
-        end);
-    used_slots = slots;
-    sram_bits = Resources.geometry_bits ~slots ?sketch Resources.G_direct;
-  }
-
-let dleft_sim ~d ~slots ~tinylfu =
-  (* Capacity rounded down to a multiple of the way count; the caller
-     skips organizations that do not fit at all. *)
-  let slots = slots - (slots mod d) in
-  let base = Switchv2p.Dleft.create ~d ~slots in
-  let c =
-    if tinylfu then Switchv2p.Geo_cache.Lfu (Switchv2p.Tinylfu.create (Switchv2p.Tinylfu.Dleft base))
-    else Switchv2p.Geo_cache.Dleft base
-  in
-  let sketch = if tinylfu then Some (Resources.sketch_of_slots slots) else None in
-  {
-    lookup =
-      (fun vip ->
-        if Switchv2p.Geo_cache.lookup c vip >= 0 then true
-        else begin
-          ignore
-            (Switchv2p.Geo_cache.insert c ~admission:`All vip (Pip.of_int 1));
-          false
-        end);
-    used_slots = slots;
-    sram_bits = Resources.geometry_bits ~slots ?sketch (Resources.G_dleft d);
-  }
+let table_sim ~ways ~tinylfu ~slots =
+  if slots < ways then None
+  else
+    let c = Switchv2p.Geo_cache.create ~ways ~tinylfu ~slots in
+    let slots = Switchv2p.Geo_cache.slots c in
+    let sketch =
+      if tinylfu then Some (Resources.sketch_of_slots slots) else None
+    in
+    Some
+      {
+        lookup =
+          (fun vip ->
+            if Switchv2p.Geo_cache.lookup c vip >= 0 then true
+            else begin
+              ignore
+                (Switchv2p.Geo_cache.insert c ~admission:`All vip (Pip.of_int 1));
+              false
+            end);
+        used_slots = slots;
+        sram_bits = Resources.geometry_bits ~slots ?sketch (Resources.G_table ways);
+      }
 
 let assoc_sim ~ways ~slots =
-  let slots = slots - (slots mod ways) in
-  let c = Switchv2p.Assoc_cache.create ~ways ~slots in
-  {
-    lookup =
-      (fun vip ->
-        if Switchv2p.Assoc_cache.lookup c vip >= 0 then true
-        else begin
-          ignore (Switchv2p.Assoc_cache.insert c vip (Pip.of_int 1) : int);
-          false
-        end);
-    used_slots = slots;
-    sram_bits = Resources.geometry_bits ~slots (Resources.G_assoc ways);
-  }
+  if slots < ways then None
+  else
+    let slots = slots - (slots mod ways) in
+    let c = Switchv2p.Assoc_cache.create ~ways ~slots in
+    Some
+      {
+        lookup =
+          (fun vip ->
+            if Switchv2p.Assoc_cache.lookup c vip >= 0 then true
+            else begin
+              ignore (Switchv2p.Assoc_cache.insert c vip (Pip.of_int 1) : int);
+              false
+            end);
+        used_slots = slots;
+        sram_bits = Resources.geometry_bits ~slots (Resources.G_assoc ways);
+      }
 
-(* [None] when the organization does not fit in [slots] lines (a
-   4-way table needs at least 4). *)
 let geometry ~slots = function
-  | "direct" -> Some (direct_sim ~slots ~tinylfu:false)
-  | "direct+tinylfu" -> Some (direct_sim ~slots ~tinylfu:true)
-  | "dleft2" ->
-      if slots < 2 then None else Some (dleft_sim ~d:2 ~slots ~tinylfu:false)
-  | "dleft4" ->
-      if slots < 4 then None else Some (dleft_sim ~d:4 ~slots ~tinylfu:false)
-  | "dleft4+tinylfu" ->
-      if slots < 4 then None else Some (dleft_sim ~d:4 ~slots ~tinylfu:true)
-  | "2way-lru" -> if slots < 2 then None else Some (assoc_sim ~ways:2 ~slots)
-  | "4way-lru" -> if slots < 4 then None else Some (assoc_sim ~ways:4 ~slots)
+  | "direct" -> table_sim ~ways:1 ~tinylfu:false ~slots
+  | "direct+tinylfu" -> table_sim ~ways:1 ~tinylfu:true ~slots
+  | "dleft2" -> table_sim ~ways:2 ~tinylfu:false ~slots
+  | "dleft4" -> table_sim ~ways:4 ~tinylfu:false ~slots
+  | "dleft4+tinylfu" -> table_sim ~ways:4 ~tinylfu:true ~slots
+  | "2way-lru" -> assoc_sim ~ways:2 ~slots
+  | "4way-lru" -> assoc_sim ~ways:4 ~slots
   | name -> invalid_arg ("Cache_geometry: unknown geometry " ^ name)
 
 let flows_per_vm = 8.0
@@ -224,15 +204,11 @@ let run ?(scale = `Small) ?(geometries = default_geometries)
 
 (* The same sweep point as a declarative scenario (PR-9 layer): a
    Locality stream driving a SwitchV2P scheme whose config selects the
-   geometry. Validates by construction. *)
+   way count. Validates by construction. *)
 let spec ?(scale = `Small) ?(locality = 0.5) ?(cache_pct = 50)
-    ?(geometry = Switchv2p.Config.Geo_direct) ?(tinylfu = false) () =
+    ?(ways = 1) ?(tinylfu = false) () =
   let module Spec = Netsim.Scenario in
-  let geo_name =
-    match geometry with
-    | Switchv2p.Config.Geo_direct -> "direct"
-    | Switchv2p.Config.Geo_dleft d -> Printf.sprintf "dleft%d" d
-  in
+  let geo_name = Resources.geometry_name (Resources.G_table ways) in
   let name =
     Printf.sprintf "cachegeo/%s%s-l%03d-p%d" geo_name
       (if tinylfu then "+tinylfu" else "")
@@ -248,7 +224,7 @@ let spec ?(scale = `Small) ?(locality = 0.5) ?(cache_pct = 50)
     [
       Spec.scheme ~label:"SwitchV2P"
         (Spec.switchv2p
-           ~config:(Switchv2p.Config.make ~geometry ~tinylfu ())
+           ~config:(Switchv2p.Config.make ~ways ~tinylfu ())
            (Spec.Pct cache_pct));
     ]
 

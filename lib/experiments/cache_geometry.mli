@@ -55,7 +55,7 @@ val spec :
   ?scale:Setup.scale ->
   ?locality:float ->
   ?cache_pct:int ->
-  ?geometry:Switchv2p.Config.geometry ->
+  ?ways:int ->
   ?tinylfu:bool ->
   unit ->
   Netsim.Scenario.t

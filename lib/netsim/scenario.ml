@@ -278,10 +278,11 @@ let scheme_line s =
       addf " invalidations=%b" c.Switchv2p.Config.invalidations;
       addf " ts_vector=%b" c.Switchv2p.Config.ts_vector;
       addf " allocation=%s" (allocation_to_string c.Switchv2p.Config.allocation);
-      addf " geometry=%s"
-        (match c.Switchv2p.Config.geometry with
-        | Switchv2p.Config.Geo_direct -> "direct"
-        | Switchv2p.Config.Geo_dleft d -> Printf.sprintf "dleft:%d" d);
+      (* One way prints as [direct], so [geometry=dleft:1] reprints as
+         the committed files' spelling. *)
+      (match c.Switchv2p.Config.ways with
+      | 1 -> addf " geometry=direct"
+      | w -> addf " geometry=dleft:%d" w);
       addf " tinylfu=%b" c.Switchv2p.Config.tinylfu;
       Option.iter (fun sh -> addf " shares=%s" (floats_to_string sh)) shares);
   (* [label] consumes the rest of the line, so it always prints last. *)
@@ -613,9 +614,9 @@ let parse_scheme ~line rest_of_line =
                       err ~line ~field:"allocation"
                         "expected uniform|tor_only|weighted:5-floats, got %S" v)
             in
-            let geometry =
+            let ways =
               match take f "geometry" with
-              | None | Some "direct" -> Switchv2p.Config.Geo_direct
+              | None | Some "direct" -> 1
               | Some v -> (
                   match String.index_opt v ':' with
                   | Some i when String.sub v 0 i = "dleft" -> (
@@ -623,7 +624,7 @@ let parse_scheme ~line rest_of_line =
                         int_of_string_opt
                           (String.sub v (i + 1) (String.length v - i - 1))
                       with
-                      | Some w when w > 0 -> Switchv2p.Config.Geo_dleft w
+                      | Some w when w > 0 -> w
                       | Some _ | None ->
                           err ~line ~field:"geometry"
                             "d-left ways must be a positive integer, got %S" v)
@@ -651,7 +652,7 @@ let parse_scheme ~line rest_of_line =
                 ts_vector =
                   take_bool f "ts_vector" ~default:d.Switchv2p.Config.ts_vector;
                 allocation;
-                geometry;
+                ways;
                 tinylfu =
                   take_bool f "tinylfu" ~default:d.Switchv2p.Config.tinylfu;
               }

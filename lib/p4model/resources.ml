@@ -134,7 +134,7 @@ let stage_estimate ~entries_per_switch kind =
 
 (* ---- Exact SRAM bit costing per cache geometry ----------------- *)
 
-type geometry = G_direct | G_dleft of int | G_assoc of int
+type geometry = G_table of int | G_assoc of int
 
 type sketch = { rows : int; width : int }
 
@@ -149,16 +149,17 @@ let sketch_of_slots slots =
   { rows = 4; width = next_pow2 (max 16 (4 * slots)) }
 
 let geometry_name = function
-  | G_direct -> "direct"
-  | G_dleft d -> Printf.sprintf "dleft%d" d
+  | G_table 1 -> "direct"
+  | G_table d -> Printf.sprintf "dleft%d" d
   | G_assoc w -> Printf.sprintf "%dway-lru" w
 
 (* Register line layout (the [bytes_per_entry] float above, in exact
    bits): a 4B VIP tag and a 2B server index per line, plus per-line
-   replacement metadata — 1 access bit for direct-mapped and d-left
-   (the protocol's second-chance bit), ceil(log2 ways) recency-rank
-   bits for a [ways]-associative LRU set (1 way still needs its access
-   bit, so ways = 1 collapses to the 49-bit direct-mapped line). *)
+   replacement metadata — 1 access bit for the access-bit table at any
+   way count (the protocol's second-chance bit), ceil(log2 ways)
+   recency-rank bits for a [ways]-associative LRU set (1 way still
+   needs its access bit, so ways = 1 collapses to the 49-bit
+   direct-mapped line). *)
 let key_bits = 32
 let value_bits = 16
 
@@ -167,9 +168,8 @@ let ceil_log2 n =
   go 0 1
 
 let metadata_bits_per_line = function
-  | G_direct -> 1
-  | G_dleft d ->
-      if d <= 0 then invalid_arg "Resources: d-left ways must be positive";
+  | G_table w ->
+      if w <= 0 then invalid_arg "Resources: table ways must be positive";
       1
   | G_assoc w ->
       if w <= 0 then invalid_arg "Resources: assoc ways must be positive";

@@ -60,17 +60,19 @@ val stage_kind_name : stage_kind -> string
     The cache-geometry frontier plots hit rate against the {e actual}
     SRAM footprint of each geometry, in bits: 32-bit VIP tags and
     16-bit server indices per line, plus per-line replacement metadata
-    (1 access bit for direct-mapped and d-left; [ceil(log2 ways)]
+    (1 access bit for the access-bit table; [ceil(log2 ways)]
     recency-rank bits for a LRU set, floored at 1 so a 1-way set
     collapses to the 49-bit direct-mapped line) and, when a TinyLFU
     admission front end is attached, its count-min sketch
     ([rows * width] 4-bit counters). All integers — no rounding — so
     the per-stage shares re-sum exactly. *)
 
-(** A cache geometry for bit costing. [G_dleft d] is a [d]-way d-left
-    table; [G_assoc w] a [w]-way set-associative LRU. Line counts are
-    passed separately ([~slots] is the total across ways/sets). *)
-type geometry = G_direct | G_dleft of int | G_assoc of int
+(** A cache geometry for bit costing. [G_table w] is a [w]-way
+    access-bit table ([G_table 1] is the paper's
+    direct-mapped cache); [G_assoc w] a [w]-way set-associative LRU.
+    Line counts are passed separately ([~slots] is the total across
+    ways/sets). *)
+type geometry = G_table of int | G_assoc of int
 
 (** TinyLFU sketch dimensions: [rows * width] 4-bit counters. *)
 type sketch = { rows : int; width : int }
@@ -80,7 +82,8 @@ type sketch = { rows : int; width : int }
     4 rows of the next power of two >= [max 16 (4 * slots)]. *)
 val sketch_of_slots : int -> sketch
 
-(** ["direct"], ["dleftD"], ["Wway-lru"] — frontier row labels. *)
+(** ["direct"] (one-way table), ["dleftW"], ["Wway-lru"] — frontier
+    row labels. *)
 val geometry_name : geometry -> string
 
 (** [stage_bits ~slots ?sketch g kind] — [kind]'s share of the SRAM

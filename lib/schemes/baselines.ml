@@ -189,7 +189,7 @@ let bluebird ?(cp_rate_bps = 20e9) ?(cp_fwd_delay = Time_ns.of_ns 8_500)
       states.(tor) <-
         Some
           {
-            cache = Cache.create ~slots;
+            cache = Cache.create ~ways:1 ~slots;
             cp_busy_until = Time_ns.zero;
             cp_queued_bytes = 0;
           })

@@ -21,7 +21,7 @@ let create ~switches ~total_slots ~num_nodes =
     Array.iteri
       (fun i sw ->
         let slots = base + if i < remainder then 1 else 0 in
-        caches.(sw) <- Some (Cache.create ~slots))
+        caches.(sw) <- Some (Cache.create ~ways:1 ~slots))
       switches
   end;
   { caches }

@@ -1,5 +1,7 @@
-(* Tests for the direct-mapped cache, access-bit semantics, admission
-   policies, the timestamp vector and the protocol configuration. *)
+(* Tests for the access-bit cache table (one way: the paper's
+   direct-mapped cache; more: d-left), access-bit semantics, admission
+   policies, allocation-free operations, the timestamp vector and the
+   protocol configuration. *)
 
 module Cache = Switchv2p.Cache
 module Ts_vector = Switchv2p.Ts_vector
@@ -12,31 +14,11 @@ let checki = Alcotest.check Alcotest.int
 let vip = Vip.of_int
 let pip = Pip.of_int
 
-(* Find two VIPs that collide in the same slot, and one that does not
-   collide with the first. *)
-let colliding_pair cache =
-  let slot_of v =
-    ignore (Cache.insert cache ~admission:`All (vip v) (pip v));
-    let r = Cache.peek cache (vip v) <> None in
-    ignore (Cache.invalidate cache (vip v) ~stale:(pip v));
-    r
-  in
-  ignore slot_of;
-  (* Brute force: insert v0, find v that evicts it. *)
-  let rec find v =
-    if v > 100_000 then Alcotest.fail "no collision found"
-    else begin
-      let c = Cache.create ~slots:Cache.(slots cache) in
-      ignore (Cache.insert c ~admission:`All (vip 0) (pip 100));
-      (* An eviction returns the evicted VIP: here VIP 0. *)
-      if Cache.insert c ~admission:`All (vip v) (pip 200) = 0 then v
-      else find (v + 1)
-    end
-  in
-  find 1
+(* A key sharing key 0's line in a one-way table of [slots] lines. *)
+let colliding_pair cache = List.hd (Collide.keys ~ways:1 ~sub:(Cache.slots cache) 1)
 
 let test_lookup_after_insert () =
-  let c = Cache.create ~slots:64 in
+  let c = Cache.create ~ways:1 ~slots:64 in
   checki "expected clean insert" Cache.ins_fresh
     (Cache.insert c ~admission:`All (vip 1) (pip 10));
   let r = Cache.lookup c (vip 1) in
@@ -45,7 +27,7 @@ let test_lookup_after_insert () =
   checkb "fresh entry bit clear" false (Cache.hit_bit r)
 
 let test_access_bit_set_on_hit () =
-  let c = Cache.create ~slots:64 in
+  let c = Cache.create ~ways:1 ~slots:64 in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   checkb "bit starts clear" false (Option.get (Cache.access_bit c (vip 1)));
   ignore (Cache.lookup c (vip 1));
@@ -55,7 +37,7 @@ let test_access_bit_set_on_hit () =
   checkb "second hit sees bit" true (Cache.hit_bit r)
 
 let test_conflict_miss_clears_bit () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~ways:1 ~slots:8 in
   let v2 = colliding_pair c in
   ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   ignore (Cache.lookup c (vip 0));
@@ -65,7 +47,7 @@ let test_conflict_miss_clears_bit () =
   checkb "occupant bit cleared" false (Option.get (Cache.access_bit c (vip 0)))
 
 let test_admission_all_evicts () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~ways:1 ~slots:8 in
   let v2 = colliding_pair c in
   ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   ignore (Cache.lookup c (vip 0));
@@ -76,7 +58,7 @@ let test_admission_all_evicts () =
   checkb "new present" true (Cache.peek c (vip v2) <> None)
 
 let test_admission_conservative_respects_bit () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~ways:1 ~slots:8 in
   let v2 = colliding_pair c in
   ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   ignore (Cache.lookup c (vip 0));
@@ -90,7 +72,7 @@ let test_admission_conservative_respects_bit () =
   checkb "replaced" true (Cache.peek c (vip v2) <> None)
 
 let test_update_in_place () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~ways:1 ~slots:8 in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   checki "expected update" Cache.ins_updated
     (Cache.insert c ~admission:`All (vip 1) (pip 99));
@@ -98,7 +80,7 @@ let test_update_in_place () =
   checki "occupancy still 1" 1 (Cache.occupancy c)
 
 let test_invalidate_matching_only () =
-  let c = Cache.create ~slots:8 in
+  let c = Cache.create ~ways:1 ~slots:8 in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   checkb "wrong stale is a no-op" false (Cache.invalidate c (vip 1) ~stale:(pip 11));
   checkb "entry survives" true (Cache.peek c (vip 1) <> None);
@@ -107,19 +89,20 @@ let test_invalidate_matching_only () =
   checki "occupancy zero" 0 (Cache.occupancy c)
 
 let test_zero_slot_cache () =
-  let c = Cache.create ~slots:0 in
+  let c = Cache.create ~ways:1 ~slots:0 in
   checkb "lookup misses" true (Cache.lookup c (vip 1) = Cache.miss);
   checki "zero-slot insert must reject" Cache.ins_rejected
     (Cache.insert c ~admission:`All (vip 1) (pip 1));
+  checkb "no victim" true (Cache.victim_key c (vip 1) = -1);
   checkb "invalidate no-op" false (Cache.invalidate c (vip 1) ~stale:(pip 1));
   checki "misses counted" 1 (Cache.misses c)
 
 let test_negative_slots_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Cache.create: negative slots")
-    (fun () -> ignore (Cache.create ~slots:(-1)))
+    (fun () -> ignore (Cache.create ~ways:1 ~slots:(-1)))
 
 let test_clear () =
-  let c = Cache.create ~slots:16 in
+  let c = Cache.create ~ways:1 ~slots:16 in
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   ignore (Cache.insert c ~admission:`All (vip 2) (pip 20));
   ignore (Cache.lookup c (vip 1));
@@ -132,7 +115,7 @@ let test_clear () =
   checkb "usable after clear" true (Cache.peek c (vip 3) <> None)
 
 let test_stats_counters () =
-  let c = Cache.create ~slots:16 in
+  let c = Cache.create ~ways:1 ~slots:16 in
   ignore (Cache.lookup c (vip 1));
   ignore (Cache.insert c ~admission:`All (vip 1) (pip 1));
   ignore (Cache.lookup c (vip 1));
@@ -149,7 +132,7 @@ let cache_model_qcheck =
     (list (pair (int_bound 200) (int_bound 1000)))
     (fun ops ->
       let slots = 16 in
-      let c = Cache.create ~slots in
+      let c = Cache.create ~ways:1 ~slots in
       (* Model: slot -> (vip, pip) using the same hash by observation:
          we learn each vip's slot from collisions with a probe. *)
       let model : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
@@ -181,7 +164,7 @@ let occupancy_qcheck =
   Test.make ~name:"occupancy never exceeds slots" ~count:200
     (list (int_bound 10_000))
     (fun vs ->
-      let c = Cache.create ~slots:8 in
+      let c = Cache.create ~ways:1 ~slots:8 in
       List.iter (fun v -> ignore (Cache.insert c ~admission:`All (vip v) (pip v))) vs;
       Cache.occupancy c <= 8)
 
@@ -289,7 +272,7 @@ let assoc_ways1_equiv_direct_qcheck =
     QCheck.(list (pair bool (pair (int_bound 200) (int_bound 1000))))
     (fun ops ->
       let slots = 16 in
-      let dm = Cache.create ~slots in
+      let dm = Cache.create ~ways:1 ~slots in
       let ac = Assoc.create ~ways:1 ~slots in
       List.for_all
         (fun (is_insert, (k, v)) ->
@@ -314,6 +297,73 @@ let assoc_ways1_equiv_direct_qcheck =
             && Cache.occupancy dm = Assoc.occupancy ac
           end)
         ops)
+
+(* --- allocation ---
+
+   Lookups and inserts run on every hop's lookup and learn stages, at
+   any way count. Each op below loops 10k times and must allocate
+   nothing, in any build profile (the dev profile turns cross-module
+   inlining off, so the claim cannot rest on it). *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let n_alloc = 10_000
+
+type op = Lookup_hit | Lookup_miss | Insert_fresh | Insert_evict
+
+let op_name = function
+  | Lookup_hit -> "lookup hit"
+  | Lookup_miss -> "lookup miss"
+  | Insert_fresh -> "insert-fresh"
+  | Insert_evict -> "insert-evict"
+
+(* A table whose key-0 bucket holds [ways] full colliders (every way
+   occupied), plus two more colliders [a] and [b] left out of it. *)
+let test_op_allocation_free op ways () =
+  let sub = 8 in
+  let c = Cache.create ~ways ~slots:(ways * sub) in
+  let ks = Collide.keys ~ways ~sub (ways + 2) in
+  List.iteri
+    (fun i k -> if i < ways then ignore (Cache.insert c ~admission:`All (vip k) (pip k)))
+    ks;
+  let a = vip (List.nth ks ways) and b = vip (List.nth ks (ways + 1)) in
+  let resident = vip (List.nth ks (ways - 1)) in
+  let p = pip 7 in
+  let expect = ref 0 in
+  let words =
+    match op with
+    | Lookup_hit ->
+        minor_words (fun () ->
+            for _ = 1 to n_alloc do
+              if Cache.lookup c resident <> Cache.miss then incr expect
+            done)
+    | Lookup_miss ->
+        minor_words (fun () ->
+            for _ = 1 to n_alloc do
+              if Cache.lookup c a = Cache.miss then incr expect
+            done)
+    | Insert_fresh ->
+        (* An empty line each time: the insert's invalidation frees it. *)
+        ignore (Cache.invalidate c resident ~stale:(pip (Vip.to_int resident)));
+        minor_words (fun () ->
+            for _ = 1 to n_alloc do
+              if Cache.insert c ~admission:`All a p = Cache.ins_fresh then incr expect;
+              ignore (Cache.invalidate c a ~stale:p)
+            done)
+    | Insert_evict ->
+        (* [a] and [b] alternate in way 0's line (every occupant's bit
+           is clear), so each insert evicts the other. *)
+        minor_words (fun () ->
+            for i = 1 to n_alloc do
+              let k = if i land 1 = 0 then a else b in
+              if Cache.insert c ~admission:`All k p >= 0 then incr expect
+            done)
+  in
+  checki (op_name op ^ " every time") n_alloc !expect;
+  Alcotest.check (Alcotest.float 0.0) "minor words over 10k ops" 0.0 words
 
 (* --- Ts_vector --- *)
 
@@ -392,6 +442,18 @@ let () =
           QCheck_alcotest.to_alcotest assoc_lru_model_qcheck;
           QCheck_alcotest.to_alcotest assoc_ways1_equiv_direct_qcheck;
         ] );
+      ( "alloc",
+        List.concat_map
+          (fun ways ->
+            List.map
+              (fun op ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s, %d way%s allocation-free" (op_name op) ways
+                     (if ways = 1 then "" else "s"))
+                  `Quick
+                  (test_op_allocation_free op ways))
+              [ Lookup_hit; Lookup_miss; Insert_fresh; Insert_evict ])
+          [ 1; 4 ] );
       ( "ts_vector",
         [
           Alcotest.test_case "suppression" `Quick test_ts_vector_suppression;

@@ -1,21 +1,19 @@
-(* Tests for the cache-geometry frontier's new organizations: the
-   d-left table, the TinyLFU admission front end and the Geo_cache
-   dispatcher.
+(* Tests for the cache-geometry frontier's organizations beyond the
+   paper's one-way table: the multi-way (d-left) access-bit table, the
+   TinyLFU admission front end and the Geo_cache wrapper.
 
    The load-bearing properties:
-   - degenerate equivalences: a d = 1 d-left table IS the
-     direct-mapped cache, and an always-admit TinyLFU wrapper IS its
+   - degenerate equivalence: an always-admit TinyLFU wrapper IS its
      backing — byte-for-byte on hit/miss/eviction sequences, packed
      lookup encodings and counters;
    - differential model checks: every geometry agrees with a reference
-     Hashtbl model on randomized op sequences (cached values are never
-     stale, occupancy follows the insert/invalidate ledger, hit + miss
-     counters account for every lookup);
+     model on randomized op sequences (insert codes and victims, cached
+     values never stale, occupancy follows the insert/invalidate
+     ledger, hit + miss counters account for every lookup);
    - count-min sketch invariants: estimates never undercount (within a
      sample period) and saturate at 15. *)
 
 module Cache = Switchv2p.Cache
-module Dleft = Switchv2p.Dleft
 module Tinylfu = Switchv2p.Tinylfu
 module Geo = Switchv2p.Geo_cache
 module Config = Switchv2p.Config
@@ -27,157 +25,106 @@ let checki = Alcotest.check Alcotest.int
 let vip = Vip.of_int
 let pip = Pip.of_int
 
-(* --- Dleft unit tests --- *)
+(* --- Multi-way (d-left) table unit tests --- *)
 
 let test_dleft_create_validation () =
   Alcotest.check_raises "zero ways"
-    (Invalid_argument "Dleft.create: d must be positive") (fun () ->
-      ignore (Dleft.create ~d:0 ~slots:8));
+    (Invalid_argument "Cache.create: ways must be positive") (fun () ->
+      ignore (Cache.create ~ways:0 ~slots:8));
   Alcotest.check_raises "ways must divide"
-    (Invalid_argument "Dleft.create: d must divide slots") (fun () ->
-      ignore (Dleft.create ~d:3 ~slots:8));
+    (Invalid_argument "Cache.create: ways must divide slots") (fun () ->
+      ignore (Cache.create ~ways:3 ~slots:8));
   Alcotest.check_raises "negative slots"
-    (Invalid_argument "Dleft.create: negative slots") (fun () ->
-      ignore (Dleft.create ~d:2 ~slots:(-2)))
+    (Invalid_argument "Cache.create: negative slots") (fun () ->
+      ignore (Cache.create ~ways:2 ~slots:(-2)))
 
 let test_dleft_lookup_after_insert () =
-  let c = Dleft.create ~d:4 ~slots:64 in
+  let c = Cache.create ~ways:4 ~slots:64 in
   checki "expected clean insert" Cache.ins_fresh
-    (Dleft.insert c ~admission:`All (vip 1) (pip 10));
-  let r = Dleft.lookup c (vip 1) in
-  checkb "hit" true (r <> Dleft.miss);
-  checki "value" 10 (Pip.to_int (Dleft.hit_pip r));
-  checkb "fresh entry bit clear" false (Dleft.hit_bit r);
-  let r2 = Dleft.lookup c (vip 1) in
-  checkb "second hit sees bit" true (Dleft.hit_bit r2);
-  checki "hits" 2 (Dleft.hits c);
-  checki "ways" 4 (Dleft.ways c);
-  checki "slots" 64 (Dleft.slots c)
+    (Cache.insert c ~admission:`All (vip 1) (pip 10));
+  let r = Cache.lookup c (vip 1) in
+  checkb "hit" true (r <> Cache.miss);
+  checki "value" 10 (Pip.to_int (Cache.hit_pip r));
+  checkb "fresh entry bit clear" false (Cache.hit_bit r);
+  let r2 = Cache.lookup c (vip 1) in
+  checkb "second hit sees bit" true (Cache.hit_bit r2);
+  checki "hits" 2 (Cache.hits c);
+  checki "ways" 4 (Cache.ways c);
+  checki "slots" 64 (Cache.slots c)
 
-(* Find [n] keys that collide with key 0 in every way of [c]'s shape
-   (so each insert must either fill another way or evict). *)
-let colliding_keys ~d ~sub n =
-  let way_slots v =
-    List.init d (fun i ->
-        (i, Cache.mix (v lxor (i * 0x27220A95)) mod sub))
-  in
-  let target = way_slots 0 in
-  let rec go v acc =
-    if List.length acc = n then List.rev acc
-    else if v > 1_000_000 then Alcotest.fail "not enough collisions"
-    else if way_slots v = target then go (v + 1) (v :: acc)
-    else go (v + 1) acc
-  in
-  go 1 []
-
+(* Every way fills before anything is evicted; once all are full and
+   every access bit is set, `All still admits, evicting way 0's
+   occupant. A lookup clears the bits of the ways it probes before its
+   hit, so the keys are touched from the last way back to way 0. *)
 let test_dleft_fills_ways_before_evicting () =
-  let d = 3 and sub = 8 in
-  let c = Dleft.create ~d ~slots:(d * sub) in
-  ignore (Dleft.insert c ~admission:`All (vip 0) (pip 100));
-  let ks = colliding_keys ~d ~sub (d - 1) in
-  (* Each full-collision key lands in a fresh way: no eviction until
-     all d ways of the bucket are valid. *)
+  let ways = 3 and sub = 8 in
+  let c = Cache.create ~ways ~slots:(ways * sub) in
+  let ks = Collide.keys ~ways ~sub ways in
+  let fills = List.filteri (fun i _ -> i < ways - 1) ks in
+  let v2 = List.nth ks (ways - 1) in
+  ignore (Cache.insert c ~admission:`All (vip 0) (pip 10));
   List.iter
     (fun k ->
       checki "expected empty-way fill" Cache.ins_fresh
-        (Dleft.insert c ~admission:`All (vip k) (pip k)))
-    ks;
-  checki "all ways occupied" d (Dleft.occupancy c);
+        (Cache.insert c ~admission:`All (vip k) (pip k)))
+    fills;
+  checki "all ways occupied" ways (Cache.occupancy c);
   List.iter
-    (fun k -> checkb "resident" true (Dleft.peek c (vip k) <> None))
-    (0 :: ks)
+    (fun k -> checkb "resident" true (Cache.peek c (vip k) <> None))
+    (0 :: fills);
+  List.iter (fun k -> ignore (Cache.lookup c (vip k))) (List.rev (0 :: fills));
+  checkb "every bit set" true
+    (List.for_all (fun k -> Cache.access_bit c (vip k) = Some true) (0 :: fills));
+  checki "evicted key" 0 (Cache.insert c ~admission:`All (vip v2) (pip 20));
+  checki "evicted value" 10 (Pip.to_int (Cache.evicted_pip c));
+  checkb "old gone" true (Cache.peek c (vip 0) = None);
+  checkb "new present" true (Cache.peek c (vip v2) <> None)
 
 let test_dleft_admission_and_victims () =
-  let d = 2 and sub = 8 in
-  let c = Dleft.create ~d ~slots:(d * sub) in
-  let ks = colliding_keys ~d ~sub 3 in
+  let ways = 2 and sub = 8 in
+  let c = Cache.create ~ways ~slots:(ways * sub) in
+  let ks = Collide.keys ~ways ~sub 3 in
   let k0 = List.nth ks 0 and k1 = List.nth ks 1 and k2 = List.nth ks 2 in
-  ignore (Dleft.insert c ~admission:`All (vip k0) (pip 1));
-  ignore (Dleft.insert c ~admission:`All (vip k1) (pip 2));
+  ignore (Cache.insert c ~admission:`All (vip k0) (pip 1));
+  ignore (Cache.insert c ~admission:`All (vip k1) (pip 2));
   (* Both access bits set: conservative admission must reject. Order
      matters — k1's lookup probes (and conflict-clears) k0's way-0
      line on the way to way 1, so touch k1 first, then k0, whose
      lookup stops at way 0. *)
-  ignore (Dleft.lookup c (vip k1));
-  ignore (Dleft.lookup c (vip k0));
+  ignore (Cache.lookup c (vip k1));
+  ignore (Cache.lookup c (vip k0));
   checkb "A-bit-clear rejects when all set" true
-    (Dleft.insert c ~admission:`A_bit_clear (vip k2) (pip 3) = Cache.ins_rejected);
-  checki "rejection counted" 1 (Dleft.rejections c);
+    (Cache.insert c ~admission:`A_bit_clear (vip k2) (pip 3) = Cache.ins_rejected);
+  checki "rejection counted" 1 (Cache.rejections c);
   (* `All falls back to way 0's occupant; victim_key agrees with the
      eviction the insert then reports. *)
-  let victim = Dleft.victim_key c (vip k2) in
+  let victim = Cache.victim_key c (vip k2) in
   checkb "victim is a resident collider" true (victim = k0 || victim = k1);
   checki "victim_key predicted the eviction" victim
-    (Dleft.insert c ~admission:`All (vip k2) (pip 3));
+    (Cache.insert c ~admission:`All (vip k2) (pip 3));
   checki "evicted PIP is the victim's" (if victim = k0 then 1 else 2)
-    (Pip.to_int (Dleft.evicted_pip c));
-  (* A conflict probe cleared k1's bit on the way: now A_bit_clear can
-     admit into a clear-bit way. *)
-  checkb "no victim for resident key" true (Dleft.victim_key c (vip k2) = -1)
+    (Pip.to_int (Cache.evicted_pip c));
+  checkb "no victim for resident key" true (Cache.victim_key c (vip k2) = -1)
 
 let test_dleft_invalidate_and_clear () =
-  let c = Dleft.create ~d:2 ~slots:16 in
-  ignore (Dleft.insert c ~admission:`All (vip 1) (pip 10));
+  let c = Cache.create ~ways:2 ~slots:16 in
+  ignore (Cache.insert c ~admission:`All (vip 1) (pip 10));
   checkb "wrong stale keeps entry" false
-    (Dleft.invalidate c (vip 1) ~stale:(pip 99));
+    (Cache.invalidate c (vip 1) ~stale:(pip 99));
   checkb "matching stale removes" true
-    (Dleft.invalidate c (vip 1) ~stale:(pip 10));
-  checki "occupancy" 0 (Dleft.occupancy c);
-  ignore (Dleft.insert c ~admission:`All (vip 2) (pip 20));
-  Dleft.clear c;
-  checki "cleared" 0 (Dleft.occupancy c);
-  checki "counters preserved" 2 (Dleft.insertions c)
+    (Cache.invalidate c (vip 1) ~stale:(pip 10));
+  checki "occupancy" 0 (Cache.occupancy c);
+  ignore (Cache.insert c ~admission:`All (vip 2) (pip 20));
+  Cache.clear c;
+  checki "cleared" 0 (Cache.occupancy c);
+  checki "counters preserved" 2 (Cache.insertions c)
 
 let test_dleft_zero_slots () =
-  let c = Dleft.create ~d:1 ~slots:0 in
-  checkb "always miss" true (Dleft.lookup c (vip 1) = Dleft.miss);
+  let c = Cache.create ~ways:4 ~slots:0 in
+  checkb "always miss" true (Cache.lookup c (vip 1) = Cache.miss);
   checkb "insert rejected" true
-    (Dleft.insert c ~admission:`All (vip 1) (pip 1) = Cache.ins_rejected);
-  checkb "no victim" true (Dleft.victim_key c (vip 1) = -1)
-
-(* --- Degenerate equivalence: d = 1 d-left IS the direct cache --- *)
-
-(* Way 0 hashes with Cache.mix unseeded, so on ANY op sequence the two
-   must agree byte-for-byte: packed lookup results (value and access
-   bit), insert results including eviction payloads, invalidations,
-   victim probes, and all five counters. *)
-let dleft1_equiv_direct_qcheck =
-  QCheck.Test.make ~name:"d=1 d-left equals direct-mapped" ~count:300
-    QCheck.(
-      list
-        (pair (int_bound 3) (pair bool (pair (int_bound 200) (int_bound 1000)))))
-    (fun ops ->
-      let slots = 16 in
-      let dm = Cache.create ~slots in
-      let dl = Dleft.create ~d:1 ~slots in
-      (* Same code, and on an eviction the same evicted PIP. *)
-      let same_insert_result a b =
-        a = b
-        && (a < 0 || Pip.equal (Cache.evicted_pip dm) (Dleft.evicted_pip dl))
-      in
-      List.for_all
-        (fun (op, (flag, (k, v))) ->
-          let agree =
-            match op with
-            | 0 ->
-                let admission = if flag then `All else `A_bit_clear in
-                same_insert_result
-                  (Cache.insert dm ~admission (vip k) (pip v))
-                  (Dleft.insert dl ~admission (vip k) (pip v))
-            | 1 -> Cache.lookup dm (vip k) = Dleft.lookup dl (vip k)
-            | 2 ->
-                Cache.invalidate dm (vip k) ~stale:(pip v)
-                = Dleft.invalidate dl (vip k) ~stale:(pip v)
-            | _ -> Cache.victim_key dm (vip k) = Dleft.victim_key dl (vip k)
-          in
-          agree
-          && Cache.hits dm = Dleft.hits dl
-          && Cache.misses dm = Dleft.misses dl
-          && Cache.occupancy dm = Dleft.occupancy dl
-          && Cache.insertions dm = Dleft.insertions dl
-          && Cache.evictions dm = Dleft.evictions dl
-          && Cache.rejections dm = Dleft.rejections dl)
-        ops)
+    (Cache.insert c ~admission:`All (vip 1) (pip 1) = Cache.ins_rejected);
+  checkb "no victim" true (Cache.victim_key c (vip 1) = -1)
 
 (* --- Degenerate equivalence: always-admit TinyLFU IS its backing --- *)
 
@@ -192,9 +139,9 @@ let lfu_always_admit_equiv_direct_qcheck =
         (pair (int_bound 2) (pair bool (pair (int_bound 200) (int_bound 1000)))))
     (fun ops ->
       let slots = 16 in
-      let bare = Cache.create ~slots in
+      let bare = Cache.create ~ways:1 ~slots in
       let wrapped =
-        Tinylfu.create ~always_admit:true (Tinylfu.Direct (Cache.create ~slots))
+        Tinylfu.create ~always_admit:true (Tinylfu.Table (Cache.create ~ways:1 ~slots))
       in
       List.for_all
         (fun (op, (flag, (k, v))) ->
@@ -228,11 +175,11 @@ let lfu_always_admit_equiv_dleft_qcheck =
       list
         (pair (int_bound 2) (pair bool (pair (int_bound 200) (int_bound 1000)))))
     (fun ops ->
-      let d = 2 and slots = 16 in
-      let bare = Dleft.create ~d ~slots in
+      let ways = 2 and slots = 16 in
+      let bare = Cache.create ~ways ~slots in
       let wrapped =
         Tinylfu.create ~always_admit:true
-          (Tinylfu.Dleft (Dleft.create ~d ~slots))
+          (Tinylfu.Table (Cache.create ~ways ~slots))
       in
       List.for_all
         (fun (op, (flag, (k, v))) ->
@@ -240,21 +187,21 @@ let lfu_always_admit_equiv_dleft_qcheck =
             match op with
             | 0 ->
                 let admission = if flag then `All else `A_bit_clear in
-                let a = Dleft.insert bare ~admission (vip k) (pip v) in
+                let a = Cache.insert bare ~admission (vip k) (pip v) in
                 let b = Tinylfu.insert wrapped ~admission (vip k) (pip v) in
                 a = b
                 && (a < 0
-                   || Pip.equal (Dleft.evicted_pip bare)
+                   || Pip.equal (Cache.evicted_pip bare)
                         (Tinylfu.evicted_pip wrapped))
-            | 1 -> Dleft.lookup bare (vip k) = Tinylfu.lookup wrapped (vip k)
+            | 1 -> Cache.lookup bare (vip k) = Tinylfu.lookup wrapped (vip k)
             | _ ->
-                Dleft.invalidate bare (vip k) ~stale:(pip v)
+                Cache.invalidate bare (vip k) ~stale:(pip v)
                 = Tinylfu.invalidate wrapped (vip k) ~stale:(pip v)
           in
           agree
-          && Dleft.hits bare = Tinylfu.hits wrapped
-          && Dleft.misses bare = Tinylfu.misses wrapped
-          && Dleft.occupancy bare = Tinylfu.occupancy wrapped)
+          && Cache.hits bare = Tinylfu.hits wrapped
+          && Cache.misses bare = Tinylfu.misses wrapped
+          && Cache.occupancy bare = Tinylfu.occupancy wrapped)
         ops)
 
 let lfu_always_admit_equiv_assoc_qcheck =
@@ -407,10 +354,10 @@ let model_create ?(reports = true) ~lru ~slots lines =
     rejs = 0;
   }
 
-let dleft_model ~d ~slots =
-  let sub = slots / d in
+let table_model ~ways ~slots =
+  let sub = slots / ways in
   model_create ~lru:false ~slots (fun v ->
-      List.init d (fun i -> (i * sub) + (Cache.mix (v lxor (i * 0x27220A95)) mod sub)))
+      List.init ways (fun w -> (w * sub) + (Cache.mix (v lxor (w * 0x27220A95)) mod sub)))
 
 let lru_model ?reports ~ways ~slots () =
   model_create ?reports ~lru:true ~slots (fun v ->
@@ -517,6 +464,7 @@ let model_invalidate m v ~stale =
 type sut = {
   insert : admission:Cache.admission -> int -> int -> int;
   evicted_pip : unit -> int;
+  victim_key : int -> int;
   lookup : int -> int;
   invalidate : int -> stale:int -> bool;
   counters : unit -> int * int * int * int;
@@ -528,13 +476,14 @@ type sut = {
 let geo_sut (c : Geo.t) =
   let estimate, always_admit =
     match c with
-    | Geo.Lfu l ->
-        (Some (fun v -> Tinylfu.estimate_vip l (vip v)), Tinylfu.always_admit l)
-    | Geo.Direct _ | Geo.Dleft _ -> (None, false)
+    | Geo.Lfu { filter; _ } ->
+        (Some (fun v -> Tinylfu.estimate_vip filter (vip v)), Tinylfu.always_admit filter)
+    | Geo.Plain _ -> (None, false)
   in
   {
     insert = (fun ~admission v p -> Geo.insert c ~admission (vip v) (pip p));
     evicted_pip = (fun () -> Pip.to_int (Geo.evicted_pip c));
+    victim_key = (fun v -> Cache.victim_key (Geo.table c) (vip v));
     lookup = (fun v -> Geo.lookup c (vip v));
     invalidate = (fun v ~stale -> Geo.invalidate c (vip v) ~stale:(pip stale));
     counters =
@@ -549,6 +498,7 @@ let assoc_sut (c : Switchv2p.Assoc_cache.t) =
   {
     insert = (fun ~admission:_ v p -> Assoc.insert c (vip v) (pip p));
     evicted_pip = (fun () -> Pip.to_int (Assoc.evicted_pip c));
+    victim_key = (fun v -> Assoc.victim_key c (vip v));
     lookup = (fun v -> Assoc.lookup c (vip v));
     invalidate = (fun _ ~stale:_ -> false) (* no invalidation in LRU *);
     counters = (fun () -> (Assoc.occupancy c, 0, 0, 0));
@@ -560,6 +510,7 @@ let lfu_sut (l : Tinylfu.t) =
   {
     insert = (fun ~admission v p -> Tinylfu.insert l ~admission (vip v) (pip p));
     evicted_pip = (fun () -> Pip.to_int (Tinylfu.evicted_pip l));
+    victim_key = (fun v -> Tinylfu.victim_key l (vip v));
     lookup = (fun v -> Tinylfu.lookup l (vip v));
     invalidate = (fun v ~stale -> Tinylfu.invalidate l (vip v) ~stale:(pip stale));
     counters =
@@ -595,6 +546,7 @@ let insert_model_qcheck name (make : unit -> sut * model) =
             | 0 ->
                 let admission = if flag then `All else `A_bit_clear in
                 let victim = model_victim m k in
+                let probed = c.victim_key k in
                 let code = c.insert ~admission k v in
                 let admit =
                   match c.estimate with
@@ -608,7 +560,8 @@ let insert_model_qcheck name (make : unit -> sut * model) =
                     (Cache.ins_rejected, -1)
                   end
                 in
-                code = want_code && (code < 0 || c.evicted_pip () = want_pip)
+                probed = victim && code = want_code
+                && (code < 0 || c.evicted_pip () = want_pip)
             | 1 -> c.lookup k = model_lookup m k
             | _ -> c.invalidate k ~stale:v = model_invalidate m k ~stale:v
           in
@@ -617,35 +570,34 @@ let insert_model_qcheck name (make : unit -> sut * model) =
 
 let model_cases =
   let slots = 16 in
-  let geo geometry ~tinylfu model () =
-    (geo_sut (Geo.create geometry ~tinylfu ~slots), model ())
-  in
-  let dl d () = dleft_model ~d ~slots in
-  [
-    ("direct", geo Config.Geo_direct ~tinylfu:false (dl 1));
-    ("dleft1", geo (Config.Geo_dleft 1) ~tinylfu:false (dl 1));
-    ("dleft2", geo (Config.Geo_dleft 2) ~tinylfu:false (dl 2));
-    ("dleft4", geo (Config.Geo_dleft 4) ~tinylfu:false (dl 4));
-    ("tinylfu+direct", geo Config.Geo_direct ~tinylfu:true (dl 1));
-    ("tinylfu+dleft2", geo (Config.Geo_dleft 2) ~tinylfu:true (dl 2));
-    ("tinylfu+dleft4", geo (Config.Geo_dleft 4) ~tinylfu:true (dl 4));
-    ( "assoc4",
-      fun () ->
-        ( assoc_sut (Switchv2p.Assoc_cache.create ~ways:4 ~slots),
-          lru_model ~ways:4 ~slots () ) );
-    ( "tinylfu+assoc4",
-      fun () ->
-        ( lfu_sut
-            (Tinylfu.create
-               (Tinylfu.Assoc (Switchv2p.Assoc_cache.create ~ways:4 ~slots))),
-          lru_model ~reports:false ~ways:4 ~slots () ) );
-  ]
+  List.concat_map
+    (fun ways ->
+      List.map
+        (fun tinylfu ->
+          ( Printf.sprintf "%d-way%s" ways (if tinylfu then "+tinylfu" else ""),
+            fun () ->
+              ( geo_sut (Geo.create ~ways ~tinylfu ~slots),
+                table_model ~ways ~slots ) ))
+        [ false; true ])
+    [ 1; 2; 4 ]
+  @ [
+      ( "assoc4",
+        fun () ->
+          ( assoc_sut (Switchv2p.Assoc_cache.create ~ways:4 ~slots),
+            lru_model ~ways:4 ~slots () ) );
+      ( "tinylfu+assoc4",
+        fun () ->
+          ( lfu_sut
+              (Tinylfu.create
+                 (Tinylfu.Assoc (Switchv2p.Assoc_cache.create ~ways:4 ~slots))),
+            lru_model ~reports:false ~ways:4 ~slots () ) );
+    ]
 
-let geo_direct () = Geo.create Config.Geo_direct ~tinylfu:false ~slots:16
-let geo_dleft2 () = Geo.create (Config.Geo_dleft 2) ~tinylfu:false ~slots:16
-let geo_dleft4 () = Geo.create (Config.Geo_dleft 4) ~tinylfu:false ~slots:16
-let geo_direct_lfu () = Geo.create Config.Geo_direct ~tinylfu:true ~slots:16
-let geo_dleft_lfu () = Geo.create (Config.Geo_dleft 2) ~tinylfu:true ~slots:16
+let geo_direct () = Geo.create ~ways:1 ~tinylfu:false ~slots:16
+let geo_dleft2 () = Geo.create ~ways:2 ~tinylfu:false ~slots:16
+let geo_dleft4 () = Geo.create ~ways:4 ~tinylfu:false ~slots:16
+let geo_direct_lfu () = Geo.create ~ways:1 ~tinylfu:true ~slots:16
+let geo_dleft_lfu () = Geo.create ~ways:2 ~tinylfu:true ~slots:16
 
 (* --- TinyLFU sketch invariants --- *)
 
@@ -653,7 +605,7 @@ let test_sketch_never_undercounts () =
   (* Within one sample period, count-min estimates are upper bounds:
      touching a key k times reads back at least min(k, 15). *)
   let t =
-    Tinylfu.create ~sample:1_000_000 (Tinylfu.Direct (Cache.create ~slots:8))
+    Tinylfu.create ~sample:1_000_000 (Tinylfu.Table (Cache.create ~ways:1 ~slots:8))
   in
   for k = 1 to 30 do
     ignore (Tinylfu.lookup t (vip 7))
@@ -665,7 +617,7 @@ let test_sketch_never_undercounts () =
 
 let test_sketch_halving () =
   let t =
-    Tinylfu.create ~sample:8 (Tinylfu.Direct (Cache.create ~slots:8))
+    Tinylfu.create ~sample:8 (Tinylfu.Table (Cache.create ~ways:1 ~slots:8))
   in
   for _ = 1 to 7 do
     ignore (Tinylfu.lookup t (vip 3))
@@ -679,8 +631,8 @@ let test_sketch_halving () =
 
 let test_lfu_admission_filters_cold_candidate () =
   let slots = 8 in
-  let backing = Cache.create ~slots in
-  let t = Tinylfu.create ~sample:1_000_000 (Tinylfu.Direct backing) in
+  let backing = Cache.create ~ways:1 ~slots in
+  let t = Tinylfu.create ~sample:1_000_000 (Tinylfu.Table backing) in
   (* Find two keys sharing a slot so the second insert needs eviction. *)
   let k0 = 0 in
   let rec collider v =
@@ -711,7 +663,7 @@ let test_lfu_admission_filters_cold_candidate () =
   checkb "new entry resident" true (Tinylfu.peek t (vip k1) <> None)
 
 let test_lfu_update_and_empty_bypass_filter () =
-  let t = Tinylfu.create (Tinylfu.Direct (Cache.create ~slots:8)) in
+  let t = Tinylfu.create (Tinylfu.Table (Cache.create ~ways:1 ~slots:8)) in
   (* Empty-line fills never consult the filter... *)
   checki "expected fill" Cache.ins_fresh
     (Tinylfu.insert t ~admission:`All (vip 1) (pip 1));
@@ -720,20 +672,47 @@ let test_lfu_update_and_empty_bypass_filter () =
     (Tinylfu.insert t ~admission:`All (vip 1) (pip 2));
   checki "nothing denied" 0 (Tinylfu.denied t)
 
-(* --- Geo_cache dispatcher --- *)
+(* --- Geo_cache --- *)
 
 let test_geo_dispatch_shapes () =
-  let d = Geo.create Config.Geo_direct ~tinylfu:false ~slots:10 in
-  checki "direct keeps slots" 10 (Geo.slots d);
-  let l = Geo.create (Config.Geo_dleft 4) ~tinylfu:false ~slots:10 in
-  checki "dleft rounds to multiple of d" 8 (Geo.slots l);
-  let lfu = Geo.create (Config.Geo_dleft 2) ~tinylfu:true ~slots:10 in
-  checki "wrapped dleft slots" 10 (Geo.slots lfu);
-  checkb "direct unwraps" true
-    (match Geo.direct_exn d with _ -> true);
-  Alcotest.check_raises "dleft does not unwrap"
-    (Invalid_argument "Geo_cache.direct_exn: d-left cache") (fun () ->
-      ignore (Geo.direct_exn l))
+  let d = Geo.create ~ways:1 ~tinylfu:false ~slots:10 in
+  checki "one way keeps slots" 10 (Geo.slots d);
+  let l = Geo.create ~ways:4 ~tinylfu:false ~slots:10 in
+  checki "4 ways round to a multiple of 4" 8 (Geo.slots l);
+  let lfu = Geo.create ~ways:2 ~tinylfu:true ~slots:10 in
+  checki "wrapped 2-way slots" 10 (Geo.slots lfu);
+  (* The table under the filter is the one the filter fills. *)
+  ignore (Geo.insert lfu ~admission:`All (vip 3) (pip 30));
+  checki "filter's inserts land in the table" 1
+    (Cache.occupancy (Geo.table lfu));
+  checki "table has the rounded ways" 4 (Cache.ways (Geo.table l))
+
+(* Dataplane.cache / cache_of_tenant return the table at every way
+   count, so occupancy audits can inspect a d-left dataplane. *)
+let test_dataplane_table_any_ways () =
+  let topo =
+    Topo.Topology.build
+      (Topo.Params.scaled ~spines_per_pod:2 ~cores_per_group:1
+         ~gateways_per_gateway_pod:1 ~pods:2 ~racks_per_pod:2 ~hosts_per_rack:2
+         ~vms_per_host:2 ())
+  in
+  let switches = Topo.Topology.switches topo in
+  let dp =
+    Switchv2p.Dataplane.create (Config.make ~ways:4 ()) topo
+      ~total_cache_slots:(16 * Array.length switches)
+  in
+  let sw = switches.(0) in
+  List.iter
+    (fun k ->
+      ignore
+        (Geo.insert (Switchv2p.Dataplane.geo_cache dp ~switch:sw) ~admission:`All
+           (vip k) (pip k)))
+    [ 1; 2; 3 ];
+  let c = Switchv2p.Dataplane.cache dp ~switch:sw in
+  checki "ways" 4 (Cache.ways c);
+  checki "occupancy" 3 (Cache.occupancy c);
+  checki "tenant 0 is the same table" 3
+    (Cache.occupancy (Switchv2p.Dataplane.cache_of_tenant dp ~switch:sw ~tenant:0))
 
 let test_geo_ops_roundtrip () =
   List.iter
@@ -765,7 +744,6 @@ let () =
           Alcotest.test_case "invalidate and clear" `Quick
             test_dleft_invalidate_and_clear;
           Alcotest.test_case "zero slots" `Quick test_dleft_zero_slots;
-          QCheck_alcotest.to_alcotest dleft1_equiv_direct_qcheck;
         ] );
       ( "tinylfu",
         [
@@ -798,5 +776,7 @@ let () =
         [
           Alcotest.test_case "dispatch shapes" `Quick test_geo_dispatch_shapes;
           Alcotest.test_case "ops roundtrip" `Quick test_geo_ops_roundtrip;
+          Alcotest.test_case "4-way dataplane exposes its tables" `Quick
+            test_dataplane_table_any_ways;
         ] );
     ]

@@ -74,48 +74,50 @@ let test_geometry_bits_resum_exact () =
       in
       checkib (R.geometry_name g ^ " re-sums exactly") total sum)
     [
-      (0, None, R.G_direct);
-      (96, None, R.G_direct);
-      (96, None, R.G_dleft 4);
+      (0, None, R.G_table 1);
+      (96, None, R.G_table 1);
+      (96, None, R.G_table 4);
       (96, None, R.G_assoc 4);
-      (96, Some (R.sketch_of_slots 96), R.G_direct);
-      (1024, Some { R.rows = 4; width = 4096 }, R.G_dleft 2);
+      (96, Some (R.sketch_of_slots 96), R.G_table 1);
+      (1024, Some { R.rows = 4; width = 4096 }, R.G_table 2);
     ]
 
-(* ways = 1 / d = 1 collapse to the direct-mapped baseline: the
-   degenerate organizations ARE the direct cache, so they must cost
-   exactly its 49 bits per line, stage by stage. *)
+(* The one-way table is the direct-mapped baseline at 49 bits per
+   line, and a 1-way LRU set collapses to it stage by stage; the
+   frontier labels a one-way table "direct". *)
 let test_geometry_bits_degenerate_collapse () =
   let kinds = [ R.Classify; R.Lookup; R.Learn; R.Emit ] in
   let slots = 128 in
   checkib "49 bits per direct line" (slots * 49)
-    (R.geometry_bits ~slots R.G_direct);
+    (R.geometry_bits ~slots (R.G_table 1));
+  Alcotest.(check string) "one way is direct" "direct"
+    (R.geometry_name (R.G_table 1));
   List.iter
     (fun g ->
       List.iter
         (fun k ->
           checkib
             (R.geometry_name g ^ " stage matches direct")
-            (R.stage_bits ~slots R.G_direct k)
+            (R.stage_bits ~slots (R.G_table 1) k)
             (R.stage_bits ~slots g k))
         kinds)
-    [ R.G_dleft 1; R.G_assoc 1 ]
+    [ R.G_assoc 1 ]
 
 let test_geometry_bits_structure () =
   let slots = 64 in
   (* Tags + values in Lookup, metadata in Learn, nothing elsewhere. *)
   checkib "lookup holds tags+values" (slots * 48)
-    (R.stage_bits ~slots R.G_direct R.Lookup);
+    (R.stage_bits ~slots (R.G_table 1) R.Lookup);
   checkib "learn holds the access bit" slots
-    (R.stage_bits ~slots R.G_direct R.Learn);
+    (R.stage_bits ~slots (R.G_table 1) R.Learn);
   checkib "classify holds no lines" 0
-    (R.stage_bits ~slots R.G_direct R.Classify);
-  checkib "emit holds no lines" 0 (R.stage_bits ~slots R.G_direct R.Emit);
-  (* d-left costs the same SRAM as direct at equal lines: its price is
-     hash units, not bits. *)
-  checkib "dleft same bits as direct"
-    (R.geometry_bits ~slots R.G_direct)
-    (R.geometry_bits ~slots (R.G_dleft 4));
+    (R.stage_bits ~slots (R.G_table 1) R.Classify);
+  checkib "emit holds no lines" 0 (R.stage_bits ~slots (R.G_table 1) R.Emit);
+  (* More ways cost the same SRAM at equal lines: their price is hash
+     units, not bits. *)
+  checkib "4 ways same bits as 1"
+    (R.geometry_bits ~slots (R.G_table 1))
+    (R.geometry_bits ~slots (R.G_table 4));
   (* LRU rank bits grow with associativity. *)
   checkib "4-way charges 2 rank bits" (slots * 2)
     (R.stage_bits ~slots (R.G_assoc 4) R.Learn);
@@ -123,7 +125,7 @@ let test_geometry_bits_structure () =
   let sketch = { R.rows = 4; width = 256 } in
   checkib "sketch bits in learn"
     ((slots * 1) + (4 * 256 * 4))
-    (R.stage_bits ~slots ~sketch R.G_direct R.Learn);
+    (R.stage_bits ~slots ~sketch (R.G_table 1) R.Learn);
   (* Default sketch sizing mirrors Tinylfu.create. *)
   let s = R.sketch_of_slots 96 in
   checkib "default rows" 4 s.R.rows;
@@ -132,15 +134,18 @@ let test_geometry_bits_structure () =
 let test_geometry_bits_validation () =
   Alcotest.check_raises "negative slots"
     (Invalid_argument "Resources.stage_bits: negative slots") (fun () ->
-      ignore (R.stage_bits ~slots:(-1) R.G_direct R.Lookup));
+      ignore (R.stage_bits ~slots:(-1) (R.G_table 1) R.Lookup));
   Alcotest.check_raises "zero ways"
     (Invalid_argument "Resources: assoc ways must be positive") (fun () ->
       ignore (R.geometry_bits ~slots:8 (R.G_assoc 0)));
+  Alcotest.check_raises "zero table ways"
+    (Invalid_argument "Resources: table ways must be positive") (fun () ->
+      ignore (R.geometry_bits ~slots:8 (R.G_table 0)));
   Alcotest.check_raises "bad sketch"
     (Invalid_argument "Resources: sketch rows/width must be positive")
     (fun () ->
       ignore
-        (R.stage_bits ~slots:8 ~sketch:{ R.rows = 0; width = 16 } R.G_direct
+        (R.stage_bits ~slots:8 ~sketch:{ R.rows = 0; width = 16 } (R.G_table 1)
            R.Learn))
 
 let () =

@@ -62,13 +62,7 @@ let gen_config rng =
                gw_spine = 1.0;
              };
          ])
-    ~geometry:
-      (pick rng
-         [
-           Switchv2p.Config.Geo_direct;
-           Switchv2p.Config.Geo_dleft 2;
-           Switchv2p.Config.Geo_dleft (1 + Rng.int rng 8);
-         ])
+    ~ways:(pick rng [ 1; 2; 1 + Rng.int rng 8 ])
     ~tinylfu:(Rng.int rng 2 = 0)
     ()
 
@@ -223,19 +217,21 @@ let golden_file_matches_constructor () =
     (read_file (Filename.concat examples_dir "golden_tiny.scn"))
 
 (* ------------------------------------------------------------------ *)
-(* Parse errors: the engine line still accepts the retired [sched]
-   field with the two values committed files carry, and blames any
-   other value on its line and field.                                 *)
+(* Parse compatibility and errors: the engine line still accepts the
+   retired [sched] field with the two values committed files carry,
+   the scheme line accepts [geometry=dleft:1] as another spelling of
+   [geometry=direct], and any other bad value is blamed on its line
+   and field.                                                         *)
 
-(* The golden spec's text with its engine line rewritten by [f], and
-   that line's 1-based number. *)
-let with_engine_line f =
+(* The golden spec's text with its first line starting [prefix]
+   rewritten by [f], and that line's 1-based number. *)
+let with_line prefix f =
   let lines = String.split_on_char '\n' (Spec.to_string (golden_spec ())) in
   let line = ref 0 in
   let lines =
     List.mapi
       (fun i l ->
-        if String.starts_with ~prefix:"engine " l then begin
+        if !line = 0 && String.starts_with ~prefix l then begin
           line := i + 1;
           f l
         end
@@ -244,7 +240,61 @@ let with_engine_line f =
   in
   (String.concat "\n" lines, !line)
 
+let with_engine_line f = with_line "engine " f
 let with_engine_field field = with_engine_line (fun l -> l ^ " " ^ field)
+
+(* The golden text with the SwitchV2P scheme line's [geometry=] token
+   set to [geometry=v]. *)
+let with_geometry v =
+  with_line "scheme switchv2p " (fun l ->
+      String.split_on_char ' ' l
+      |> List.map (fun tok ->
+             if String.starts_with ~prefix:"geometry=" tok then "geometry=" ^ v
+             else tok)
+      |> String.concat " ")
+
+(* Each [(name, (text, _))] parses to the golden spec and reprints as
+   its canonical text. *)
+let parses_as_golden cases =
+  let golden_text = Spec.to_string (golden_spec ()) in
+  List.iter
+    (fun (name, (text, _)) ->
+      match Spec.of_string text with
+      | Ok t ->
+          checkb (name ^ " parses to the same spec") true (t = golden_spec ());
+          Alcotest.(check string)
+            (name ^ " reprints canonically") golden_text (Spec.to_string t)
+      | Error e -> Alcotest.failf "%s: %s" name (Spec.error_to_string e))
+    cases
+
+(* Each [(name, (text, line))] is an error located at [line] and
+   [field]. *)
+let located_errors ~field cases =
+  List.iter
+    (fun (name, (text, line)) ->
+      match Spec.of_string text with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error e ->
+          checki (name ^ " error line") line e.Spec.line;
+          Alcotest.(check (option string))
+            (name ^ " error field") (Some field) e.Spec.field)
+    cases
+
+let sched_case v = ("sched=" ^ v, with_engine_field ("sched=" ^ v))
+let geometry_case v = ("geometry=" ^ v, with_geometry v)
+
+let sched_field_compat () =
+  parses_as_golden (List.map sched_case [ "default"; "heap" ])
+
+let sched_field_rejected () =
+  located_errors ~field:"sched" (List.map sched_case [ "wheel"; "fifo"; "" ])
+
+let geometry_dleft1_is_direct () =
+  parses_as_golden (List.map geometry_case [ "direct"; "dleft:1" ])
+
+let geometry_rejected () =
+  located_errors ~field:"geometry"
+    (List.map geometry_case [ "dleft:0"; "dleft:x"; "dleft:-2"; "lru" ])
 
 (* The golden text with its engine line's [shards=] token replaced
    by [shards=v], or dropped when [v] is [None]. *)
@@ -256,29 +306,6 @@ let with_shards v =
                Option.map (fun v -> "shards=" ^ v) v
              else Some tok)
       |> String.concat " ")
-
-let sched_field_compat () =
-  List.iter
-    (fun v ->
-      let text, _ = with_engine_field ("sched=" ^ v) in
-      match Spec.of_string text with
-      | Ok t ->
-          checkb ("sched=" ^ v ^ " parses to the same spec") true
-            (t = golden_spec ())
-      | Error e -> Alcotest.failf "sched=%s: %s" v (Spec.error_to_string e))
-    [ "default"; "heap" ]
-
-let sched_field_rejected () =
-  List.iter
-    (fun v ->
-      let text, line = with_engine_field ("sched=" ^ v) in
-      match Spec.of_string text with
-      | Ok _ -> Alcotest.failf "sched=%s accepted" v
-      | Error e ->
-          checki ("sched=" ^ v ^ " error line") line e.Spec.line;
-          Alcotest.(check (option string))
-            ("sched=" ^ v ^ " error field") (Some "sched") e.Spec.field)
-    [ "wheel"; "fifo"; "" ]
 
 let shards_omitted_is_one () =
   let text, _ = with_shards None in
@@ -366,6 +393,10 @@ let () =
           Alcotest.test_case "shards=auto is a located error" `Quick
             shards_auto_rejected;
           Alcotest.test_case "shards=0 must be >= 1" `Quick shards_zero_rejected;
+          Alcotest.test_case "geometry=dleft:1 parses and prints as direct"
+            `Quick geometry_dleft1_is_direct;
+          Alcotest.test_case "bad geometry is a located error" `Quick
+            geometry_rejected;
         ] );
       ( "replay",
         [
