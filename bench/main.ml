@@ -14,14 +14,14 @@
    fails. *)
 
 module Fig5 = Experiments.Fig5
+module Spec = Netsim.Scenario
 module Parallel = Experiments.Parallel
 module Json = Dessim.Telemetry.Json
 
-let scale : Experiments.Setup.scale ref = ref `Small
+let scale : Spec.scale ref = ref `Small
 let cores = Domain.recommended_domain_count ()
 
-let scale_name () =
-  match !scale with `Tiny -> "tiny" | `Small -> "small" | `Paper -> "paper"
+let scale_name () = Spec.scale_name !scale
 
 (* A target prints its table and returns its stats: recorded under its
    name in BENCH_sweep.json and checked against [gates]. *)
@@ -185,7 +185,7 @@ let fig5c_with_controller () =
   (* The paper evaluates the Controller on WebSearch only. *)
   Fig5.print
     (Fig5.run ~scale:!scale ~cache_pcts:[ 1; 10; 50; 200 ] ~with_controller:true
-       Fig5.Websearch)
+       Spec.Websearch)
 
 let fig7_8 () = Experiments.Fig7_8.print (Experiments.Fig7_8.run ~scale:!scale ())
 let fig9 () = Experiments.Fig9.print (Experiments.Fig9.run ~scale:!scale ())
@@ -361,7 +361,7 @@ let parcore_measure ~shards =
   let t0 = Unix.gettimeofday () in
   let par =
     Netsim.Parnet.run ~shards topo
-      ~make_scheme:(fun ~shard:_ -> Schemes.Baselines.direct ())
+      ~fresh_scheme:(fun ~shard:_ -> Schemes.Baselines.direct ())
       ~flows ~migrations:[] ~until:parcore_until
   in
   let wall = Unix.gettimeofday () -. t0 in
@@ -727,11 +727,11 @@ let ft16 () : stats =
   let module Flow = Netcore.Flow in
   let module Topology = Topo.Topology in
   let t0 = Unix.gettimeofday () in
-  let setup = Experiments.Setup.ft16 `Paper in
-  let topo = setup.Experiments.Setup.topo in
+  let spec = Spec.make ~name:"ft16" ~topo:(Spec.preset `FT16 `Paper) [] in
+  let topo = Topology.build (Spec.params_of spec) in
   let build_s = Unix.gettimeofday () -. t0 in
-  let num_vms = setup.Experiments.Setup.num_vms in
-  let slots = Experiments.Setup.cache_slots setup ~pct:10 in
+  let num_vms = Spec.num_vms spec in
+  let slots = Spec.cache_slots spec (Spec.Pct 10) in
   let t1 = Unix.gettimeofday () in
   let net =
     Netsim.Network.create topo
@@ -751,7 +751,7 @@ let ft16 () : stats =
   done;
   let create_s = Unix.gettimeofday () -. t1 in
   let num_flows = 2_000 in
-  let rng = Dessim.Rng.create setup.Experiments.Setup.seed in
+  let rng = Dessim.Rng.create spec.Spec.topo.Spec.topo_seed in
   let flows =
     List.init num_flows (fun i ->
         let src = Dessim.Rng.int rng num_vms in
@@ -811,7 +811,6 @@ let ft16 () : stats =
    the remap rate actually scheduled, the invalidation traffic it
    triggers, and how much of the reference hit rate survives. *)
 let churn_bench () : stats =
-  let module Spec = Netsim.Scenario in
   let module Churn = Workloads.Container_churn in
   let module Time_ns = Dessim.Time_ns in
   let episode =
@@ -826,7 +825,7 @@ let churn_bench () : stats =
         ?churn
         [ Spec.scheme ~label:"SwitchV2P" (Spec.switchv2p (Spec.Pct 50)) ]
     in
-    Experiments.Scenario.run_scheme spec (List.hd spec.Netsim.Scenario.schemes)
+    Experiments.Scenario.run_scheme spec (List.hd spec.Spec.schemes)
   in
   let reference = run "bench-churn/reference" None in
   let stormed = run "bench-churn/storm" (Some episode) in
@@ -898,11 +897,11 @@ let dst () : stats =
 
 let targets =
   [
-    ("fig5a", ("Figure 5a (Hadoop)", table (fig5 Fig5.Hadoop)));
-    ("fig5b", ("Figure 5b (Microbursts)", table (fig5 Fig5.Microbursts)));
+    ("fig5a", ("Figure 5a (Hadoop)", table (fig5 Spec.Hadoop)));
+    ("fig5b", ("Figure 5b (Microbursts)", table (fig5 Spec.Microbursts)));
     ("fig5c", ("Figure 5c (WebSearch + Controller)", table fig5c_with_controller));
-    ("fig5d", ("Figure 5d (Video)", table (fig5 Fig5.Video)));
-    ("fig6", ("Figure 6 (Alibaba, FT16)", table (fig5 Fig5.Alibaba)));
+    ("fig5d", ("Figure 5d (Video)", table (fig5 Spec.Video)));
+    ("fig6", ("Figure 6 (Alibaba, FT16)", table (fig5 Spec.Alibaba)));
     ("fig7", ("Figures 7/8 (bandwidth heatmaps)", table fig7_8));
     ("fig8", ("Figures 7/8 (bandwidth heatmaps)", table fig7_8));
     ("fig9", ("Figure 9 (fewer gateways)", table fig9));

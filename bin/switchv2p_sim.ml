@@ -5,19 +5,22 @@
    cache size, printing the standard metric row. *)
 
 open Cmdliner
+module Spec = Netsim.Scenario
 
-let scale_conv =
-  let parse = function
-    | "tiny" -> Ok `Tiny
-    | "small" -> Ok `Small
-    | "paper" -> Ok `Paper
-    | s -> Error (`Msg (Printf.sprintf "unknown scale %S (tiny|small|paper)" s))
+(* A conv over [values], each spelled [name v] on the command line. *)
+let named_conv what name values =
+  let names = List.map name values in
+  let parse s =
+    match List.find_opt (fun v -> name v = s) values with
+    | Some v -> Ok v
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown %s %S (%s)" what s (String.concat "|" names)))
   in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with `Tiny -> "tiny" | `Small -> "small" | `Paper -> "paper")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name v))
+
+let scale_conv = named_conv "scale" Spec.scale_name [ `Tiny; `Small; `Paper ]
 
 let scale_arg =
   let doc = "Topology scale: tiny (tests), small (default), paper (Table 3)." in
@@ -33,36 +36,27 @@ let seed_arg =
 
 (* --- run: a single simulation --- *)
 
+(* Every scheme [run] builds, at cache size [sl]; the Controller
+   re-solves its placement every 300 us. *)
+let scheme_kinds sl =
+  Spec.
+    [ Nocache; Direct; Ondemand; Hoverboard; Locallearning sl; Gwcache sl;
+      Bluebird sl; Dht; switchv2p sl;
+      Controller { slots = sl; interval = Dessim.Time_ns.of_us 300 } ]
+
 let scheme_conv =
-  let names =
-    [ "nocache"; "direct"; "ondemand"; "hoverboard"; "locallearning";
-      "gwcache"; "bluebird"; "dht"; "switchv2p"; "controller" ]
-  in
-  let parse s =
-    if List.mem s names then Ok s
-    else
-      Error
-        (`Msg (Printf.sprintf "unknown scheme %S (%s)" s (String.concat "|" names)))
-  in
-  Arg.conv (parse, Format.pp_print_string)
+  named_conv "scheme" Fun.id
+    (List.map Spec.scheme_kind_name (scheme_kinds (Spec.Pct 0)))
 
 let scheme_arg =
   let doc = "Translation scheme to simulate." in
   Arg.(value & opt scheme_conv "switchv2p" & info [ "scheme" ] ~docv:"SCHEME" ~doc)
 
-let trace_conv =
-  let names = [ "hadoop"; "websearch"; "alibaba"; "microbursts"; "video" ] in
-  let parse s =
-    if List.mem s names then Ok s
-    else
-      Error
-        (`Msg (Printf.sprintf "unknown trace %S (%s)" s (String.concat "|" names)))
-  in
-  Arg.conv (parse, Format.pp_print_string)
+let trace_conv = named_conv "trace" Spec.trace_name Experiments.Fig5.traces
 
 let trace_arg =
   let doc = "Workload trace." in
-  Arg.(value & opt trace_conv "hadoop" & info [ "trace" ] ~docv:"TRACE" ~doc)
+  Arg.(value & opt trace_conv Spec.Hadoop & info [ "trace" ] ~docv:"TRACE" ~doc)
 
 let gateways_arg =
   let doc = "Restrict load balancing to the first K gateways." in
@@ -79,9 +73,9 @@ let faults_conv =
   let parse = function
     | "random" -> Ok `Random
     | s -> (
-        match Netsim.Scenario.fault_plan_of_string s with
+        match Spec.fault_plan_of_string s with
         | Ok p -> Ok (`Plan p)
-        | Error e -> Error (`Msg (Netsim.Scenario.error_to_string e)))
+        | Error e -> Error (`Msg (Spec.error_to_string e)))
   in
   let print ppf = function
     | `Random -> Format.pp_print_string ppf "random"
@@ -97,31 +91,6 @@ let faults_arg =
      segment."
   in
   Arg.(value & opt (some faults_conv) None & info [ "faults" ] ~docv:"PLAN" ~doc)
-
-let make_scheme name topo ~slots =
-  match name with
-  | "nocache" -> Schemes.Baselines.nocache ()
-  | "direct" -> Schemes.Baselines.direct ()
-  | "ondemand" -> Schemes.Baselines.ondemand ()
-  | "hoverboard" -> Schemes.Baselines.hoverboard ()
-  | "dht" -> Schemes.Dht_store.make topo
-  | "locallearning" -> Schemes.Baselines.locallearning ~topo ~total_slots:slots
-  | "gwcache" -> Schemes.Baselines.gwcache ~topo ~total_slots:slots
-  | "bluebird" -> Schemes.Baselines.bluebird ~topo ~total_slots:slots ()
-  | "switchv2p" -> Schemes.Switchv2p_scheme.make topo ~total_cache_slots:slots
-  | "controller" ->
-      Schemes.Controller.make ~topo ~total_slots:slots
-        ~interval:(Dessim.Time_ns.of_us 300) ()
-  | _ -> assert false
-
-let make_trace name setup =
-  match name with
-  | "hadoop" -> Experiments.Setup.hadoop_trace setup
-  | "websearch" -> Experiments.Setup.websearch_trace setup
-  | "alibaba" -> Experiments.Setup.alibaba_trace setup
-  | "microbursts" -> Experiments.Setup.microbursts_trace setup
-  | "video" -> Experiments.Setup.video_trace setup
-  | _ -> assert false
 
 (* The standard metric block, shared by [run] and [run --scenario]. *)
 let print_metrics (r : Experiments.Runner.result) =
@@ -153,12 +122,12 @@ let print_metrics (r : Experiments.Runner.result) =
 let run_scenario_file file =
   match Experiments.Scenario.run_file file with
   | Error e ->
-      Printf.eprintf "%s: %s\n" file (Netsim.Scenario.error_to_string e);
+      Printf.eprintf "%s: %s\n" file (Spec.error_to_string e);
       exit 1
   | Ok (spec, results) ->
       Printf.printf "scenario        %s (%d flows, %d schemes)\n"
-        spec.Netsim.Scenario.name
-        (List.length (Netsim.Scenario.flows spec))
+        spec.Spec.name
+        (List.length (Spec.flows spec))
         (List.length results);
       List.iter
         (fun (name, r) ->
@@ -166,52 +135,61 @@ let run_scenario_file file =
           print_metrics r)
         results
 
+(* The flags' run: a one-scheme spec, validated like a scenario file
+   and run through the same entry point. *)
+let run_flags ~scale ~cache_pct ~seed ~scheme_name ~trace ~gateways ~faults
+    ~telemetry =
+  let kind =
+    List.find
+      (fun k -> Spec.scheme_kind_name k = scheme_name)
+      (scheme_kinds (Spec.Pct cache_pct))
+  in
+  let spec =
+    Spec.make ~name:"run"
+      ~topo:(Experiments.Fig5.preset ~seed scale trace)
+      ~streams:[ Spec.stream trace ]
+      ~faults:
+        (match faults with
+        | None -> Spec.No_faults
+        | Some `Random -> Spec.Random seed
+        | Some (`Plan p) -> Spec.Literal p)
+      ~seed ?gateways_used:gateways [ Spec.scheme kind ]
+  in
+  (match Spec.validate spec with
+  | Ok () -> ()
+  | Error msgs ->
+      List.iter (Printf.eprintf "run: %s\n") msgs;
+      exit 1);
+  let flows = Spec.flows spec in
+  let topo = (Experiments.Scenario.realize spec).Experiments.Setup.topo in
+  Option.iter
+    (fun p -> Printf.printf "faults          %s\n" (Dessim.Fault.to_string p))
+    (Spec.fault_plan spec topo ~until:(Spec.horizon spec ~flows));
+  let trace_name = Spec.trace_name trace in
+  let report_name = Printf.sprintf "run/%s/%s" scheme_name trace_name in
+  let r =
+    Experiments.Scenario.run_scheme ~report_name spec (List.hd spec.Spec.schemes)
+  in
+  Printf.printf "trace           %s (%d flows, %d VMs)\n" trace_name
+    (List.length flows) (Spec.num_vms spec);
+  Printf.printf "cache           %d%% of VIP space (%d entries total)\n"
+    cache_pct (Spec.cache_slots spec (Spec.Pct cache_pct));
+  print_metrics r;
+  Option.iter
+    (fun dir ->
+      Printf.printf "telemetry       %s/%s.json\n" dir
+        (Experiments.Report.slug report_name))
+    telemetry
+
 let run_cmd =
-  let run scale cache_pct seed scheme_name trace_name gateways telemetry
-      faults_spec scenario_file =
+  let run scale cache_pct seed scheme_name trace gateways telemetry faults
+      scenario_file =
     Experiments.Report.set_telemetry_dir telemetry;
     match scenario_file with
     | Some file -> run_scenario_file file
     | None ->
-    let setup =
-      if trace_name = "alibaba" then Experiments.Setup.ft16 ~seed scale
-      else Experiments.Setup.ft8 ~seed scale
-    in
-    let topo = setup.Experiments.Setup.topo in
-    let slots = Experiments.Setup.cache_slots setup ~pct:cache_pct in
-    let flows = make_trace trace_name setup in
-    let scheme = make_scheme scheme_name topo ~slots in
-    let net_config =
-      { Netsim.Network.default_config with seed; gateways_used = gateways }
-    in
-    let faults =
-      match faults_spec with
-      | None -> None
-      | Some `Random ->
-          Some
-            (Netsim.Faultplan.generate ~seed
-               ~horizon:(Experiments.Setup.horizon flows)
-               topo)
-      | Some (`Plan p) -> Some p
-    in
-    Option.iter
-      (fun p -> Printf.printf "faults          %s\n" (Dessim.Fault.to_string p))
-      faults;
-    let report_name = Printf.sprintf "run/%s/%s" scheme_name trace_name in
-    let r =
-      Experiments.Runner.run ~net_config ~report_name ?faults setup ~scheme
-        ~flows ~migrations:[] ~until:(Experiments.Setup.horizon flows)
-    in
-    Printf.printf "trace           %s (%d flows, %d VMs)\n" trace_name
-      (List.length flows) setup.Experiments.Setup.num_vms;
-    Printf.printf "cache           %d%% of VIP space (%d entries total)\n"
-      cache_pct slots;
-    print_metrics r;
-    match telemetry with
-    | Some dir ->
-        Printf.printf "telemetry       %s/%s.json\n"
-          dir (Experiments.Report.slug report_name)
-    | None -> ()
+        run_flags ~scale ~cache_pct ~seed ~scheme_name ~trace ~gateways ~faults
+          ~telemetry
   in
   let scenario_file_arg =
     let doc =
@@ -243,11 +221,11 @@ let scenario_cmd =
     let run files =
       List.iter
         (fun file ->
-          match Netsim.Scenario.of_file file with
-          | Ok t -> print_string (Netsim.Scenario.to_string t)
+          match Spec.of_file file with
+          | Ok t -> print_string (Spec.to_string t)
           | Error e ->
               Printf.eprintf "%s: %s\n" file
-                (Netsim.Scenario.error_to_string e);
+                (Spec.error_to_string e);
               exit 1)
         files
     in
@@ -262,17 +240,17 @@ let scenario_cmd =
       let ok = ref true in
       List.iter
         (fun file ->
-          match Netsim.Scenario.validate_file file with
+          match Spec.validate_file file with
           | Ok t ->
               Printf.printf "%s: ok (scenario %s, %d schemes)\n" file
-                t.Netsim.Scenario.name
-                (List.length t.Netsim.Scenario.schemes)
+                t.Spec.name
+                (List.length t.Spec.schemes)
           | Error errs ->
               ok := false;
               List.iter
                 (fun e ->
                   Printf.eprintf "%s: %s\n" file
-                    (Netsim.Scenario.error_to_string e))
+                    (Spec.error_to_string e))
                 errs)
         files;
       if not !ok then exit 1
@@ -345,11 +323,11 @@ let cmds =
     run_cmd;
     scenario_cmd;
     dst_cmd;
-    fig5_cmd "fig5a" Experiments.Fig5.Hadoop "Figure 5a: Hadoop cache sweep.";
-    fig5_cmd "fig5b" Experiments.Fig5.Microbursts "Figure 5b: Microbursts cache sweep.";
-    fig5_cmd "fig5c" Experiments.Fig5.Websearch "Figure 5c: WebSearch cache sweep.";
-    fig5_cmd "fig5d" Experiments.Fig5.Video "Figure 5d: Video cache sweep.";
-    fig5_cmd "fig6" Experiments.Fig5.Alibaba "Figure 6: Alibaba on FT16.";
+    fig5_cmd "fig5a" Spec.Hadoop "Figure 5a: Hadoop cache sweep.";
+    fig5_cmd "fig5b" Spec.Microbursts "Figure 5b: Microbursts cache sweep.";
+    fig5_cmd "fig5c" Spec.Websearch "Figure 5c: WebSearch cache sweep.";
+    fig5_cmd "fig5d" Spec.Video "Figure 5d: Video cache sweep.";
+    fig5_cmd "fig6" Spec.Alibaba "Figure 6: Alibaba on FT16.";
     artifact_cmd "fig7" "Figures 7/8: per-pod and per-switch bytes." (fun scale pct ->
         Experiments.Fig7_8.print (Experiments.Fig7_8.run ~scale ~cache_pct:pct ()));
     artifact_cmd "fig9" "Figure 9: shrinking the gateway fleet." (fun scale pct ->

@@ -8,9 +8,17 @@
 module Time_ns = Dessim.Time_ns
 module Vip = Netcore.Addr.Vip
 module Topology = Topo.Topology
+module Spec = Netsim.Scenario
 
 let () =
-  let setup = Experiments.Setup.ft8 `Tiny in
+  (* The topology and the schemes come from a spec; the incast below
+     is hand-built. *)
+  let spec =
+    Spec.make ~name:"vm_migration"
+      ~topo:(Spec.preset `FT8 `Tiny)
+      Spec.[ scheme Nocache; scheme Ondemand; scheme (switchv2p (Pct 50)) ]
+  in
+  let setup = Experiments.Scenario.realize spec in
   let topo = setup.Experiments.Setup.topo in
   let hosts = Topology.hosts topo in
   let dst_vip = Vip.of_int 0 in
@@ -18,13 +26,14 @@ let () =
   (* 16 senders on distinct servers, 1000 small packets each over 1ms. *)
   let rng = Dessim.Rng.create 7 in
   let flows =
-    Workloads.Tracegen.incast rng ~num_vms:setup.Experiments.Setup.num_vms
+    Workloads.Tracegen.incast rng ~num_vms:(Spec.num_vms spec)
       ~senders:(min 16 (Array.length hosts - 1))
       ~dst_vip ~packets_per_sender:1000 ~packet_bytes:128
       ~duration:(Time_ns.of_ms 1)
   in
 
-  let run name scheme =
+  let run s =
+    let scheme = Experiments.Scenario.build_scheme spec setup s in
     let net = Netsim.Network.create topo ~scheme in
     (* Migrate the victim to a host in another rack at t = 500us. *)
     let old_host = Netsim.Network.vm_host net dst_vip in
@@ -40,7 +49,7 @@ let () =
     let m = Netsim.Network.metrics net in
     Printf.printf
       "%-10s gateway-pkts %6d  misdelivered %4d  mean-latency %6.1fus  last-misdelivery %s\n"
-      name
+      scheme.Netsim.Scheme.name
       (Netsim.Metrics.gateway_packets m)
       (Netsim.Metrics.misdelivered_packets m)
       (Netsim.Metrics.mean_packet_latency m *. 1e6)
@@ -51,11 +60,6 @@ let () =
   in
 
   print_endline "Incast + VM migration at t=500us (trace ends at 1ms):\n";
-  ignore (run "NoCache" (Schemes.Baselines.nocache ()));
-  ignore (run "OnDemand" (Schemes.Baselines.ondemand ()));
-  let slots = Experiments.Setup.cache_slots setup ~pct:50 in
-  let stats =
-    run "SwitchV2P" (Schemes.Switchv2p_scheme.make topo ~total_cache_slots:slots)
-  in
+  let v2p_stats = List.nth (List.map run spec.Spec.schemes) 2 in
   print_endline "\nSwitchV2P protocol counters:";
-  List.iter (fun (k, v) -> Printf.printf "  %-26s %.0f\n" k v) stats
+  List.iter (fun (k, v) -> Printf.printf "  %-26s %.0f\n" k v) v2p_stats

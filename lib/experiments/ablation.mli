@@ -14,7 +14,7 @@ type t = { rows : row list }
 (** The ablation as one {!Netsim.Scenario} spec: the NoCache baseline
     plus each feature-toggled SwitchV2P config as a labeled scheme
     alternative; {!run} executes it. *)
-val scenario : ?scale:Setup.scale -> ?cache_pct:int -> unit -> Netsim.Scenario.t
+val scenario : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> Netsim.Scenario.t
 
-val run : ?scale:Setup.scale -> ?cache_pct:int -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> t
 val print : t -> unit

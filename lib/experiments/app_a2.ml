@@ -3,20 +3,21 @@ module Time_ns = Dessim.Time_ns
 type cell = { hit : float; fct_x : float }
 type t = { cache_pcts : int list; series : (string * cell array) list }
 
+module Spec = Netsim.Scenario
+
 let run ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200 ]) () =
-  let setup = Setup.ft8 scale in
-  let topo = setup.Setup.topo in
-  let flows = Setup.websearch_trace setup in
-  let until = Setup.horizon flows in
-  let exec scheme = Runner.run setup ~scheme ~flows ~migrations:[] ~until in
-  let base = exec (Schemes.Baselines.nocache ()) in
+  let spec =
+    Spec.make ~name:"appA2" ~topo:(Spec.preset `FT8 scale)
+      ~streams:[ Spec.stream Spec.Websearch ] []
+  in
+  let exec kind = Scenario.run_scheme spec (Spec.scheme kind) in
+  let base = exec Spec.Nocache in
   let swept name make =
     ( name,
       Array.of_list
         (List.map
            (fun pct ->
-             let slots = Setup.cache_slots setup ~pct in
-             let r = exec (make slots) in
+             let r = exec (make (Spec.Pct pct)) in
              {
                hit = r.Runner.hit_rate;
                fct_x =
@@ -25,18 +26,13 @@ let run ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200 ]) () =
              })
            cache_pcts) )
   in
+  let controller interval slots = Spec.Controller { slots; interval } in
   let series =
     [
-      swept "Controller-150us" (fun slots ->
-          Schemes.Controller.make ~topo ~total_slots:slots
-            ~interval:(Time_ns.of_us 150) ());
-      swept "Controller-300us" (fun slots ->
-          Schemes.Controller.make ~topo ~total_slots:slots
-            ~interval:(Time_ns.of_us 300) ());
-      swept "SwitchV2P" (fun slots ->
-          Schemes.Switchv2p_scheme.make topo ~total_cache_slots:slots);
-      swept "GwCache" (fun slots ->
-          Schemes.Baselines.gwcache ~topo ~total_slots:slots);
+      swept "Controller-150us" (controller (Time_ns.of_us 150));
+      swept "Controller-300us" (controller (Time_ns.of_us 300));
+      swept "SwitchV2P" (fun sl -> Spec.switchv2p sl);
+      swept "GwCache" (fun sl -> Spec.Gwcache sl);
     ]
   in
   { cache_pcts; series }

@@ -11,5 +11,5 @@ type t = {
   series : (string * cell array) list;
 }
 
-val run : ?scale:Setup.scale -> ?cache_pcts:int list -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pcts:int list -> unit -> t
 val print : t -> unit

@@ -49,8 +49,7 @@ let default_cache_pcts = [ 50; 200; 800 ]
    realistic mix rather than one flow at a time. *)
 let packet_gap_ns = 12_000 (* ~ one base RTT between a flow's packets *)
 
-let streams_per_tor (setup : Setup.t) flows =
-  let topo = setup.Setup.topo in
+let streams_per_tor topo flows =
   let params = Topo.Topology.params topo in
   let vms_per_host = params.Topo.Params.vms_per_host in
   let hosts = Topo.Topology.hosts topo in
@@ -142,30 +141,31 @@ let geometry ~slots = function
   | "4way-lru" -> assoc_sim ~ways:4 ~slots
   | name -> invalid_arg ("Cache_geometry: unknown geometry " ^ name)
 
-let flows_per_vm = 8.0
-
-let locality_flows (setup : Setup.t) ~locality =
-  let rng = Dessim.Rng.create setup.Setup.seed in
-  Workloads.Locality_gen.flows rng ~num_vms:setup.Setup.num_vms
-    ~num_flows:
-      (int_of_float (flows_per_vm *. float_of_int setup.Setup.num_vms))
-    ~load:Setup.load ~agg_bps:setup.Setup.agg_bps ~locality
+module Spec = Netsim.Scenario
 
 let run ?(scale = `Small) ?(geometries = default_geometries)
     ?(localities = default_localities) ?(cache_pcts = default_cache_pcts) () =
-  let setup = Setup.ft8 scale in
-  let num_tors = Array.length (Topo.Topology.tors setup.Setup.topo) in
+  let topo_spec = Spec.preset `FT8 scale in
+  let topo = (Setup.pooled topo_spec).Setup.topo in
+  let num_tors = Array.length (Topo.Topology.tors topo) in
   let points =
     List.concat_map
       (fun locality ->
-        let streams = streams_per_tor setup (locality_flows setup ~locality) in
+        (* The reference traffic is a Locality stream, its knob
+           carried in the stream's [zipf_alpha] field. *)
+        let spec =
+          Spec.make ~name:"cachegeo" ~topo:topo_spec
+            ~streams:[ Spec.stream ~zipf_alpha:locality Spec.Locality ]
+            []
+        in
+        let streams = streams_per_tor topo (Spec.flows spec) in
         List.concat_map
           (fun name ->
             List.filter_map
               (fun pct ->
                 (* Same per-ToR share as the network experiments. *)
                 let per_tor_slots =
-                  max 1 (Setup.cache_slots setup ~pct / num_tors)
+                  max 1 (Spec.cache_slots spec (Spec.Pct pct) / num_tors)
                 in
                 match geometry ~slots:per_tor_slots name with
                 | None -> None
@@ -201,32 +201,6 @@ let run ?(scale = `Small) ?(geometries = default_geometries)
       localities
   in
   { geometries; localities; cache_pcts; points }
-
-(* The same sweep point as a declarative scenario (PR-9 layer): a
-   Locality stream driving a SwitchV2P scheme whose config selects the
-   way count. Validates by construction. *)
-let spec ?(scale = `Small) ?(locality = 0.5) ?(cache_pct = 50)
-    ?(ways = 1) ?(tinylfu = false) () =
-  let module Spec = Netsim.Scenario in
-  let geo_name = Resources.geometry_name (Resources.G_table ways) in
-  let name =
-    Printf.sprintf "cachegeo/%s%s-l%03d-p%d" geo_name
-      (if tinylfu then "+tinylfu" else "")
-      (int_of_float (locality *. 100.0))
-      cache_pct
-  in
-  let scale : Spec.scale =
-    match scale with `Tiny -> `Tiny | `Small -> `Small | `Paper -> `Paper
-  in
-  Spec.make ~name
-    ~topo:(Spec.preset `FT8 scale)
-    ~streams:[ Spec.stream ~zipf_alpha:locality Spec.Locality ]
-    [
-      Spec.scheme ~label:"SwitchV2P"
-        (Spec.switchv2p
-           ~config:(Switchv2p.Config.make ~ways ~tinylfu ())
-           (Spec.Pct cache_pct));
-    ]
 
 let print t =
   Report.table

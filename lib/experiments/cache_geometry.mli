@@ -40,24 +40,11 @@ val default_localities : float list
 val default_cache_pcts : int list
 
 val run :
-  ?scale:Setup.scale ->
+  ?scale:Netsim.Scenario.scale ->
   ?geometries:string list ->
   ?localities:float list ->
   ?cache_pcts:int list ->
   unit ->
   t
-
-(** [spec ()] — one sweep point as a declarative {!Netsim.Scenario}
-    spec (validates by construction): a [Locality] stream (knob in the
-    [zipf_alpha] field) driving a SwitchV2P scheme whose
-    {!Switchv2p.Config} selects the geometry. *)
-val spec :
-  ?scale:Setup.scale ->
-  ?locality:float ->
-  ?cache_pct:int ->
-  ?ways:int ->
-  ?tinylfu:bool ->
-  unit ->
-  Netsim.Scenario.t
 
 val print : t -> unit

@@ -1,38 +1,25 @@
 type row = { trace : string; stats : Workloads.Trace_stats.t }
 type t = { rows : row list }
 
+module Spec = Netsim.Scenario
+
 let run ?(scale = `Small) () =
-  let kinds =
-    [
-      Fig5.Hadoop; Fig5.Websearch; Fig5.Alibaba; Fig5.Microbursts; Fig5.Video;
-    ]
-  in
   (* No simulation here, but trace generation + analysis of five
      workloads still parallelizes cleanly. *)
-  let task kind =
-    ( "datasets/" ^ Fig5.trace_name kind,
+  let task trace =
+    let name = "datasets/" ^ Fig5.trace_name trace in
+    ( name,
       fun () ->
-        let spec =
-          match kind with
-          | Fig5.Alibaba -> Setup.spec_ft16 scale
-          | _ -> Setup.spec_ft8 scale
-        in
-        let setup = Setup.pooled spec in
-        let flows =
-          match kind with
-          | Fig5.Hadoop -> Setup.hadoop_trace setup
-          | Fig5.Websearch -> Setup.websearch_trace setup
-          | Fig5.Alibaba -> Setup.alibaba_trace setup
-          | Fig5.Microbursts -> Setup.microbursts_trace setup
-          | Fig5.Video -> Setup.video_trace setup
-        in
-        Workloads.Trace_stats.analyze flows )
+        Workloads.Trace_stats.analyze
+          (Spec.flows
+             (Spec.make ~name ~topo:(Fig5.preset scale trace)
+                ~streams:[ Spec.stream trace ] [])) )
   in
   let rows =
     List.map2
-      (fun kind stats -> { trace = Fig5.trace_name kind; stats })
-      kinds
-      (Parallel.map (List.map task kinds))
+      (fun trace stats -> { trace = Fig5.trace_name trace; stats })
+      Fig5.traces
+      (Parallel.map (List.map task Fig5.traces))
   in
   { rows }
 

@@ -7,5 +7,5 @@ type row = { trace : string; stats : Workloads.Trace_stats.t }
 
 type t = { rows : row list }
 
-val run : ?scale:Setup.scale -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> unit -> t
 val print : t -> unit

@@ -1,4 +1,5 @@
 module Time_ns = Dessim.Time_ns
+module Spec = Netsim.Scenario
 
 type row = {
   scheme : string;
@@ -11,11 +12,15 @@ type row = {
 type t = { healthy : row list; under_failure : row list }
 
 let run ?(scale = `Small) ?(cache_pct = 50) () =
-  let setup = Setup.ft8 scale in
+  let spec =
+    Spec.make ~name:"dht" ~topo:(Spec.preset `FT8 scale)
+      ~streams:[ Spec.stream Spec.Hadoop ] []
+  in
+  let setup = Scenario.realize spec in
   let topo = setup.Setup.topo in
-  let slots = Setup.cache_slots setup ~pct:cache_pct in
-  let flows = Setup.hadoop_trace setup in
-  let until = Setup.horizon flows in
+  let slots = Spec.cache_slots spec (Spec.Pct cache_pct) in
+  let flows = Spec.flows spec in
+  let until = Spec.horizon spec ~flows in
   let last_start =
     List.fold_left
       (fun acc (f : Netcore.Flow.t) ->

@@ -15,5 +15,5 @@ type row = {
 
 type t = { healthy : row list; under_failure : row list }
 
-val run : ?scale:Setup.scale -> ?cache_pct:int -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> t
 val print : t -> unit

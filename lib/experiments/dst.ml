@@ -286,13 +286,13 @@ let run_one ?(shards = 1) ~seed ~scheme () =
   end
   else begin
     let occupancies = ref [] in
-    let make_scheme ~shard:_ =
+    let fresh_scheme ~shard:_ =
       let s, occ = scheme_with_occupancy scheme topo in
       occupancies := occ :: !occupancies;
       s
     in
     let par =
-      Netsim.Parnet.run ~config ~faults:plan ~shards topo ~make_scheme ~flows
+      Netsim.Parnet.run ~config ~faults:plan ~shards topo ~fresh_scheme ~flows
         ~migrations:[] ~until:run_until
     in
     {

@@ -1,30 +1,27 @@
 module Time_ns = Dessim.Time_ns
 module Spec = Netsim.Scenario
 
-type trace_kind = Hadoop | Microbursts | Websearch | Video | Alibaba
-
 type cell = { hit : float; fct_x : float; fpl_x : float }
 
 type t = {
-  kind : trace_kind;
+  kind : Spec.trace;
   cache_pcts : int list;
   nocache : Runner.result;
   series : (string * cell array) list;
 }
 
 let trace_name = function
-  | Hadoop -> "Hadoop"
-  | Microbursts -> "Microbursts"
-  | Websearch -> "WebSearch"
-  | Video -> "Video"
-  | Alibaba -> "Alibaba"
+  | Spec.Hadoop -> "Hadoop"
+  | Spec.Microbursts -> "Microbursts"
+  | Spec.Websearch -> "WebSearch"
+  | Spec.Video -> "Video"
+  | Spec.Alibaba -> "Alibaba"
+  | Spec.Locality -> "Locality"
 
-let spec_trace = function
-  | Hadoop -> Spec.Hadoop
-  | Microbursts -> Spec.Microbursts
-  | Websearch -> Spec.Websearch
-  | Video -> Spec.Video
-  | Alibaba -> Spec.Alibaba
+let traces = Spec.[ Hadoop; Websearch; Alibaba; Microbursts; Video ]
+
+let preset ?seed scale kind =
+  Spec.preset ?seed (match kind with Spec.Alibaba -> `FT16 | _ -> `FT8) scale
 
 (* The sweep's shape: one NoCache baseline, then per-scheme series
    that are either swept across cache sizes or cache-independent
@@ -51,7 +48,6 @@ let series_shape ~with_controller =
 
 let scenario ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200; 1500 ])
     ?(with_controller = false) kind =
-  let family = match kind with Alibaba -> `FT16 | _ -> `FT8 in
   let swept name mk =
     List.map
       (fun pct ->
@@ -67,16 +63,17 @@ let scenario ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200; 1500 ])
          (series_shape ~with_controller)
   in
   Spec.make ~name:(trace_name kind)
-    ~topo:(Spec.preset family scale)
-    ~streams:[ Spec.stream (spec_trace kind) ]
+    ~topo:(preset scale kind)
+    ~streams:[ Spec.stream kind ]
     schemes
 
 (* UDP traces have no flow-completion semantics comparable to TCP's;
    use mean packet latency as the paper's FCT proxy there. *)
 let fct_metric kind (r : Runner.result) =
   match kind with
-  | Hadoop | Websearch | Alibaba -> r.Runner.mean_fct
-  | Microbursts | Video -> r.Runner.mean_pkt_latency
+  | Spec.Hadoop | Spec.Websearch | Spec.Alibaba | Spec.Locality ->
+      r.Runner.mean_fct
+  | Spec.Microbursts | Spec.Video -> r.Runner.mean_pkt_latency
 
 let cell_of kind ~(nocache : Runner.result) (r : Runner.result) =
   {

@@ -5,8 +5,6 @@
     NoCache baseline normalizes the improvement factors, exactly as in
     the paper. *)
 
-type trace_kind = Hadoop | Microbursts | Websearch | Video | Alibaba
-
 type cell = {
   hit : float;  (** fraction of tenant packets that avoid the gateways *)
   fct_x : float;  (** mean-FCT improvement over NoCache *)
@@ -14,7 +12,7 @@ type cell = {
 }
 
 type t = {
-  kind : trace_kind;
+  kind : Netsim.Scenario.trace;
   cache_pcts : int list;
   nocache : Runner.result;
   (* (scheme, per-cache-size cells); cache-independent schemes carry
@@ -28,23 +26,33 @@ type t = {
     cache size) point in task order. {!run} is exactly this spec
     executed. *)
 val scenario :
-  ?scale:Setup.scale ->
+  ?scale:Netsim.Scenario.scale ->
   ?cache_pcts:int list ->
   ?with_controller:bool ->
-  trace_kind ->
+  Netsim.Scenario.trace ->
   Netsim.Scenario.t
 
 (** [run ?scale ?cache_pcts ?with_controller kind] executes the sweep.
     [with_controller] adds the (expensive) Controller baseline, as the
     paper does for WebSearch only. Alibaba uses the FT16 topology. *)
 val run :
-  ?scale:Setup.scale ->
+  ?scale:Netsim.Scenario.scale ->
   ?cache_pcts:int list ->
   ?with_controller:bool ->
-  trace_kind ->
+  Netsim.Scenario.trace ->
   t
 
-val trace_name : trace_kind -> string
+(** The trace's printed title ("WebSearch", ...). *)
+val trace_name : Netsim.Scenario.trace -> string
+
+(** The paper's five traces, in Table 5 order. *)
+val traces : Netsim.Scenario.trace list
+
+(** [preset ?seed scale trace] — the paper's topology for [trace]:
+    FT16 for Alibaba, FT8 for every other trace. *)
+val preset :
+  ?seed:int -> Netsim.Scenario.scale -> Netsim.Scenario.trace ->
+  Netsim.Scenario.topo_spec
 
 (** [print t] renders one table per metric (hit rate / FCT x / FPL x). *)
 val print : t -> unit

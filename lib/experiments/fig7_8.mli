@@ -11,8 +11,8 @@ type t = {
 (** The whole figure as one {!Netsim.Scenario} spec (five scheme
     alternatives over the Hadoop FT8 workload); {!run} executes it. *)
 val scenario :
-  ?scale:Setup.scale -> ?cache_pct:int -> unit -> Netsim.Scenario.t
+  ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> Netsim.Scenario.t
 
-val run : ?scale:Setup.scale -> ?cache_pct:int -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> t
 
 val print : t -> unit

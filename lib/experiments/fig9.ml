@@ -36,7 +36,7 @@ let gateway_counts_of total_gw =
   |> List.rev
 
 let run ?(scale = `Small) ?(cache_pct = 50) () =
-  let setup = Setup.pooled (Setup.spec_ft8 scale) in
+  let setup = Setup.pooled (Spec.preset `FT8 scale) in
   let total_gw = Array.length (Topo.Topology.gateways setup.Setup.topo) in
   let gateway_counts = gateway_counts_of total_gw in
   let specs =

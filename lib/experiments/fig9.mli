@@ -19,11 +19,11 @@ type t = {
     ([gateways] restricts the fleet via the net config); {!run} sweeps
     these specs over the fleet-size axis. *)
 val scenario :
-  ?scale:Setup.scale ->
+  ?scale:Netsim.Scenario.scale ->
   ?cache_pct:int ->
   gateways:int ->
   unit ->
   Netsim.Scenario.t
 
-val run : ?scale:Setup.scale -> ?cache_pct:int -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> t
 val print : t -> unit

@@ -23,11 +23,11 @@ type t = { rows : row list }
     carrying the optional share vector; {!run} executes the shared /
     50-50 / 90-10 policies. *)
 val scenario :
-  ?scale:Setup.scale ->
+  ?scale:Netsim.Scenario.scale ->
   ?cache_pct:int ->
   ?shares:float array ->
   string ->
   Netsim.Scenario.t
 
-val run : ?scale:Setup.scale -> ?cache_pct:int -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> t
 val print : t -> unit

@@ -24,13 +24,13 @@ type t = {
 
 (** The undisturbed reference as a {!Netsim.Scenario} spec. *)
 val reference_scenario :
-  ?scale:Setup.scale -> ?cache_pct:int -> unit -> Netsim.Scenario.t
+  ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> Netsim.Scenario.t
 
 (** The disturbed variant: same spec plus a literal fault plan wiping
     every spine and core cache at mid-trace, committed as data so a
     scenario file replays the exact same wipe. *)
 val disturbed_scenario :
-  ?scale:Setup.scale -> ?cache_pct:int -> unit -> Netsim.Scenario.t
+  ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> Netsim.Scenario.t
 
-val run : ?scale:Setup.scale -> ?cache_pct:int -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> t
 val print : t -> unit

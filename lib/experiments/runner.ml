@@ -156,17 +156,17 @@ let run ?net_config ?report_name ?faults (setup : Setup.t) ~scheme ~flows
    over one logical simulation (Netsim.Parnet). Telemetry reports are
    not supported here; [extra] scheme stats are per-shard and not
    generically mergeable, so they are omitted. *)
-let run_sharded ?net_config ?faults ~shards (setup : Setup.t) ~make_scheme
+let run_sharded ?net_config ?faults ~shards (setup : Setup.t) ~fresh_scheme
     ~flows ~migrations ~until =
   let scheme_name = ref "" in
-  let make_scheme ~shard =
-    let s = make_scheme ~shard in
+  let fresh_scheme ~shard =
+    let s = fresh_scheme ~shard in
     if shard = 0 then scheme_name := s.Netsim.Scheme.name;
     s
   in
   let par =
     Netsim.Parnet.run ?config:net_config ?faults ~shards setup.Setup.topo
-      ~make_scheme ~flows ~migrations ~until
+      ~fresh_scheme ~flows ~migrations ~until
   in
   let result =
     result_of ~scheme:!scheme_name ~topo:setup.Setup.topo

@@ -54,9 +54,9 @@ val run :
   until:Dessim.Time_ns.t ->
   result
 
-(** [run_sharded ~shards setup ~make_scheme ...] executes the same
+(** [run_sharded ~shards setup ~fresh_scheme ...] executes the same
     kind of trace as {!run} but as one domain-sharded simulation
-    ({!Netsim.Parnet}); [make_scheme ~shard] must build a fresh scheme
+    ({!Netsim.Parnet}); [fresh_scheme ~shard] must build a fresh scheme
     per shard. Returns the Parnet handle (per-shard inspection,
     window/handoff counters) alongside the result row. Telemetry
     reports are not supported; the result's [extra] scheme stats are
@@ -66,7 +66,7 @@ val run_sharded :
   ?faults:Dessim.Fault.plan ->
   shards:int ->
   Setup.t ->
-  make_scheme:(shard:int -> Netsim.Scheme.t) ->
+  fresh_scheme:(shard:int -> Netsim.Scheme.t) ->
   flows:Netcore.Flow.t list ->
   migrations:Netsim.Network.migration list ->
   until:Dessim.Time_ns.t ->

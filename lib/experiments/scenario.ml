@@ -8,22 +8,7 @@ module Spec = Netsim.Scenario
 module Time_ns = Dessim.Time_ns
 module Vip = Netcore.Addr.Vip
 
-let setup_spec (spec : Spec.t) : Setup.spec =
-  match spec.Spec.topo.Spec.arm with
-  | Spec.Preset { family; scale } ->
-      {
-        Setup.family = (family :> Setup.family);
-        scale;
-        seed = spec.Spec.topo.Spec.topo_seed;
-      }
-  | Spec.Custom params ->
-      {
-        Setup.family = `Custom params;
-        scale = `Tiny;
-        seed = spec.Spec.topo.Spec.topo_seed;
-      }
-
-let realize spec = Setup.pooled (setup_spec spec)
+let realize (spec : Spec.t) = Setup.pooled spec.Spec.topo
 
 let build_scheme (spec : Spec.t) (setup : Setup.t) (s : Spec.scheme_spec) =
   let topo = setup.Setup.topo in
@@ -72,7 +57,7 @@ let run_scheme ?report_name (spec : Spec.t) (s : Spec.scheme_spec) =
   else
     snd
       (Runner.run_sharded ~net_config ?faults ~shards setup
-         ~make_scheme:(fun ~shard:_ -> build_scheme spec setup s)
+         ~fresh_scheme:(fun ~shard:_ -> build_scheme spec setup s)
          ~flows ~migrations:[] ~until)
 
 let task_name (spec : Spec.t) s = spec.Spec.name ^ "/" ^ label spec s

@@ -13,10 +13,8 @@
     executes them. Results are byte-identical to hand-written
     [Runner] calls with the same inputs — that is the point. *)
 
-(** The {!Setup.spec} a scenario's topology realizes to (pooled,
-    domain-local). *)
-val setup_spec : Netsim.Scenario.t -> Setup.spec
-
+(** The calling domain's realization of the spec's topology
+    ({!Setup.pooled}). *)
 val realize : Netsim.Scenario.t -> Setup.t
 
 (** Construct one scheme alternative against the realized topology.

@@ -1,6 +1,7 @@
 module Time_ns = Dessim.Time_ns
 module Vip = Netcore.Addr.Vip
 module Flow = Netcore.Flow
+module Spec = Netsim.Scenario
 
 type row = {
   variant : string;
@@ -17,10 +18,9 @@ let packet_bytes = 128
 let packets_per_sender = 1000
 
 (* Senders on distinct physical servers, all targeting [dst_vip]. *)
-let incast_flows setup ~senders ~dst_vip ~duration =
-  let params = Topo.Topology.params setup.Setup.topo in
-  let vms_per_host = params.Topo.Params.vms_per_host in
-  let num_hosts = Array.length (Topo.Topology.hosts setup.Setup.topo) in
+let incast_flows topo ~senders ~dst_vip ~duration =
+  let vms_per_host = (Topo.Topology.params topo).Topo.Params.vms_per_host in
+  let num_hosts = Array.length (Topo.Topology.hosts topo) in
   let dst_host_index = Vip.to_int dst_vip / vms_per_host in
   let sender_hosts =
     List.filter (fun h -> h <> dst_host_index) (List.init num_hosts Fun.id)
@@ -39,9 +39,22 @@ let incast_flows setup ~senders ~dst_vip ~duration =
            (Flow.Udp { rate_bps }))
 
 let run ?(scale = `Small) ?(cache_pct = 50) ?(senders = 64) () =
-  let spec = Setup.spec_ft8 scale in
-  let setup = Setup.pooled spec in
-  let topo = setup.Setup.topo in
+  let v2p config = Spec.switchv2p ~config (Spec.Pct cache_pct) in
+  let spec =
+    Spec.make ~name:"tab4" ~topo:(Spec.preset `FT8 scale)
+      (List.map
+         (fun (label, kind) -> Spec.scheme ~label kind)
+         [
+           ("NoCache", Spec.Nocache);
+           ("OnDemand", Spec.Ondemand);
+           ( "SwitchV2P w/o invalidations",
+             v2p (Switchv2p.Config.make ~invalidations:false ()) );
+           ( "SwitchV2P w/o timestamp vector",
+             v2p (Switchv2p.Config.make ~ts_vector:false ()) );
+           ("SwitchV2P w/ timestamp vector", v2p Switchv2p.Config.default);
+         ])
+  in
+  let topo = (Scenario.realize spec).Setup.topo in
   let hosts = Topo.Topology.hosts topo in
   let senders = min senders (Array.length hosts - 1) in
   let duration = Time_ns.of_ms 1 in
@@ -57,7 +70,7 @@ let run ?(scale = `Small) ?(cache_pct = 50) ?(senders = 64) () =
     | Some h -> h
     | None -> invalid_arg "Tab4.run: topology too small for migration"
   in
-  let flows = incast_flows setup ~senders ~dst_vip ~duration in
+  let flows = incast_flows topo ~senders ~dst_vip ~duration in
   let migrations =
     [
       {
@@ -68,34 +81,20 @@ let run ?(scale = `Small) ?(cache_pct = 50) ?(senders = 64) () =
     ]
   in
   let until = Time_ns.add duration (Time_ns.of_ms 2) in
-  let task name mk_scheme =
-    let full_name = "tab4/" ^ name in
+  let task s =
+    let full_name = "tab4/" ^ Scenario.label spec s in
     ( full_name,
       fun () ->
-        let s = Setup.pooled spec in
-        Runner.run ~report_name:full_name s ~scheme:(mk_scheme s) ~flows
-          ~migrations ~until )
-  in
-  let v2p cfg s =
-    Schemes.Switchv2p_scheme.make ~config:cfg s.Setup.topo
-      ~total_cache_slots:(Setup.cache_slots s ~pct:cache_pct)
-  in
-  let variants =
-    [
-      ("NoCache", fun _ -> Schemes.Baselines.nocache ());
-      ("OnDemand", fun _ -> Schemes.Baselines.ondemand ());
-      ( "SwitchV2P w/o invalidations",
-        v2p (Switchv2p.Config.make ~invalidations:false ()) );
-      ( "SwitchV2P w/o timestamp vector",
-        v2p (Switchv2p.Config.make ~ts_vector:false ()) );
-      ("SwitchV2P w/ timestamp vector", v2p Switchv2p.Config.default);
-    ]
+        let setup = Scenario.realize spec in
+        Runner.run ~report_name:full_name setup
+          ~scheme:(Scenario.build_scheme spec setup s)
+          ~flows ~migrations ~until )
   in
   let runs =
     List.map2
-      (fun (name, _) r -> (name, r))
-      variants
-      (Parallel.map (List.map (fun (name, mk) -> task name mk) variants))
+      (fun s r -> (Scenario.label spec s, r))
+      spec.Spec.schemes
+      (Parallel.map (List.map task spec.Spec.schemes))
   in
   let base =
     match runs with

@@ -17,5 +17,5 @@ type row = {
 
 type t = { rows : row list }
 
-val run : ?scale:Setup.scale -> ?cache_pct:int -> ?senders:int -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> ?senders:int -> unit -> t
 val print : t -> unit

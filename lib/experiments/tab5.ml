@@ -9,49 +9,33 @@ let dist_of ~core ~spine ~tor =
     let f x = float_of_int x /. float_of_int total in
     { core = f core; spine = f spine; tor = f tor }
 
+module Spec = Netsim.Scenario
+
 let run ?(scale = `Small) ?(cache_pct = 50) () =
-  let kinds =
-    [
-      Fig5.Hadoop; Fig5.Websearch; Fig5.Alibaba; Fig5.Microbursts; Fig5.Video;
-    ]
-  in
-  let task kind =
-    let full_name = "tab5/" ^ Fig5.trace_name kind in
+  let task trace =
+    let full_name = "tab5/" ^ Fig5.trace_name trace in
+    let spec =
+      Spec.make ~name:full_name ~topo:(Fig5.preset scale trace)
+        ~streams:[ Spec.stream trace ]
+        [ Spec.scheme (Spec.switchv2p (Spec.Pct cache_pct)) ]
+    in
     ( full_name,
       fun () ->
-        let spec =
-          match kind with
-          | Fig5.Alibaba -> Setup.spec_ft16 scale
-          | _ -> Setup.spec_ft8 scale
-        in
-        let setup = Setup.pooled spec in
-        let flows =
-          match kind with
-          | Fig5.Hadoop -> Setup.hadoop_trace setup
-          | Fig5.Websearch -> Setup.websearch_trace setup
-          | Fig5.Alibaba -> Setup.alibaba_trace setup
-          | Fig5.Microbursts -> Setup.microbursts_trace setup
-          | Fig5.Video -> Setup.video_trace setup
-        in
-        let scheme =
-          Schemes.Switchv2p_scheme.make setup.Setup.topo
-            ~total_cache_slots:(Setup.cache_slots setup ~pct:cache_pct)
-        in
-        Runner.run ~report_name:full_name setup ~scheme ~flows ~migrations:[]
-          ~until:(Setup.horizon flows) )
+        Scenario.run_scheme ~report_name:full_name spec
+          (List.hd spec.Spec.schemes) )
   in
   let rows =
     List.map2
-      (fun kind (r : Runner.result) ->
+      (fun trace (r : Runner.result) ->
         let core, spine, tor, _, _ = r.Runner.layer_hits in
         let fcore, fspine, ftor, _, _ = r.Runner.fp_layer_hits in
         {
-          trace = Fig5.trace_name kind;
+          trace = Fig5.trace_name trace;
           total = dist_of ~core ~spine ~tor;
           first = dist_of ~core:fcore ~spine:fspine ~tor:ftor;
         })
-      kinds
-      (Parallel.map (List.map task kinds))
+      Fig5.traces
+      (Parallel.map (List.map task Fig5.traces))
   in
   { rows }
 

@@ -9,7 +9,7 @@ type row = { trace : string; total : dist; first : dist }
 
 type t = { rows : row list }
 
-val run : ?scale:Setup.scale -> ?cache_pct:int -> unit -> t
+val run : ?scale:Netsim.Scenario.scale -> ?cache_pct:int -> unit -> t
 val print : t -> unit
 
 (** [dist_of ~core ~spine ~tor] normalizes raw hit counts; all zeros

@@ -51,7 +51,7 @@ let compute_lookahead topo owner =
       end);
   if !m = max_int then Time_ns.of_us 1 else Time_ns.of_ns (max 1 !m)
 
-let run ?config ?faults ?assign ~shards:n topo ~make_scheme ~(flows : Flow.t list)
+let run ?config ?faults ?assign ~shards:n topo ~fresh_scheme ~(flows : Flow.t list)
     ~(migrations : Network.migration list) ~until =
   if n <= 0 then invalid_arg "Parnet.run: shards must be positive";
   (* Every shard's network would observe the one collector from its own
@@ -96,7 +96,7 @@ let run ?config ?faults ?assign ~shards:n topo ~make_scheme ~(flows : Flow.t lis
   in
   let nets =
     Array.init n (fun s ->
-        let net = Network.create ?config topo ~scheme:(make_scheme ~shard:s) in
+        let net = Network.create ?config topo ~scheme:(fresh_scheme ~shard:s) in
         Network.set_shard net ~my:s ~owner ~out:boxes.(s) ~lookahead ~send_home
           ~recv_home;
         Option.iter (Network.install_faults net) faults;

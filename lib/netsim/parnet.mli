@@ -19,8 +19,8 @@
 
 type t
 
-(** [run ~shards topo ~make_scheme ~flows ~migrations ~until] builds
-    one network per shard ([make_scheme ~shard] must return a fresh
+(** [run ~shards topo ~fresh_scheme ~flows ~migrations ~until] builds
+    one network per shard ([fresh_scheme ~shard] must return a fresh
     scheme instance per call — shards must not share scheme state),
     schedules every flow on the shards owning its endpoints and every
     migration on all shards, and drives the whole system to [until].
@@ -35,7 +35,7 @@ val run :
   ?assign:(int -> int) ->
   shards:int ->
   Topo.Topology.t ->
-  make_scheme:(shard:int -> Scheme.t) ->
+  fresh_scheme:(shard:int -> Scheme.t) ->
   flows:Netcore.Flow.t list ->
   migrations:Network.migration list ->
   until:Dessim.Time_ns.t ->

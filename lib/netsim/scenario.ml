@@ -83,7 +83,7 @@ type t = {
   classify : classify_arm;
 }
 
-(* --- canonical preset tables (Setup delegates here) ------------------- *)
+(* --- canonical preset tables ------------------------------------------ *)
 
 let preset_params family (scale : scale) =
   match (family, scale) with
@@ -102,10 +102,12 @@ let preset_params family (scale : scale) =
   | `FT16, `Tiny ->
       Params.scaled ~pods:2 ~racks_per_pod:4 ~hosts_per_rack:2 ~vms_per_host:8 ()
 
-let params_of t =
-  match t.topo.arm with
+let topo_params topo =
+  match topo.arm with
   | Custom p -> p
   | Preset { family; scale } -> preset_params family scale
+
+let params_of t = topo_params t.topo
 
 (* --- constructors ------------------------------------------------------ *)
 

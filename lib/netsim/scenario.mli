@@ -50,7 +50,7 @@ type topo_arm = Preset of { family : family; scale : scale } | Custom of Topo.Pa
 
 type topo_spec = {
   arm : topo_arm;
-  topo_seed : int;  (** seeds workload generation (the Setup seed) *)
+  topo_seed : int;  (** seeds workload generation *)
 }
 
 (** [Locality] is the Jain-style tunable-locality stream
@@ -132,8 +132,7 @@ type t = {
 
 (** {2 Constructors} *)
 
-(** [stream trace] with per-trace defaults matching
-    [Experiments.Setup]: rate 8.0 (hadoop, microbursts), 0.5
+(** [stream trace] with the paper's per-trace defaults: rate 8.0 (hadoop, microbursts), 0.5
     (websearch), 4.0 (alibaba), 64.0 (video senders); load 0.3;
     window 2 ms (microbursts) / 5 ms (video). *)
 val stream :
@@ -220,10 +219,10 @@ val fault_plan_of_string : string -> (Dessim.Fault.plan, error) result
 
 (** {2 Realization} *)
 
-(** The canonical preset tables ([Experiments.Setup] delegates
-    here). *)
+(** The canonical preset tables. *)
 val preset_params : family -> scale -> Topo.Params.t
 
+val topo_params : topo_spec -> Topo.Params.t
 val params_of : t -> Topo.Params.t
 val num_vms : t -> int
 
@@ -235,8 +234,7 @@ val agg_bps : t -> float
     multitenant interleave). Deterministic in the spec. *)
 val flows : t -> Netcore.Flow.t list
 
-(** The run horizon: explicit, or last flow start / churn end + 40 ms
-    (matches [Experiments.Setup.horizon] for pure-flow scenarios). *)
+(** The run horizon: explicit, or last flow start / churn end + 40 ms. *)
 val horizon : t -> flows:Netcore.Flow.t list -> Dessim.Time_ns.t
 
 (** The fault plan to install, if any: the faults arm realized

@@ -12,7 +12,7 @@ module Tab6 = Experiments.Tab6
 module App_a2 = Experiments.App_a2
 module Ablation = Experiments.Ablation
 module Runner = Experiments.Runner
-module Setup = Experiments.Setup
+module Spec = Netsim.Scenario
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -20,7 +20,7 @@ let checki = Alcotest.check Alcotest.int
 let series name (t : Fig5.t) = List.assoc name t.Fig5.series
 
 let test_fig5_hadoop_shape () =
-  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 10; 400 ] Fig5.Hadoop in
+  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 10; 400 ] Spec.Hadoop in
   let v2p = series "SwitchV2P" t in
   let nc_hit = t.Fig5.nocache.Runner.hit_rate in
   checkb "nocache hit rate is zero" true (nc_hit = 0.0);
@@ -37,18 +37,18 @@ let test_fig5_hadoop_shape () =
   checkb "direct is the upper bound" true (d.(1).Fig5.fct_x >= v2p.(1).Fig5.fct_x)
 
 let test_fig5_video_no_reuse () =
-  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 400 ] Fig5.Video in
+  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 400 ] Spec.Video in
   let v2p = series "SwitchV2P" t in
   (* No destination reuse: first-packet latency cannot improve much. *)
   checkb "no first-packet win without reuse" true (v2p.(0).Fig5.fpl_x < 1.5)
 
 let test_fig5_microbursts_runs () =
-  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 100 ] Fig5.Microbursts in
+  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 100 ] Spec.Microbursts in
   let v2p = series "SwitchV2P" t in
   checkb "some hits" true (v2p.(0).Fig5.hit > 0.0)
 
 let test_fig6_alibaba_shape () =
-  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 200 ] Fig5.Alibaba in
+  let t = Fig5.run ~scale:`Tiny ~cache_pcts:[ 200 ] Spec.Alibaba in
   let v2p = series "SwitchV2P" t in
   (* RPC traffic has strong reuse: high hit rates and real FCT wins. *)
   checkb "high hit rate" true (v2p.(0).Fig5.hit > 0.5);
@@ -271,13 +271,20 @@ let test_runner_improvement_guards () =
   Alcotest.check (Alcotest.float 1e-9) "normal" 2.0
     (Runner.improvement ~baseline:10.0 ~v:5.0)
 
-let test_setup_cache_slots () =
-  let s = Setup.ft8 `Tiny in
-  checki "50% of vips" (s.Setup.num_vms / 2) (Setup.cache_slots s ~pct:50);
-  checki "1500%" (s.Setup.num_vms * 15) (Setup.cache_slots s ~pct:1500);
+(* The percent-to-slots arithmetic every experiment sizes its caches
+   with, on the tiny FT8 preset. *)
+let test_cache_slots () =
+  let s = Spec.make ~name:"slots" ~topo:(Spec.preset `FT8 `Tiny) [] in
+  let num_vms = Spec.num_vms s in
+  checki "tiny FT8 VIP space" 160 num_vms;
+  checki "realized setup agrees" num_vms
+    (Experiments.Setup.pooled s.Spec.topo).Experiments.Setup.num_vms;
+  checki "50% of vips" (num_vms / 2) (Spec.cache_slots s (Spec.Pct 50));
+  checki "1500%" (num_vms * 15) (Spec.cache_slots s (Spec.Pct 1500));
+  checki "absolute count" 7 (Spec.cache_slots s (Spec.Abs 7));
   Alcotest.check_raises "negative pct"
-    (Invalid_argument "Setup.cache_slots: negative percentage") (fun () ->
-      ignore (Setup.cache_slots s ~pct:(-1)))
+    (Invalid_argument "Scenario.cache_slots: negative percentage") (fun () ->
+      ignore (Spec.cache_slots s (Spec.Pct (-1))))
 
 let () =
   Alcotest.run "experiments"
@@ -322,6 +329,6 @@ let () =
           Alcotest.test_case "report slug" `Quick test_report_slug;
           Alcotest.test_case "report csv" `Quick test_report_csv;
           Alcotest.test_case "improvement guards" `Quick test_runner_improvement_guards;
-          Alcotest.test_case "cache slots" `Quick test_setup_cache_slots;
+          Alcotest.test_case "cache slots" `Quick test_cache_slots;
         ] );
     ]

@@ -564,7 +564,7 @@ let test_sharded_migrated_delivery_no_thunks () =
   in
   let p =
     Netsim.Parnet.run ~shards:2 t
-      ~make_scheme:(fun ~shard:_ -> Schemes.Baselines.direct ())
+      ~fresh_scheme:(fun ~shard:_ -> Schemes.Baselines.direct ())
       ~flows ~migrations ~until:(Time_ns.of_ms 20)
   in
   let nets = Netsim.Parnet.nets p in

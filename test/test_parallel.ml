@@ -3,7 +3,7 @@
    byte-identical sweep results regardless of worker count. *)
 
 module Parallel = Experiments.Parallel
-module Setup = Experiments.Setup
+module Spec = Netsim.Scenario
 module Runner = Experiments.Runner
 
 let checki = Alcotest.check Alcotest.int
@@ -54,26 +54,29 @@ let test_counters () =
    crosses domains; everything else a task reads (the flow list) is
    immutable. *)
 let sweep jobs =
-  let spec = Setup.spec_ft8 `Tiny in
-  let flows = Setup.hadoop_trace (Setup.pooled spec) in
-  let until = Setup.horizon flows in
-  let task name mk_scheme =
-    ( name,
+  let spec =
+    Spec.make ~name:"sweep"
+      ~topo:(Spec.preset `FT8 `Tiny)
+      ~streams:[ Spec.stream Spec.Hadoop ]
+      Spec.
+        [
+          scheme Nocache;
+          scheme Ondemand;
+          scheme Direct;
+          scheme (switchv2p (Pct 50));
+        ]
+  in
+  let flows = Spec.flows spec in
+  let until = Spec.horizon spec ~flows in
+  let task s =
+    ( Experiments.Scenario.task_name spec s,
       fun () ->
-        let s = Setup.pooled spec in
-        Runner.run s ~scheme:(mk_scheme s) ~flows ~migrations:[] ~until )
+        let setup = Experiments.Scenario.realize spec in
+        Runner.run setup
+          ~scheme:(Experiments.Scenario.build_scheme spec setup s)
+          ~flows ~migrations:[] ~until )
   in
-  let tasks =
-    [
-      task "nocache" (fun _ -> Schemes.Baselines.nocache ());
-      task "ondemand" (fun _ -> Schemes.Baselines.ondemand ());
-      task "direct" (fun _ -> Schemes.Baselines.direct ());
-      task "switchv2p" (fun s ->
-          Schemes.Switchv2p_scheme.make s.Setup.topo
-            ~total_cache_slots:(Setup.cache_slots s ~pct:50));
-    ]
-  in
-  Parallel.map ~jobs tasks
+  Parallel.map ~jobs (List.map task spec.Spec.schemes)
 
 let test_results_independent_of_workers () =
   let seq = sweep 1 in

@@ -243,15 +243,17 @@ let with_line prefix f =
 let with_engine_line f = with_line "engine " f
 let with_engine_field field = with_engine_line (fun l -> l ^ " " ^ field)
 
-(* The golden text with the SwitchV2P scheme line's [geometry=] token
-   set to [geometry=v]. *)
-let with_geometry v =
-  with_line "scheme switchv2p " (fun l ->
+(* The golden text with the [key=] token of its first line starting
+   [prefix] set to [key=v]. *)
+let with_token prefix key v =
+  with_line prefix (fun l ->
       String.split_on_char ' ' l
       |> List.map (fun tok ->
-             if String.starts_with ~prefix:"geometry=" tok then "geometry=" ^ v
+             if String.starts_with ~prefix:(key ^ "=") tok then key ^ "=" ^ v
              else tok)
       |> String.concat " ")
+
+let with_geometry v = with_token "scheme switchv2p " "geometry" v
 
 (* Each [(name, (text, _))] parses to the golden spec and reprints as
    its canonical text. *)
@@ -295,6 +297,36 @@ let geometry_dleft1_is_direct () =
 let geometry_rejected () =
   located_errors ~field:"geometry"
     (List.map geometry_case [ "dleft:0"; "dleft:x"; "dleft:-2"; "lru" ])
+
+(* The range checks [run]'s flags rely on: the tiny FT8 preset has 4
+   gateways, and a cache percentage must be non-negative. *)
+let gateways_rejected () =
+  located_errors ~field:"gateways"
+    (List.map
+       (fun v -> ("gateways=" ^ v, with_token "net " "gateways" v))
+       [ "0"; "5" ])
+
+let negative_pct_rejected () =
+  located_errors ~field:"slots"
+    [ ("slots=pct:-1", with_token "scheme switchv2p " "slots" "pct:-1") ]
+
+(* The messages [run] prints for the same specs built in memory. *)
+let range_messages () =
+  let golden = golden_spec () in
+  let rejects name spec msg =
+    Alcotest.(check (result unit (list string)))
+      name (Error [ msg ]) (Spec.validate spec)
+  in
+  List.iter
+    (fun k ->
+      rejects
+        (Printf.sprintf "gateways=%d" k)
+        { golden with Spec.gateways_used = Some k }
+        "gateways must be in [1, 4]")
+    [ 0; 5 ];
+  rejects "slots=pct:-1"
+    { golden with Spec.schemes = [ Spec.scheme (Spec.switchv2p (Spec.Pct (-1))) ] }
+    "slots percentage must be non-negative"
 
 (* The golden text with its engine line's [shards=] token replaced
    by [shards=v], or dropped when [v] is [None]. *)
@@ -397,6 +429,12 @@ let () =
             `Quick geometry_dleft1_is_direct;
           Alcotest.test_case "bad geometry is a located error" `Quick
             geometry_rejected;
+          Alcotest.test_case "gateways out of range is a located error" `Quick
+            gateways_rejected;
+          Alcotest.test_case "negative slots pct is a located error"
+            `Quick negative_pct_rejected;
+          Alcotest.test_case "range errors carry run's messages" `Quick
+            range_messages;
         ] );
       ( "replay",
         [

@@ -266,7 +266,7 @@ let run_classic name ~flows ~migrations =
 let run_sharded name ~shards ~flows ~migrations =
   let topo = Topology.build params in
   Parnet.run ~shards topo
-    ~make_scheme:(fun ~shard:_ -> mk_scheme name topo)
+    ~fresh_scheme:(fun ~shard:_ -> mk_scheme name topo)
     ~flows ~migrations ~until
 
 let final_mapping_of lookup topo =
@@ -401,7 +401,7 @@ let telemetry_rejected () =
     (fun () ->
       ignore
         (Parnet.run ~config ~shards:2 topo
-           ~make_scheme:(fun ~shard:_ -> mk_scheme "direct" topo)
+           ~fresh_scheme:(fun ~shard:_ -> mk_scheme "direct" topo)
            ~flows:[] ~migrations:[] ~until))
 
 let () =

@@ -6,7 +6,7 @@ module Telemetry = Dessim.Telemetry
 module Json = Dessim.Telemetry.Json
 module Histogram = Dessim.Telemetry.Histogram
 module Runner = Experiments.Runner
-module Setup = Experiments.Setup
+module Spec = Netsim.Scenario
 module Report = Experiments.Report
 
 let checkb = Alcotest.check Alcotest.bool
@@ -226,27 +226,27 @@ let fresh_dir () =
   Sys.remove path;
   path
 
-let run_once setup ~flows ~slots =
-  let scheme =
-    Schemes.Switchv2p_scheme.make setup.Setup.topo ~total_cache_slots:slots
-  in
-  Runner.run ~report_name:"telemetry/guard" setup ~scheme ~flows ~migrations:[]
-    ~until:(Setup.horizon flows)
-
 let test_telemetry_off_byte_identical () =
-  let setup = Setup.ft8 `Tiny in
-  let flows = Setup.hadoop_trace setup in
-  let slots = Setup.cache_slots setup ~pct:100 in
+  let spec =
+    Spec.make ~name:"telemetry"
+      ~topo:(Spec.preset `FT8 `Tiny)
+      ~streams:[ Spec.stream Spec.Hadoop ]
+      [ Spec.scheme (Spec.switchv2p (Spec.Pct 100)) ]
+  in
+  let run_once () =
+    Experiments.Scenario.run_scheme ~report_name:"telemetry/guard" spec
+      (List.hd spec.Spec.schemes)
+  in
   (* Plain run: no telemetry dir, the collector stays disabled. *)
   Report.set_telemetry_dir None;
-  let plain = render_result (run_once setup ~flows ~slots) in
+  let plain = render_result (run_once ()) in
   (* Instrumented run: same seed, same flows, telemetry enabled. *)
   let dir = fresh_dir () in
   Report.set_telemetry_dir (Some dir);
   let instrumented =
     Fun.protect
       ~finally:(fun () -> Report.set_telemetry_dir None)
-      (fun () -> render_result (run_once setup ~flows ~slots))
+      (fun () -> render_result (run_once ()))
   in
   checks "results byte-identical with telemetry on" plain instrumented;
   (* The instrumented run must have produced a well-formed report. *)
