@@ -181,12 +181,6 @@ let table f () : stats =
 
 let fig5 kind () = Fig5.print (Fig5.run ~scale:!scale kind)
 
-let fig5c_with_controller () =
-  (* The paper evaluates the Controller on WebSearch only. *)
-  Fig5.print
-    (Fig5.run ~scale:!scale ~cache_pcts:[ 1; 10; 50; 200 ] ~with_controller:true
-       Spec.Websearch)
-
 let fig7_8 () = Experiments.Fig7_8.print (Experiments.Fig7_8.run ~scale:!scale ())
 let fig9 () = Experiments.Fig9.print (Experiments.Fig9.run ~scale:!scale ())
 let fig10 () = Experiments.Fig10.print (Experiments.Fig10.run ())
@@ -899,7 +893,7 @@ let targets =
   [
     ("fig5a", ("Figure 5a (Hadoop)", table (fig5 Spec.Hadoop)));
     ("fig5b", ("Figure 5b (Microbursts)", table (fig5 Spec.Microbursts)));
-    ("fig5c", ("Figure 5c (WebSearch + Controller)", table fig5c_with_controller));
+    ("fig5c", ("Figure 5c (WebSearch + Controller)", table (fig5 Spec.Websearch)));
     ("fig5d", ("Figure 5d (Video)", table (fig5 Spec.Video)));
     ("fig6", ("Figure 6 (Alibaba, FT16)", table (fig5 Spec.Alibaba)));
     ("fig7", ("Figures 7/8 (bandwidth heatmaps)", table fig7_8));

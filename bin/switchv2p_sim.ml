@@ -160,18 +160,17 @@ let run_flags ~scale ~cache_pct ~seed ~scheme_name ~trace ~gateways ~faults
   | Error msgs ->
       List.iter (Printf.eprintf "run: %s\n") msgs;
       exit 1);
-  let flows = Spec.flows spec in
-  let topo = (Experiments.Scenario.realize spec).Experiments.Setup.topo in
+  let p = Experiments.Scenario.prepare spec in
   Option.iter
-    (fun p -> Printf.printf "faults          %s\n" (Dessim.Fault.to_string p))
-    (Spec.fault_plan spec topo ~until:(Spec.horizon spec ~flows));
+    (fun plan -> Printf.printf "faults          %s\n" (Dessim.Fault.to_string plan))
+    p.Experiments.Scenario.faults;
   let trace_name = Spec.trace_name trace in
   let report_name = Printf.sprintf "run/%s/%s" scheme_name trace_name in
   let r =
-    Experiments.Scenario.run_scheme ~report_name spec (List.hd spec.Spec.schemes)
+    Experiments.Scenario.run_prepared ~report_name p (List.hd spec.Spec.schemes)
   in
   Printf.printf "trace           %s (%d flows, %d VMs)\n" trace_name
-    (List.length flows) (Spec.num_vms spec);
+    (List.length p.Experiments.Scenario.flows) (Spec.num_vms spec);
   Printf.printf "cache           %d%% of VIP space (%d entries total)\n"
     cache_pct (Spec.cache_slots spec (Spec.Pct cache_pct));
   print_metrics r;
@@ -325,7 +324,8 @@ let cmds =
     dst_cmd;
     fig5_cmd "fig5a" Spec.Hadoop "Figure 5a: Hadoop cache sweep.";
     fig5_cmd "fig5b" Spec.Microbursts "Figure 5b: Microbursts cache sweep.";
-    fig5_cmd "fig5c" Spec.Websearch "Figure 5c: WebSearch cache sweep.";
+    fig5_cmd "fig5c" Spec.Websearch
+      "Figure 5c: WebSearch cache sweep, with the Controller baseline.";
     fig5_cmd "fig5d" Spec.Video "Figure 5d: Video cache sweep.";
     fig5_cmd "fig6" Spec.Alibaba "Figure 6: Alibaba on FT16.";
     artifact_cmd "fig7" "Figures 7/8: per-pod and per-switch bytes." (fun scale pct ->

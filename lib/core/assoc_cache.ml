@@ -11,7 +11,6 @@ type t = {
   mutable occupancy : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evicted_pip : int; (* PIP of the last insert's victim *)
 }
 
 let create ~ways ~slots =
@@ -30,7 +29,6 @@ let create ~ways ~slots =
     occupancy = 0;
     hits = 0;
     misses = 0;
-    evicted_pip = -1;
   }
 
 let slots t = t.n
@@ -69,42 +67,6 @@ let lookup t vip =
     r
   end
 
-let peek t vip =
-  if t.n = 0 then None
-  else
-    let set = t.sets.(set_of t vip) in
-    let k = Vip.to_int vip in
-    let rec find i =
-      if i >= t.ways then None
-      else if set.(i).key = k then Some (Pip.of_int set.(i).value)
-      else find (i + 1)
-    in
-    find 0
-
-(* The key an [insert] for [vip] would evict right now: the set's LRU
-   occupant, or -1 when the insert would be an update or the set still
-   has an empty line. *)
-let victim_key t vip =
-  if t.n = 0 then -1
-  else begin
-    let set = t.sets.(set_of t vip) in
-    let k = Vip.to_int vip in
-    let present = ref false and has_empty = ref false in
-    Array.iter
-      (fun l ->
-        if l.key = k then present := true;
-        if l.key < 0 then has_empty := true)
-      set;
-    if !present || !has_empty then -1
-    else begin
-      let victim = ref set.(0) in
-      Array.iter (fun l -> if l.stamp < !victim.stamp then victim := l) set;
-      !victim.key
-    end
-  end
-
-let evicted_pip t = Pip.of_int t.evicted_pip
-
 let insert t vip pip =
   if t.n = 0 then Cache.ins_rejected
   else begin
@@ -125,7 +87,6 @@ let insert t vip pip =
             Cache.ins_fresh
         | None ->
             Array.iter (fun l -> if l.stamp < !target.stamp then target := l) set;
-            t.evicted_pip <- !target.value;
             !target.key
     in
     !target.key <- k;

@@ -31,26 +31,12 @@ val lookup : t -> Netcore.Addr.Vip.t -> int
 
 val hit_pip : int -> Netcore.Addr.Pip.t
 
-(** [peek t vip] is a side-effect-free lookup: no LRU refresh, no
-    counter updates (tests and the TinyLFU front end). *)
-val peek : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t option
-
-(** [victim_key t vip] is the key (as an int) an {!insert} for [vip]
-    would evict right now — the set's LRU occupant — or [-1] when the
-    insert would be an update or the set has an empty line. *)
-val victim_key : t -> Netcore.Addr.Vip.t -> int
-
 (** [insert t vip pip] — installs the mapping, evicting the set's
     least-recently-used line if full. Re-inserting an existing key
     refreshes value and recency. Returns {!Cache.insert}'s int code:
-    {!Cache.ins_updated}, {!Cache.ins_fresh}, or the evicted VIP with
-    its PIP in {!evicted_pip}; a zero-slot cache returns
-    {!Cache.ins_rejected}. *)
+    {!Cache.ins_updated}, {!Cache.ins_fresh}, or the evicted VIP; a
+    zero-slot cache returns {!Cache.ins_rejected}. *)
 val insert : t -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> int
-
-(** [evicted_pip t] is the PIP of the line evicted by the most recent
-    {!insert} that returned a VIP. *)
-val evicted_pip : t -> Netcore.Addr.Pip.t
 
 val occupancy : t -> int
 val hits : t -> int

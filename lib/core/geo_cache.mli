@@ -1,5 +1,6 @@
 (** The per-switch V2P cache: the access-bit {!Cache} table, bare or
-    behind a {!Tinylfu} frequency-admission filter.
+    behind a {!Tinylfu} frequency-admission filter that this module
+    runs over the table.
 
     The dataplane holds [Geo_cache.t] values and builds them from
     {!Config.t}'s [ways] and [tinylfu] fields; every operation is a
@@ -14,24 +15,32 @@
     {!Cache.ins_updated}, {!Cache.ins_fresh}, or the evicted VIP with
     its PIP in {!evicted_pip}. *)
 
-(** [Lfu]'s [table] is its filter's backing. Private: {!create} is the
-    only constructor, so the two always agree. *)
+(** [Lfu]'s [sketch] is sized for its [table]. Private: {!create} is
+    the only constructor, so the two always agree. *)
 type t = private
   | Plain of Cache.t
-  | Lfu of { filter : Tinylfu.t; table : Cache.t }
+  | Lfu of { sketch : Tinylfu.t; table : Cache.t }
 
 (** [create ~ways ~tinylfu ~slots] — the cache for one tenant
     partition: a [ways]-way table of [slots] lines rounded down to a
-    multiple of [ways]; [tinylfu] wraps it in a {!Tinylfu} filter with
-    default sketch sizing. Raises [Invalid_argument] if [ways <= 0]. *)
+    multiple of [ways]; [tinylfu] puts a {!Tinylfu} filter sized for
+    those lines in front of it. Raises [Invalid_argument] if
+    [ways <= 0]. *)
 val create : ways:int -> tinylfu:bool -> slots:int -> t
 
 (** [table t] is the access-bit table under any filter: the cache's
     lines, occupancy and hit/miss/insertion/eviction counters. *)
 val table : t -> Cache.t
 
+(** [lookup t vip] — under TinyLFU, counts the access in the sketch
+    first. *)
 val lookup : t -> Netcore.Addr.Vip.t -> int
 
+(** [insert t ~admission vip pip] — under TinyLFU, counts the
+    candidate, then inserts only if {!Tinylfu.admit} passes it against
+    {!Cache.victim_key}'s would-be victim; a denial returns
+    {!Cache.ins_rejected} and leaves the table untouched. [admission]
+    is the table's own policy. *)
 val insert :
   t -> admission:Cache.admission -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> int
 

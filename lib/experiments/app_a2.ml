@@ -5,37 +5,49 @@ type t = { cache_pcts : int list; series : (string * cell array) list }
 
 module Spec = Netsim.Scenario
 
+(* One spec: the NoCache baseline, then each series' cache sizes in
+   order, all run through the worker pool. *)
 let run ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200 ]) () =
-  let spec =
-    Spec.make ~name:"appA2" ~topo:(Spec.preset `FT8 scale)
-      ~streams:[ Spec.stream Spec.Websearch ] []
-  in
-  let exec kind = Scenario.run_scheme spec (Spec.scheme kind) in
-  let base = exec Spec.Nocache in
-  let swept name make =
-    ( name,
-      Array.of_list
-        (List.map
-           (fun pct ->
-             let r = exec (make (Spec.Pct pct)) in
-             {
-               hit = r.Runner.hit_rate;
-               fct_x =
-                 Runner.improvement ~baseline:base.Runner.mean_fct
-                   ~v:r.Runner.mean_fct;
-             })
-           cache_pcts) )
-  in
   let controller interval slots = Spec.Controller { slots; interval } in
   let series =
     [
-      swept "Controller-150us" (controller (Time_ns.of_us 150));
-      swept "Controller-300us" (controller (Time_ns.of_us 300));
-      swept "SwitchV2P" (fun sl -> Spec.switchv2p sl);
-      swept "GwCache" (fun sl -> Spec.Gwcache sl);
+      ("Controller-150us", controller (Time_ns.of_us 150));
+      ("Controller-300us", controller (Time_ns.of_us 300));
+      ("SwitchV2P", fun sl -> Spec.switchv2p sl);
+      ("GwCache", fun sl -> Spec.Gwcache sl);
     ]
   in
-  { cache_pcts; series }
+  let spec =
+    Spec.make ~name:"appA2" ~topo:(Spec.preset `FT8 scale)
+      ~streams:[ Spec.stream Spec.Websearch ]
+      (Spec.scheme ~label:"NoCache" Spec.Nocache
+      :: List.concat_map
+           (fun (name, mk) ->
+             List.map
+               (fun pct ->
+                 Spec.scheme ~label:(Printf.sprintf "%s@%d%%" name pct)
+                   (mk (Spec.Pct pct)))
+               cache_pcts)
+           series)
+  in
+  match Parallel.map (Scenario.tasks spec) with
+  | [] -> assert false
+  | base :: rest ->
+      let rest = Array.of_list rest and n = List.length cache_pcts in
+      let cell (r : Runner.result) =
+        {
+          hit = r.Runner.hit_rate;
+          fct_x =
+            Runner.improvement ~baseline:base.Runner.mean_fct ~v:r.Runner.mean_fct;
+        }
+      in
+      {
+        cache_pcts;
+        series =
+          List.mapi
+            (fun i (name, _) -> (name, Array.map cell (Array.sub rest (i * n) n)))
+            series;
+      }
 
 let print t =
   let header =

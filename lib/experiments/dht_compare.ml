@@ -11,82 +11,58 @@ type row = {
 
 type t = { healthy : row list; under_failure : row list }
 
+let row ~(base : Runner.result) (r : Runner.result) =
+  {
+    scheme = r.Runner.scheme;
+    fct_x = Runner.improvement ~baseline:base.Runner.mean_fct ~v:r.Runner.mean_fct;
+    stretch = r.Runner.stretch;
+    gw_packets = r.Runner.gw_packets;
+    extra = r.Runner.extra;
+  }
+
+(* Two specs over one topology and workload: the healthy fabric, and
+   the same fabric with every spine failing (a [switchfail] per spine)
+   halfway through the flow arrivals. *)
 let run ?(scale = `Small) ?(cache_pct = 50) () =
-  let spec =
-    Spec.make ~name:"dht" ~topo:(Spec.preset `FT8 scale)
-      ~streams:[ Spec.stream Spec.Hadoop ] []
+  let compared =
+    [ Spec.scheme Spec.Dht; Spec.scheme (Spec.switchv2p (Spec.Pct cache_pct)) ]
   in
-  let setup = Scenario.realize spec in
-  let topo = setup.Setup.topo in
-  let slots = Spec.cache_slots spec (Spec.Pct cache_pct) in
-  let flows = Spec.flows spec in
-  let until = Spec.horizon spec ~flows in
+  let healthy =
+    Spec.make ~name:"dht" ~topo:(Spec.preset `FT8 scale)
+      ~streams:[ Spec.stream Spec.Hadoop ]
+      (Spec.scheme Spec.Nocache :: compared)
+  in
   let last_start =
     List.fold_left
       (fun acc (f : Netcore.Flow.t) ->
         max acc (Time_ns.to_ns f.Netcore.Flow.start))
-      0 flows
+      0 (Spec.flows healthy)
   in
-  let base = Runner.run setup ~scheme:(Schemes.Baselines.nocache ()) ~flows ~migrations:[] ~until in
-  let row (r : Runner.result) =
+  let at = Time_ns.of_ns (last_start / 2) in
+  let spines = Topo.Topology.spines (Scenario.realize healthy).Setup.topo in
+  let failed =
     {
-      scheme = r.Runner.scheme;
-      fct_x = Runner.improvement ~baseline:base.Runner.mean_fct ~v:r.Runner.mean_fct;
-      stretch = r.Runner.stretch;
-      gw_packets = r.Runner.gw_packets;
-      extra = r.Runner.extra;
+      healthy with
+      Spec.name = "dht-failed";
+      faults =
+        Spec.Literal
+          {
+            Dessim.Fault.empty with
+            specs =
+              Array.map
+                (fun sw -> { Dessim.Fault.at; action = Dessim.Fault.Switch_fail sw })
+                spines;
+          };
+      schemes = compared;
     }
   in
-  let run_v2p ~fail =
-    let scheme, dp =
-      Schemes.Switchv2p_scheme.make_with_dataplane topo ~total_cache_slots:slots
-    in
-    let net = Netsim.Network.create topo ~scheme in
-    if fail then
-      Dessim.Engine.schedule (Netsim.Network.engine net)
-        ~at:(Time_ns.of_ns (last_start / 2))
-        (fun () ->
-          Array.iter
-            (fun sw -> Switchv2p.Dataplane.fail_switch dp ~switch:sw)
-            (Topo.Topology.spines topo));
-    Netsim.Network.run net flows ~migrations:[] ~until;
-    let m = Netsim.Network.metrics net in
-    {
-      scheme = "SwitchV2P";
-      fct_x =
-        Runner.improvement ~baseline:base.Runner.mean_fct
-          ~v:(Netsim.Metrics.mean_fct m);
-      stretch = Netsim.Metrics.mean_stretch m;
-      gw_packets = Netsim.Metrics.gateway_packets m;
-      extra = scheme.Netsim.Scheme.stats ();
-    }
-  in
-  let run_dht ~fail =
-    let scheme, control = Schemes.Dht_store.make_with_control topo in
-    let net = Netsim.Network.create topo ~scheme in
-    if fail then
-      Dessim.Engine.schedule (Netsim.Network.engine net)
-        ~at:(Time_ns.of_ns (last_start / 2))
-        (fun () ->
-          Array.iter
-            (fun sw -> Schemes.Dht_store.fail_switch control ~switch:sw)
-            (Topo.Topology.spines topo));
-    Netsim.Network.run net flows ~migrations:[] ~until;
-    let m = Netsim.Network.metrics net in
-    {
-      scheme = "DhtStore";
-      fct_x =
-        Runner.improvement ~baseline:base.Runner.mean_fct
-          ~v:(Netsim.Metrics.mean_fct m);
-      stretch = Netsim.Metrics.mean_stretch m;
-      gw_packets = Netsim.Metrics.gateway_packets m;
-      extra = scheme.Netsim.Scheme.stats ();
-    }
-  in
-  {
-    healthy = [ row base; run_dht ~fail:false; run_v2p ~fail:false ];
-    under_failure = [ run_dht ~fail:true; run_v2p ~fail:true ];
-  }
+  match Parallel.map (Scenario.tasks healthy @ Scenario.tasks failed) with
+  | [ base; dht; v2p; dht_failed; v2p_failed ] ->
+      {
+        healthy = List.map (row ~base) [ base; dht; v2p ];
+        under_failure = List.map (row ~base) [ dht_failed; v2p_failed ];
+      }
+  | _ -> assert false
 
 let fmt_rows rows =
   List.map

@@ -23,11 +23,19 @@ let traces = Spec.[ Hadoop; Websearch; Alibaba; Microbursts; Video ]
 let preset ?seed scale kind =
   Spec.preset ?seed (match kind with Spec.Alibaba -> `FT16 | _ -> `FT8) scale
 
+(* The paper runs the Controller baseline on WebSearch only (Figure
+   5c), over 1-200% of the VIP space; every other sweep reaches
+   1500%. *)
+let with_controller kind = kind = Spec.Websearch
+
+let default_pcts kind =
+  if with_controller kind then [ 1; 10; 50; 200 ] else [ 1; 10; 50; 200; 1500 ]
+
 (* The sweep's shape: one NoCache baseline, then per-scheme series
    that are either swept across cache sizes or cache-independent
    (fixed). Scheme-spec order in the scenario is exactly this task
    order. *)
-let series_shape ~with_controller =
+let series_shape kind =
   [
     `Swept ("LocalLearning", fun sl -> Spec.Locallearning sl);
     `Swept ("GwCache", fun sl -> Spec.Gwcache sl);
@@ -37,7 +45,7 @@ let series_shape ~with_controller =
     `Swept ("SwitchV2P", fun sl -> Spec.switchv2p sl);
   ]
   @
-  if with_controller then
+  if with_controller kind then
     [
       `Swept
         ( "Controller",
@@ -46,8 +54,8 @@ let series_shape ~with_controller =
     ]
   else []
 
-let scenario ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200; 1500 ])
-    ?(with_controller = false) kind =
+let scenario ?(scale = `Small) ?cache_pcts kind =
+  let cache_pcts = Option.value cache_pcts ~default:(default_pcts kind) in
   let swept name mk =
     List.map
       (fun pct ->
@@ -60,7 +68,7 @@ let scenario ?(scale = `Small) ?(cache_pcts = [ 1; 10; 50; 200; 1500 ])
          (function
            | `Fixed (name, kind) -> [ Spec.scheme ~label:name kind ]
            | `Swept (name, mk) -> swept name mk)
-         (series_shape ~with_controller)
+         (series_shape kind)
   in
   Spec.make ~name:(trace_name kind)
     ~topo:(preset scale kind)
@@ -87,9 +95,9 @@ let cell_of kind ~(nocache : Runner.result) (r : Runner.result) =
         ~v:r.Runner.mean_fpl;
   }
 
-let run ?scale ?(cache_pcts = [ 1; 10; 50; 200; 1500 ]) ?(with_controller = false)
-    kind =
-  let spec = scenario ?scale ~cache_pcts ~with_controller kind in
+let run ?scale ?cache_pcts kind =
+  let cache_pcts = Option.value cache_pcts ~default:(default_pcts kind) in
+  let spec = scenario ?scale ~cache_pcts kind in
   match Parallel.map (Scenario.tasks spec) with
   | [] -> assert false
   | nocache :: rest ->
@@ -122,7 +130,7 @@ let run ?scale ?(cache_pcts = [ 1; 10; 50; 200; 1500 ]) ?(with_controller = fals
         kind;
         cache_pcts;
         nocache;
-        series = assemble (series_shape ~with_controller) rest;
+        series = assemble (series_shape kind) rest;
       }
 
 let print t =

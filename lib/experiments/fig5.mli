@@ -20,25 +20,24 @@ type t = {
   series : (string * cell array) list;
 }
 
-(** [scenario ?scale ?cache_pcts ?with_controller kind] — the whole
-    sweep as one declarative {!Netsim.Scenario} spec: the trace's
-    topology and workload, with one scheme alternative per (scheme,
-    cache size) point in task order. {!run} is exactly this spec
-    executed. *)
+(** [scenario ?scale ?cache_pcts kind] — the whole sweep as one
+    declarative {!Netsim.Scenario} spec: the trace's topology and
+    workload, with one scheme alternative per (scheme, cache size)
+    point in task order. {!run} is exactly this spec executed. *)
 val scenario :
   ?scale:Netsim.Scenario.scale ->
   ?cache_pcts:int list ->
-  ?with_controller:bool ->
   Netsim.Scenario.trace ->
   Netsim.Scenario.t
 
-(** [run ?scale ?cache_pcts ?with_controller kind] executes the sweep.
-    [with_controller] adds the (expensive) Controller baseline, as the
-    paper does for WebSearch only. Alibaba uses the FT16 topology. *)
+(** [run ?scale ?cache_pcts kind] executes the paper's sweep for
+    [kind]. WebSearch (Figure 5c) adds the (expensive) Controller
+    baseline and defaults to 1-200% of the VIP space, as the paper
+    does; every other trace defaults to 1-1500%. Alibaba uses the
+    FT16 topology. *)
 val run :
   ?scale:Netsim.Scenario.scale ->
   ?cache_pcts:int list ->
-  ?with_controller:bool ->
   Netsim.Scenario.trace ->
   t
 

@@ -44,11 +44,22 @@ let shards_of (spec : Spec.t) =
   let (Spec.Shards n) = spec.Spec.shards in
   n
 
-let run_scheme ?report_name (spec : Spec.t) (s : Spec.scheme_spec) =
+type prepared = {
+  spec : Spec.t;
+  setup : Setup.t;
+  flows : Netcore.Flow.t list;
+  until : Time_ns.t;
+  faults : Dessim.Fault.plan option;
+}
+
+let prepare (spec : Spec.t) =
   let setup = realize spec in
   let flows = Spec.flows spec in
   let until = Spec.horizon spec ~flows in
-  let faults = Spec.fault_plan spec setup.Setup.topo ~until in
+  { spec; setup; flows; until; faults = Spec.fault_plan spec setup.Setup.topo ~until }
+
+let run_prepared ?report_name p (s : Spec.scheme_spec) =
+  let { spec; setup; flows; until; faults } = p in
   let net_config = Spec.net_config spec in
   let shards = shards_of spec in
   if shards <= 1 then
@@ -59,6 +70,8 @@ let run_scheme ?report_name (spec : Spec.t) (s : Spec.scheme_spec) =
       (Runner.run_sharded ~net_config ?faults ~shards setup
          ~fresh_scheme:(fun ~shard:_ -> build_scheme spec setup s)
          ~flows ~migrations:[] ~until)
+
+let run_scheme ?report_name spec s = run_prepared ?report_name (prepare spec) s
 
 let task_name (spec : Spec.t) s = spec.Spec.name ^ "/" ^ label spec s
 

@@ -31,10 +31,26 @@ val task_name : Netsim.Scenario.t -> Netsim.Scenario.scheme_spec -> string
 (** The spec's shard count: domains per run. *)
 val shards_of : Netsim.Scenario.t -> int
 
-(** [run_scheme ?report_name spec s] — one scheme alternative, end to
-    end: realize topology and flows, resolve the horizon, install the
-    fault plan (with any container-churn episode compiled in), run
-    unsharded or sharded per the spec. *)
+(** A spec's run inputs, realized on the calling domain: topology,
+    flows, horizon, and the fault plan with any container-churn
+    episode compiled in. *)
+type prepared = private {
+  spec : Netsim.Scenario.t;
+  setup : Setup.t;
+  flows : Netcore.Flow.t list;
+  until : Dessim.Time_ns.t;
+  faults : Dessim.Fault.plan option;
+}
+
+val prepare : Netsim.Scenario.t -> prepared
+
+(** [run_prepared ?report_name p s] runs one scheme alternative over
+    [p]'s inputs, unsharded or sharded per the spec. *)
+val run_prepared :
+  ?report_name:string -> prepared -> Netsim.Scenario.scheme_spec -> Runner.result
+
+(** [run_scheme ?report_name spec s] is [run_prepared (prepare spec) s]:
+    one scheme alternative, end to end. *)
 val run_scheme :
   ?report_name:string ->
   Netsim.Scenario.t ->

@@ -142,8 +142,9 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-(* Mirrors [Switchv2p.Tinylfu.create]'s defaults: 4 rows of the next
-   power of two >= max 16 (4 * slots) 4-bit counters. *)
+(* ~4 counters per cached line per row (the classic "sketch much
+   larger than the cache" sizing), floor 16 so tiny caches still
+   discriminate. *)
 let sketch_of_slots slots =
   if slots < 0 then invalid_arg "Resources.sketch_of_slots: negative slots";
   { rows = 4; width = next_pow2 (max 16 (4 * slots)) }

@@ -77,9 +77,11 @@ type geometry = G_table of int | G_assoc of int
 (** TinyLFU sketch dimensions: [rows * width] 4-bit counters. *)
 type sketch = { rows : int; width : int }
 
-(** [sketch_of_slots slots] — the default sketch
-    [Switchv2p.Tinylfu.create] builds for a [slots]-line backing:
-    4 rows of the next power of two >= [max 16 (4 * slots)]. *)
+(** [sketch_of_slots slots] — the sketch a TinyLFU filter in front of
+    a [slots]-line cache holds ([Switchv2p.Tinylfu.create] builds
+    exactly this): 4 rows of the next power of two
+    >= [max 16 (4 * slots)]. Raises [Invalid_argument] on negative
+    [slots]. *)
 val sketch_of_slots : int -> sketch
 
 (** ["direct"] (one-way table), ["dleftW"], ["Wway-lru"] — frontier

@@ -62,6 +62,7 @@ let make_with_control topo =
         (fun _env ~host:_ ~flow_id:_ ~dst_vip:_ -> Scheme.Resolution.via_gateway);
       pipeline =
         Pipeline.make
+          ~reset:(fun ~switch -> fail_switch c ~switch)
           [
             Pipeline.stage ~kind:Pipeline.Lookup "dht-partition"
               (fun env ~switch ~from pkt ->

@@ -27,7 +27,8 @@ type control
 val make_with_control : Topo.Topology.t -> Netsim.Scheme.t * control
 
 (** [fail_switch c ~switch] drops the switch's partition; packets
-    homed there fall back to the gateways until {!repopulate}. *)
+    homed there fall back to the gateways until {!repopulate}. The
+    scheme's pipeline calls it on a {!Dessim.Fault.Switch_fail}. *)
 val fail_switch : control -> switch:int -> unit
 
 (** [repopulate c ~switch] — the control plane reinstalls the lost

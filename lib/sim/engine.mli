@@ -23,8 +23,8 @@
     - the control-plane detour of the Bluebird baseline
       ([Schemes.Baselines.bluebird]), two per detoured packet: the
       miss path of a baseline, not of SwitchV2P;
-    - experiments that probe a running network
-      ([Experiments.Resilience], [Experiments.Dht_compare]).
+    - the recovery probe of [Experiments.Resilience], which samples
+      a running network.
     {!thunks_scheduled} counts them. *)
 
 type t

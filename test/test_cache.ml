@@ -196,7 +196,6 @@ let test_assoc_lru_eviction () =
   ignore (Assoc.insert c (vip 2) (pip 2) : int);
   ignore (Assoc.lookup c (vip 1)) (* 1 is now the most recent *);
   checki "evicts 2" 2 (Assoc.insert c (vip 3) (pip 3));
-  checki "evicted PIP" 2 (Pip.to_int (Assoc.evicted_pip c));
   checkb "recent survives" true (Assoc.lookup c (vip 1) <> Assoc.miss);
   checkb "lru evicted" true (Assoc.lookup c (vip 2) = Assoc.miss);
   checkb "new present" true (Assoc.lookup c (vip 3) <> Assoc.miss)
@@ -252,7 +251,7 @@ let assoc_lru_model_qcheck =
             in
             let got = Assoc.insert c (vip k) (pip k) in
             model_insert k k;
-            got = expect && (got < 0 || Pip.to_int (Assoc.evicted_pip c) = got)
+            got = expect
           end
           else
             let got = Assoc.lookup c (vip k) in
@@ -282,7 +281,6 @@ let assoc_ways1_equiv_direct_qcheck =
             let ra = Assoc.insert ac (vip k) (pip v) in
             let delta = Assoc.occupancy ac - occ_before in
             r = ra
-            && (r < 0 || Pip.equal (Cache.evicted_pip dm) (Assoc.evicted_pip ac))
             && (if r = Cache.ins_fresh then delta = 1
                 else if r >= 0 || r = Cache.ins_updated then delta = 0
                 else false)
@@ -312,13 +310,14 @@ let minor_words f =
 
 let n_alloc = 10_000
 
-type op = Lookup_hit | Lookup_miss | Insert_fresh | Insert_evict
+type op = Lookup_hit | Lookup_miss | Insert_fresh | Insert_evict | Insert_deny
 
 let op_name = function
   | Lookup_hit -> "lookup hit"
   | Lookup_miss -> "lookup miss"
   | Insert_fresh -> "insert-fresh"
   | Insert_evict -> "insert-evict"
+  | Insert_deny -> "insert-deny"
 
 (* A table whose key-0 bucket holds [ways] full colliders (every way
    occupied), plus two more colliders [a] and [b] left out of it. *)
@@ -360,6 +359,80 @@ let test_op_allocation_free op ways () =
             for i = 1 to n_alloc do
               let k = if i land 1 = 0 then a else b in
               if Cache.insert c ~admission:`All k p >= 0 then incr expect
+            done)
+    | Insert_deny -> invalid_arg "the bare table has no filter to deny"
+  in
+  checki (op_name op ^ " every time") n_alloc !expect;
+  Alcotest.check (Alcotest.float 0.0) "minor words over 10k ops" 0.0 words
+
+(* The same ops through [Geo_cache]'s TinyLFU arm, whose sketch count
+   (and, every sample period, halving), victim probe and estimate
+   comparison ride on them, plus the filter's denial. The key-0 bucket
+   holds [ways] colliders; [pool] more colliders stay out of it. *)
+let test_lfu_op_allocation_free op ways () =
+  let module Geo = Switchv2p.Geo_cache in
+  let sub = 8 and pool = 128 in
+  let c = Geo.create ~ways ~tinylfu:true ~slots:(ways * sub) in
+  let ks = Array.of_list (List.map vip (Collide.keys ~ways ~sub (ways + 1 + pool))) in
+  (* ks.(0) lands in way 0's line, ks.(w) in way w's. *)
+  for w = 0 to ways - 1 do
+    ignore (Geo.insert c ~admission:`All ks.(w) (pip 7))
+  done;
+  let hot = ks.(ways) and cold i = ks.(ways + 1 + (i land (pool - 1))) in
+  let p = pip 7 in
+  let expect = ref 0 in
+  let words =
+    match op with
+    | Lookup_hit ->
+        minor_words (fun () ->
+            for _ = 1 to n_alloc do
+              if Geo.lookup c ks.(0) <> Cache.miss then incr expect
+            done)
+    | Lookup_miss ->
+        minor_words (fun () ->
+            for _ = 1 to n_alloc do
+              if Geo.lookup c hot = Cache.miss then incr expect
+            done)
+    | Insert_fresh ->
+        ignore (Geo.invalidate c ks.(0) ~stale:p);
+        minor_words (fun () ->
+            for _ = 1 to n_alloc do
+              if Geo.insert c ~admission:`All hot p = Cache.ins_fresh then incr expect;
+              ignore (Geo.invalidate c hot ~stale:p)
+            done)
+    | Insert_evict ->
+        (* With every access bit clear, way 0's occupant is the victim.
+           Each round the hot key evicts it, leaves, and a cold key
+           fills the freed line, so the next round evicts again; the
+           cold keys, each touched once per [pool] rounds, stay below
+           the hot key's estimate. *)
+        ignore (Geo.invalidate c ks.(0) ~stale:p);
+        ignore (Geo.insert c ~admission:`All (cold 0) p);
+        for _ = 1 to 15 do
+          ignore (Geo.lookup c hot)
+        done;
+        minor_words (fun () ->
+            for i = 1 to n_alloc do
+              if
+                Geo.insert c ~admission:`All hot p >= 0
+                && Geo.invalidate c hot ~stale:p
+                && Geo.insert c ~admission:`All (cold i) p = Cache.ins_fresh
+              then incr expect
+            done)
+    | Insert_deny ->
+        (* Set every occupant's access bit (a lookup clears the bits of
+           the ways it probes before the hit, so the last way goes
+           first): an insert's victim is then way 0's occupant, which a
+           hit each round keeps hotter than any cold candidate. *)
+        for w = ways - 1 downto 0 do
+          ignore (Geo.lookup c ks.(w))
+        done;
+        minor_words (fun () ->
+            for i = 1 to n_alloc do
+              if
+                Geo.lookup c ks.(0) <> Cache.miss
+                && Geo.insert c ~admission:`All (cold i) p = Cache.ins_rejected
+              then incr expect
             done)
   in
   checki (op_name op ^ " every time") n_alloc !expect;
@@ -453,7 +526,19 @@ let () =
                   `Quick
                   (test_op_allocation_free op ways))
               [ Lookup_hit; Lookup_miss; Insert_fresh; Insert_evict ])
-          [ 1; 4 ] );
+          [ 1; 4 ]
+        @ List.concat_map
+            (fun ways ->
+              List.map
+                (fun op ->
+                  Alcotest.test_case
+                    (Printf.sprintf "tinylfu %s, %d way%s allocation-free"
+                       (op_name op) ways
+                       (if ways = 1 then "" else "s"))
+                    `Quick
+                    (test_lfu_op_allocation_free op ways))
+                [ Lookup_hit; Lookup_miss; Insert_fresh; Insert_evict; Insert_deny ])
+            [ 1; 4 ] );
       ( "ts_vector",
         [
           Alcotest.test_case "suppression" `Quick test_ts_vector_suppression;

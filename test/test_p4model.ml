@@ -126,7 +126,7 @@ let test_geometry_bits_structure () =
   checkib "sketch bits in learn"
     ((slots * 1) + (4 * 256 * 4))
     (R.stage_bits ~slots ~sketch (R.G_table 1) R.Learn);
-  (* Default sketch sizing mirrors Tinylfu.create. *)
+  (* The sketch sizing rule TinyLFU filters are built with. *)
   let s = R.sketch_of_slots 96 in
   checkib "default rows" 4 s.R.rows;
   checkib "default width is next pow2 of 4*slots" 512 s.R.width

@@ -329,6 +329,30 @@ let test_dht_failure_falls_back_to_gateway () =
   checki "no gateway traffic after repair" 0
     (Metrics.gateway_packets (Network.metrics net2))
 
+(* A [Switch_fail] fault on the home switch loses its partition just
+   as [fail_switch] does: the fault layer reaches it through the
+   pipeline's reset hook. *)
+let test_dht_switchfail_fault_loses_partition () =
+  let t = topo () in
+  let scheme, c = Schemes.Dht_store.make_with_control t in
+  let home = Schemes.Dht_store.home_of c (Vip.of_int 8) in
+  let net = Network.create t ~scheme in
+  Network.install_faults net
+    {
+      Dessim.Fault.empty with
+      specs = [| { Dessim.Fault.at = 0; action = Dessim.Fault.Switch_fail home } |];
+    };
+  Network.run net
+    [
+      Flow.make ~id:0 ~src_vip:(Vip.of_int 0) ~dst_vip:(Vip.of_int 8)
+        ~size_bytes:(10 * Packet.mtu) ~start:(Time_ns.of_us 1) Flow.Tcpish;
+    ]
+    ~migrations:[] ~until:(Time_ns.of_ms 50);
+  let m = Network.metrics net in
+  checki "flow still completes" 1 (Metrics.flows_completed m);
+  checkb "fallbacks counted" true (Schemes.Dht_store.fallbacks c > 0);
+  checkb "traffic diverted to gateways" true (Metrics.gateway_packets m > 0)
+
 let test_dht_home_is_stable_hash () =
   let t = topo () in
   let _, c1 = Schemes.Dht_store.make_with_control t in
@@ -712,6 +736,8 @@ let () =
           Alcotest.test_case "home resolution" `Quick test_dht_home_resolution;
           Alcotest.test_case "failure falls back" `Quick
             test_dht_failure_falls_back_to_gateway;
+          Alcotest.test_case "switchfail fault loses the partition" `Quick
+            test_dht_switchfail_fault_loses_partition;
           Alcotest.test_case "stable homes" `Quick test_dht_home_is_stable_hash;
         ] );
       ( "bluebird",
