@@ -125,10 +125,12 @@ let run_scenario_file file =
       Printf.eprintf "%s: %s\n" file (Spec.error_to_string e);
       exit 1
   | Ok (spec, results) ->
+      (* Every run realizes the same flow list; a spec has >= 1 scheme. *)
+      let flows =
+        match results with (_, r) :: _ -> r.Experiments.Runner.flows | [] -> 0
+      in
       Printf.printf "scenario        %s (%d flows, %d schemes)\n"
-        spec.Spec.name
-        (List.length (Spec.flows spec))
-        (List.length results);
+        spec.Spec.name flows (List.length results);
       List.iter
         (fun (name, r) ->
           Printf.printf "--- %s ---\n" name;

@@ -14,6 +14,7 @@ type result = {
   drops_by_kind : (string * int) list;
   drops_by_site : (string * int) list;
   misdelivered : int;
+  flows : int;
   flows_started : int;
   flows_completed : int;
   stretch : float;
@@ -80,7 +81,7 @@ let results_json (r : result) =
 
 (* The result row of a finished run. [extra] is the scheme's own
    stats ([] where they do not merge across shards). *)
-let result_of ~scheme ~topo ~reordering_events ~extra m =
+let result_of ~scheme ~topo ~flows ~reordering_events ~extra m =
   let pods = (Topo.Topology.params topo).Topo.Params.pods in
   {
     scheme;
@@ -94,6 +95,7 @@ let result_of ~scheme ~topo ~reordering_events ~extra m =
     drops_by_kind = Netsim.Metrics.drops_by_kind m;
     drops_by_site = Netsim.Metrics.drops_by_site m;
     misdelivered = Netsim.Metrics.misdelivered_packets m;
+    flows = List.length flows;
     flows_started = Netsim.Metrics.flows_started m;
     flows_completed = Netsim.Metrics.flows_completed m;
     stretch = Netsim.Metrics.mean_stretch m;
@@ -129,7 +131,7 @@ let run ?net_config ?report_name ?faults (setup : Setup.t) ~scheme ~flows
   Option.iter (Netsim.Network.install_faults net) faults;
   Netsim.Network.run net flows ~migrations ~until;
   let result =
-    result_of ~scheme:scheme.Netsim.Scheme.name ~topo:setup.Setup.topo
+    result_of ~scheme:scheme.Netsim.Scheme.name ~topo:setup.Setup.topo ~flows
       ~reordering_events:
         (Netsim.Transport.reordering_events (Netsim.Network.transport net))
       ~extra:(scheme.Netsim.Scheme.stats ())
@@ -169,7 +171,7 @@ let run_sharded ?net_config ?faults ~shards (setup : Setup.t) ~fresh_scheme
       ~fresh_scheme ~flows ~migrations ~until
   in
   let result =
-    result_of ~scheme:!scheme_name ~topo:setup.Setup.topo
+    result_of ~scheme:!scheme_name ~topo:setup.Setup.topo ~flows
       ~reordering_events:(Netsim.Parnet.reordering_events par) ~extra:[]
       (Netsim.Parnet.metrics par)
   in

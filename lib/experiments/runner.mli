@@ -14,6 +14,7 @@ type result = {
   drops_by_site : (string * int) list;
       (** link_buffer / failed_switch / gateway_miss / host_miss *)
   misdelivered : int;
+  flows : int;  (** flows in the workload the run was given *)
   flows_started : int;
   flows_completed : int;
   stretch : float;

@@ -104,10 +104,16 @@ let reset t ~id ~flow_id ~kind ~size ~seq ~src_vip ~dst_vip ~src_pip ~dst_pip
   t.mapping_pip <- -1;
   t.sent_at <- now
 
-let blank () =
+let fresh () =
   base ~id:(-1) ~flow_id:(-1) ~kind:Data ~size:0 ~seq:0
     ~src_vip:(Addr.Vip.of_int 0) ~dst_vip:(Addr.Vip.of_int 0)
     ~src_pip:Addr.Pip.none ~dst_pip:Addr.Pip.none ~now:0
+
+(* Every field is an immediate, so the copy pins nothing young. *)
+external copy_major : t -> t = "netcore_packet_copy_major"
+
+let template = fresh ()
+let blank () = copy_major template
 
 let make_data ~id ~flow_id ~seq ~size ~src_vip ~dst_vip ~src_pip ~dst_pip ~now
     =
@@ -132,7 +138,7 @@ let reset_control t ~id ~kind ~mapping_vip ~mapping_pip ~src_pip ~dst_pip ~now =
 
 let make_control ~id ~kind ~mapping:(mapping_vip, mapping_pip) ~src_pip
     ~dst_pip ~now =
-  let p = blank () in
+  let p = fresh () in
   reset_control p ~id ~kind ~mapping_vip ~mapping_pip ~src_pip ~dst_pip ~now;
   p
 

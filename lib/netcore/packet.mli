@@ -119,7 +119,14 @@ val make_ack :
   t
 
 (** [blank ()] is a packet to be filled by {!reset} or
-    {!reset_control}: the form in which a packet pool creates one. *)
+    {!reset_control}: the form in which a packet pool creates one. Its
+    fields are those of {!make_data} with [id] and [flow_id] [-1], size,
+    sequence number, VIPs and time 0, and both PIPs {!Addr.Pip.none}.
+
+    A pooled packet lives for the whole run, so [blank] allocates it
+    directly in the major heap (a C copy of a fixed template): it costs
+    no minor-heap words, and no minor collection copies it there. Build
+    short-lived packets with the [make_*] functions instead. *)
 val blank : unit -> t
 
 (** [make_control ~id ~kind ~mapping ~src_pip ~dst_pip ~now] is a

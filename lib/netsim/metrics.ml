@@ -276,6 +276,7 @@ let flow_completed t ~fct =
   t.flows_completed <- t.flows_completed + 1;
   Stats.Reservoir.add_ns t.fct (Time_ns.to_ns fct)
 
+let reserve_flows t n = Stats.Reservoir.reserve t.fct n
 let first_packet_latency t lat = Stats.Summary.add_ns t.fpl (Time_ns.to_ns lat)
 let flows_started t = t.flows_started
 let flows_completed t = t.flows_completed

@@ -64,6 +64,11 @@ val delivered : t -> Netcore.Packet.t -> now:Dessim.Time_ns.t -> first_of_flow:b
 val misdelivered : t -> Netcore.Packet.t -> unit
 val flow_started : t -> unit
 val flow_completed : t -> fct:Dessim.Time_ns.t -> unit
+
+(** [reserve_flows t n] makes room for [n] more {!flow_completed}
+    samples, so recording them grows nothing mid-run. *)
+val reserve_flows : t -> int -> unit
+
 val first_packet_latency : t -> Dessim.Time_ns.t -> unit
 
 (** Report accessors. *)

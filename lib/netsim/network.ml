@@ -1132,16 +1132,17 @@ let start_events t halves =
   | None -> min halves 1
   | Some _ -> (halves land 1) + (halves lsr 1)
 
-(* One pass over the workload sizes the transport and the start table,
-   so the run grows nothing per flow. Written as a loop with int
-   accumulators: [run] is also called once per tiny flow batch (the
-   eventcore bench), where closures and refs would be its only
-   allocation. *)
+(* One pass over the workload sizes the transport, the FCT samples and
+   the start table, so the run grows nothing per flow. Written as a
+   loop with int accumulators: [run] is also called once per tiny flow
+   batch (the eventcore bench), where closures and refs would be its
+   only allocation. *)
 let rec reserve_flows t flows ~rows ~events ~acks ~recvs ~max_id =
   match flows with
   | [] ->
       Transport.reserve (transport_exn t) ~flows:rows ~ack_packets:acks
         ~recv_packets:recvs ~max_id;
+      Metrics.reserve_flows t.metrics rows;
       events
   | (flow : Flow.t) :: rest ->
       let h = halves_here t flow and n = Flow.packet_count flow in

@@ -975,10 +975,12 @@ let semantic_errors t (pos : positions option) =
     add (p (at (fun p -> p.p_last)) (Some "seed") "seed must be non-negative");
   (* Topology-aware checks. *)
   if params_ok then begin
-    let topo = Topology.build params in
+    (* Built only for the checks that read it: at the paper presets a
+       build is tens of MB. *)
+    let topo = lazy (Topology.build params) in
     (match t.gateways_used with
     | Some k ->
-        let total = Array.length (Topology.gateways topo) in
+        let total = Array.length (Topology.gateways (Lazy.force topo)) in
         if k < 1 || k > total then
           add
             (p (at (fun p -> p.p_net)) (Some "gateways")
@@ -991,7 +993,7 @@ let semantic_errors t (pos : positions option) =
             let line = nth_at (fun p -> p.p_fault_specs) i in
             if Time_ns.to_ns spec.Fault.at < 0 then
               add (p line None "fault time must be non-negative");
-            match check_fault_action topo spec.Fault.action with
+            match check_fault_action (Lazy.force topo) spec.Fault.action with
             | () -> ()
             | exception Failure m ->
                 add (p line (Some (Fault.spec_to_string spec)) "%s" m))
@@ -1101,6 +1103,10 @@ let flows t =
         (fun (a : Flow.t) b -> compare a.Flow.start b.Flow.start)
         (List.concat_map (stream_flows t) streams)
 
+(* What an automatic horizon adds after the traffic (the last flow
+   start or churn end), for the transports to drain. *)
+let drain = Time_ns.of_ms 40
+
 let horizon t ~flows =
   match t.horizon with
   | Horizon h -> h
@@ -1115,13 +1121,22 @@ let horizon t ~flows =
         | Some c -> max last (Time_ns.to_ns (Churn.end_time c))
         | None -> last
       in
-      Time_ns.of_ns (last + Time_ns.to_ns (Time_ns.of_ms 40))
+      Time_ns.of_ns (last + Time_ns.to_ns drain)
 
 let fault_plan t topo ~until =
+  (* A random plan heals by 6/10 of the span it is given, so it is
+     given the traffic span, not the drain after it: on a short trace
+     6/10 of the whole horizon falls after the last flow start. *)
+  let span =
+    match t.horizon with
+    | Horizon_auto ->
+        Time_ns.of_ns (max 0 (Time_ns.to_ns until - Time_ns.to_ns drain))
+    | Horizon _ -> until
+  in
   let base =
     match t.faults with
     | No_faults -> None
-    | Random seed -> Some (Faultplan.generate ~seed ~horizon:until topo)
+    | Random seed -> Some (Faultplan.generate ~seed ~horizon:span topo)
     | Literal plan -> Some plan
   in
   match t.churn with

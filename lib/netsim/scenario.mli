@@ -207,7 +207,8 @@ val validate_file : string -> (t, error list) result
     no line numbers). Checks: non-empty name and scheme list; params
     validity; stream rates/loads/parities/windows; share vectors vs
     [classify]; shard/horizon/seed ranges; and — building the
-    topology — gateway counts and fault-plan targets (link endpoints
+    topology, only when a gateway count or a literal fault plan is set
+    — gateway counts and fault-plan targets (link endpoints
     adjacent, switch/gateway ids well-kinded), mirroring
     {!Network.install_faults}. *)
 val validate : t -> (unit, string list) result
@@ -237,9 +238,12 @@ val flows : t -> Netcore.Flow.t list
 (** The run horizon: explicit, or last flow start / churn end + 40 ms. *)
 val horizon : t -> flows:Netcore.Flow.t list -> Dessim.Time_ns.t
 
-(** The fault plan to install, if any: the faults arm realized
-    ([Random] via {!Faultplan.generate} with [~horizon:until]) and the
-    churn episode's specs merged in (stable time sort). *)
+(** The fault plan to install, if any: the faults arm realized and the
+    churn episode's specs merged in (stable time sort). [until] is the
+    run's {!horizon}. [Random] is {!Faultplan.generate} over the
+    traffic span, so every fault heals by 6/10 of the last flow start
+    (or churn end): an automatic horizon less its 40 ms drain, or an
+    explicit horizon whole. *)
 val fault_plan :
   t -> Topo.Topology.t -> until:Dessim.Time_ns.t -> Dessim.Fault.plan option
 

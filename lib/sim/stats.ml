@@ -69,19 +69,24 @@ module Reservoir = struct
       sorted = true;
     }
 
+  let resize t ncap =
+    let ndata = Array.make ncap 0.0 in
+    Array.blit t.data 0 ndata 0 t.size;
+    t.data <- ndata
+
   (* Make slot [i] (at most [size]) writable; the caller stores the
      sample itself, so the float is never passed (boxed) to a call. *)
   let claim t i =
     if i = t.size then begin
-      if t.size = Array.length t.data then begin
-        let ncap = if t.size = 0 then 256 else t.size * 2 in
-        let ndata = Array.make ncap 0.0 in
-        Array.blit t.data 0 ndata 0 t.size;
-        t.data <- ndata
-      end;
+      if t.size = Array.length t.data then
+        resize t (if t.size = 0 then 256 else t.size * 2);
       t.size <- t.size + 1
     end;
     t.sorted <- false
+
+  let reserve t n =
+    let cap = Array.length t.data in
+    if t.size + n > cap then resize t (Stdlib.max (t.size + n) (2 * cap))
 
   let[@inline] store t i x =
     claim t i;

@@ -37,6 +37,11 @@ module Reservoir : sig
   type t
 
   val create : ?capacity:int -> Rng.t -> t
+
+  (** [reserve t n] makes room to store [n] more samples, so the next
+      [n] adds grow nothing. *)
+  val reserve : t -> int -> unit
+
   val add : t -> float -> unit
 
   (** [add_ns t ns] is [add t (Time_ns.to_sec ns)]; see

@@ -594,6 +594,77 @@ let test_direct_resolution_allocation_free () =
     (Netsim.Scheme.Resolution.tag !sink = Netsim.Scheme.Resolution.tag_resolved);
   Alcotest.check zero_words "minor words over 10k resolutions" 0.0 words
 
+(* A pool packet is born in the major heap: no minor words, and the
+   fields of [make_data] with the documented blank values. *)
+let test_blank_packet_major_born () =
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to n_alloc do
+          ignore (Sys.opaque_identity (Netcore.Packet.blank ()))
+        done)
+  in
+  Alcotest.check zero_words "minor words over 10k blank packets" 0.0 words;
+  let template =
+    Netcore.Packet.make_data ~id:(-1) ~flow_id:(-1) ~seq:0 ~size:0
+      ~src_vip:(Vip.of_int 0) ~dst_vip:(Vip.of_int 0)
+      ~src_pip:Netcore.Addr.Pip.none ~dst_pip:Netcore.Addr.Pip.none ~now:0
+  in
+  let blank = Netcore.Packet.blank () in
+  let b = Obj.repr blank and t = Obj.repr template in
+  checki "field count" (Obj.size t) (Obj.size b);
+  checki "tag" (Obj.tag t) (Obj.tag b);
+  for i = 0 to Obj.size t - 1 do
+    checkb (Printf.sprintf "field %d" i) true (Obj.field b i == Obj.field t i)
+  done;
+  (* Blanks are distinct packets: filling one leaves the next alone. *)
+  blank.Netcore.Packet.id <- 7;
+  checki "a fresh blank" (-1) (Netcore.Packet.blank ()).Netcore.Packet.id
+
+(* The whole event loop of a SwitchV2P run: gateway traffic, learning
+   packets, spills and a migration (invalidations and misdelivery
+   re-forwards). [Network.load] sizes every per-flow table and the
+   pool's packets are born in the major heap, so once the workload is
+   loaded, running the engine to the horizon allocates nothing. *)
+let test_switchv2p_event_loop_allocation_free () =
+  let t = topo () in
+  (* Two slots a switch: the caches overflow, so entries spill. *)
+  let slots = 2 * Array.length (Topology.switches t) in
+  let scheme = Schemes.Switchv2p_scheme.make t ~total_cache_slots:slots in
+  let net = Network.create t ~scheme in
+  let flows =
+    List.init 60 (fun i ->
+        cross_host_flow ~id:i ~packets:20
+          ~start:(i * Time_ns.of_us 50)
+          ~src:(i mod 8) ~dst:(8 + (i * 5 mod 8)) ())
+    @ [
+        (* VIP 9 is cached along these paths before it moves, and used
+           after. *)
+        cross_host_flow ~id:60 ~packets:100 ~start:(Time_ns.of_us 3500) ~src:0
+          ~dst:9 ();
+        cross_host_flow ~id:61 ~packets:50 ~start:(Time_ns.of_ms 5) ~src:4
+          ~dst:9 ();
+      ]
+  in
+  let new_host = Network.vm_host net (Vip.of_int 16) in
+  let migrations =
+    [ { Network.at = Time_ns.of_ms 4; vip = Vip.of_int 9; to_host = new_host } ]
+  in
+  Network.load net flows ~migrations;
+  let words =
+    minor_words (fun () ->
+        Dessim.Engine.run_until (Network.engine net) ~limit:(Time_ns.of_ms 100))
+  in
+  let m = Network.metrics net in
+  let stat k = List.assoc k (scheme.Netsim.Scheme.stats ()) in
+  checki "every flow completed" 62 (Metrics.flows_completed m);
+  checkb "gateway traffic" true (Metrics.gateway_packets m > 0);
+  checkb "learning packets" true (stat "learning_packets" > 0.0);
+  checkb "spills" true (stat "spills_attached" > 0.0);
+  checki "vip moved" new_host (Network.vm_host net (Vip.of_int 9));
+  checkb "misdeliveries re-forwarded" true (Metrics.misdelivered_packets m > 0);
+  checkb "invalidation packets" true (stat "invalidation_packets" > 0.0);
+  Alcotest.check zero_words "minor words in the event loop" 0.0 words
+
 let () =
   Alcotest.run "network"
     [
@@ -641,5 +712,9 @@ let () =
             (test_flow_lifecycle_allocation_free Netsim.Transport.Dctcp);
           Alcotest.test_case "sharded migrated delivery" `Quick
             test_sharded_migrated_delivery_no_thunks;
+          Alcotest.test_case "blank packet born in the major heap" `Quick
+            test_blank_packet_major_born;
+          Alcotest.test_case "switchv2p event loop" `Quick
+            test_switchv2p_event_loop_allocation_free;
         ] );
     ]

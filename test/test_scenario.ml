@@ -367,6 +367,43 @@ let shards_zero_rejected () =
       Alcotest.(check (option string))
         "shards=0 error field" (Some "shards") e.Spec.field
 
+(* Validation builds the topology only for the checks that read it
+   (a gateway count, a literal fault plan): the FT16-400K preset's
+   12,866-node build is tens of MB. *)
+let paper_preset_parse_is_cheap () =
+  let text, _ =
+    with_line "topo " (fun _ -> "topo preset family=ft16 scale=paper seed=42")
+  in
+  let b0 = Gc.allocated_bytes () in
+  let parsed = Spec.of_string text in
+  let bytes = Gc.allocated_bytes () -. b0 in
+  (match parsed with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "ft16 paper: %s" (Spec.error_to_string e));
+  checkb (Printf.sprintf "parse allocates under 1 MB (%.0f bytes)" bytes) true
+    (bytes < 1e6)
+
+(* ------------------------------------------------------------------ *)
+(* Random fault plans land on the traffic: on the tiny trace the
+   horizon is mostly drain, so a plan spread over it would fire after
+   the last flow start and change nothing.                            *)
+
+let random_faults_hit_tiny_traffic () =
+  let golden = golden_spec () in
+  let v2p = List.nth golden.Spec.schemes 1 in
+  let faulted = { golden with Spec.faults = Spec.Random 42 } in
+  let p = Scenario.prepare faulted in
+  let last_start =
+    List.fold_left
+      (fun acc (f : Netcore.Flow.t) -> max acc f.Netcore.Flow.start)
+      0 p.Scenario.flows
+  in
+  let plan = Option.get p.Scenario.faults in
+  checkb "a fault fires before the last flow start" true
+    (Array.exists (fun (s : Fault.spec) -> s.Fault.at < last_start) plan.Fault.specs);
+  checkb "faulted metrics differ from the fault-free run" true
+    (Scenario.run_prepared p v2p <> Scenario.run_scheme golden v2p)
+
 (* ------------------------------------------------------------------ *)
 (* Golden replay: running the committed file reproduces the
    programmatic run of the same spec, result-for-result.              *)
@@ -435,6 +472,13 @@ let () =
             `Quick negative_pct_rejected;
           Alcotest.test_case "range errors carry run's messages" `Quick
             range_messages;
+          Alcotest.test_case "ft16 paper preset parses without a build" `Quick
+            paper_preset_parse_is_cheap;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "random faults hit the tiny trace" `Quick
+            random_faults_hit_tiny_traffic;
         ] );
       ( "replay",
         [
