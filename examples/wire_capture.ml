@@ -42,10 +42,10 @@ let () =
   show "resolved (cache hit)" resolved;
 
   let riders = Netcore.Wire.decode (Netcore.Wire.encode resolved) in
-  riders.Packet.spill_vip <- 33;
-  riders.Packet.spill_pip <- 133;
-  riders.Packet.promo_vip <- 44;
-  riders.Packet.promo_pip <- 144;
+  Packet.set_spill riders (Netcore.Addr.Vip.of_int 33)
+    (Netcore.Addr.Pip.of_int 133);
+  Packet.set_promo riders (Netcore.Addr.Vip.of_int 44)
+    (Netcore.Addr.Pip.of_int 144);
   show "with spill + promotion" riders;
 
   let tagged = Netcore.Wire.decode (Netcore.Wire.encode base) in

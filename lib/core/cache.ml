@@ -8,14 +8,17 @@ module Pip = Netcore.Addr.Pip
    loaded" rule degenerates to "first subtable with a free line". One
    way is the paper's direct-mapped cache.
 
-   Layout is subtable-major over flat arrays, mirroring the P4
-   three-register-array structure so the SRAM costing is line-exact:
-   way [w] owns indices [w*sub, (w+1)*sub). *)
+   Each line is one int, as each P4 line is one register entry: the
+   [Addr.Pair] of (VIP tag, PIP) shifted up one bit, with the access
+   bit in bit 0; -1 is an empty line. A probe reads one word, and
+   [key] of an empty line is -1 ([Pair.vip Pair.none]), which no VIP
+   equals. Layout is subtable-major: way [w] owns indices
+   [w*sub, (w+1)*sub). *)
+
+module Pair = Netcore.Addr.Pair
 
 type t = {
-  keys : int array; (* -1 = empty *)
-  values : int array;
-  access : Bytes.t;
+  lines : int array; (* -1 = empty *)
   ways : int;
   sub : int; (* lines per way *)
   n : int; (* ways * sub *)
@@ -28,6 +31,10 @@ type t = {
   mutable evicted_pip : int; (* PIP of the last insert's victim *)
 }
 
+let empty = -1
+let[@inline] key line = Pair.vip (line asr 1)
+let[@inline] line_pip line = Pair.pip (line lsr 1)
+
 type admission = [ `All | `A_bit_clear ]
 
 let create ~ways ~slots =
@@ -35,9 +42,7 @@ let create ~ways ~slots =
   if slots < 0 then invalid_arg "Cache.create: negative slots";
   if slots mod ways <> 0 then invalid_arg "Cache.create: ways must divide slots";
   {
-    keys = Array.make slots (-1);
-    values = Array.make slots (-1);
-    access = Bytes.make slots '\000';
+    lines = Array.make slots empty;
     ways;
     sub = slots / ways;
     n = slots;
@@ -85,11 +90,18 @@ let miss = -1
 let hit_pip h = Pip.of_int (h lsr 1)
 let hit_bit h = h land 1 = 1
 
+(* A hit's result is the line's low bits, (PIP lsl 1) lor the access
+   bit as it was; then the bit is set. *)
+let hit_mask = (1 lsl (Pair.pip_bits + 1)) - 1
+
 let hit t i =
   t.hits <- t.hits + 1;
-  let was_set = if Bytes.get t.access i = '\001' then 1 else 0 in
-  Bytes.set t.access i '\001';
-  (t.values.(i) lsl 1) lor was_set
+  let line = t.lines.(i) in
+  t.lines.(i) <- line lor 1;
+  line land hit_mask
+
+(* A probed occupant that is not the key loses its access bit. *)
+let[@inline] clear_bit t i line = if line >= 0 then t.lines.(i) <- line land lnot 1
 
 (* Way 0 is peeled: at one way (the paper's cache) a lookup is one
    hash and one line, with no loop set-up. Every probed occupant that
@@ -103,20 +115,20 @@ let lookup t vip =
   else begin
     let v = Vip.to_int vip in
     let i = mix v mod t.sub in
-    let key = t.keys.(i) in
-    if key = v then hit t i
+    let l = t.lines.(i) in
+    if key l = v then hit t i
     else begin
-      if key >= 0 then Bytes.set t.access i '\000';
+      clear_bit t i l;
       let found = ref (-1) and w = ref 1 in
       while !w < t.ways do
         let i = line t v !w in
-        let key = t.keys.(i) in
-        if key = v then begin
+        let l = t.lines.(i) in
+        if key l = v then begin
           found := i;
           w := t.ways
         end
         else begin
-          if key >= 0 then Bytes.set t.access i '\000';
+          clear_bit t i l;
           incr w
         end
       done;
@@ -133,7 +145,7 @@ let find t v =
   let r = ref (-1) and w = ref 0 in
   while !w < t.ways do
     let i = line t v !w in
-    if t.keys.(i) = v then begin
+    if key t.lines.(i) = v then begin
       r := i;
       w := t.ways
     end
@@ -145,13 +157,13 @@ let peek t vip =
   if t.n = 0 then None
   else
     let i = find t (Vip.to_int vip) in
-    if i >= 0 then Some (Pip.of_int t.values.(i)) else None
+    if i >= 0 then Some (Pip.of_int (line_pip t.lines.(i))) else None
 
 let access_bit t vip =
   if t.n = 0 then None
   else
     let i = find t (Vip.to_int vip) in
-    if i >= 0 then Some (Bytes.get t.access i = '\001') else None
+    if i >= 0 then Some (t.lines.(i) land 1 = 1) else None
 
 (* Insert outcomes, int-packed like [lookup]'s result: a negative code,
    or the evicted occupant's VIP with its PIP parked in [evicted_pip].
@@ -171,25 +183,23 @@ let evicted_pip t = Pip.of_int t.evicted_pip
    single line's bit) with no loop set-up. *)
 let target t ~admission v =
   let i0 = mix v mod t.sub in
-  let key = t.keys.(i0) in
-  if key = v then i0
+  let l0 = t.lines.(i0) in
+  if key l0 = v then i0
   else begin
     let found = ref (-1) in
-    let empty = ref (if key < 0 then i0 else -1) in
-    let clear =
-      ref (if key >= 0 && Bytes.get t.access i0 = '\000' then i0 else -1)
-    in
+    let empty = ref (if l0 < 0 then i0 else -1) in
+    let clear = ref (if l0 >= 0 && l0 land 1 = 0 then i0 else -1) in
     let w = ref 1 in
     while !w < t.ways do
       let i = line t v !w in
-      let key = t.keys.(i) in
-      if key = v then begin
+      let l = t.lines.(i) in
+      if key l = v then begin
         found := i;
         w := t.ways
       end
       else begin
-        if key < 0 then (if !empty < 0 then empty := i)
-        else if !clear < 0 && Bytes.get t.access i = '\000' then clear := i;
+        if l < 0 then (if !empty < 0 then empty := i)
+        else if !clear < 0 && l land 1 = 0 then clear := i;
         incr w
       end
     done;
@@ -200,30 +210,32 @@ let target t ~admission v =
   end
 
 let insert t ~admission vip pip =
-  let i = if t.n = 0 then -1 else target t ~admission (Vip.to_int vip) in
+  let v = Vip.to_int vip in
+  (* Packing first: an out-of-range pair raises before any change. *)
+  let fresh = Pair.pack v (Pip.to_int pip) lsl 1 in
+  let i = if t.n = 0 then -1 else target t ~admission v in
   if i < 0 then begin
     t.rejections <- t.rejections + 1;
     ins_rejected
   end
   else begin
-    let key = t.keys.(i) in
-    if key = Vip.to_int vip then begin
-      t.values.(i) <- Pip.to_int pip;
+    let l = t.lines.(i) in
+    let k = key l in
+    if k = v then begin
+      t.lines.(i) <- fresh lor (l land 1);
       ins_updated
     end
     else begin
-      if key >= 0 then t.evicted_pip <- t.values.(i);
-      t.keys.(i) <- Vip.to_int vip;
-      t.values.(i) <- Pip.to_int pip;
-      Bytes.set t.access i '\000';
+      t.lines.(i) <- fresh;
       t.insertions <- t.insertions + 1;
-      if key < 0 then begin
+      if l < 0 then begin
         t.occupancy <- t.occupancy + 1;
         ins_fresh
       end
       else begin
+        t.evicted_pip <- line_pip l;
         t.evictions <- t.evictions + 1;
-        key
+        k
       end
     end
   end
@@ -236,17 +248,15 @@ let victim_key t vip =
   if t.n = 0 then -1
   else
     let v = Vip.to_int vip in
-    let key = t.keys.(target t ~admission:`All v) in
-    if key = v then -1 else key
+    let k = key t.lines.(target t ~admission:`All v) in
+    if k = v then -1 else k
 
 let invalidate t vip ~stale =
   if t.n = 0 then false
   else begin
     let i = find t (Vip.to_int vip) in
-    if i >= 0 && t.values.(i) = Pip.to_int stale then begin
-      t.keys.(i) <- -1;
-      t.values.(i) <- -1;
-      Bytes.set t.access i '\000';
+    if i >= 0 && line_pip t.lines.(i) = Pip.to_int stale then begin
+      t.lines.(i) <- empty;
       t.occupancy <- t.occupancy - 1;
       true
     end
@@ -254,9 +264,7 @@ let invalidate t vip ~stale =
   end
 
 let clear t =
-  Array.fill t.keys 0 t.n (-1);
-  Array.fill t.values 0 t.n (-1);
-  Bytes.fill t.access 0 t.n '\000';
+  Array.fill t.lines 0 t.n empty;
   t.occupancy <- 0
 
 let occupancy t = t.occupancy

@@ -1,9 +1,10 @@
 (** V2P cache with per-line access bits (§3.2): a set-indexed table of
     [ways] subtables, one hash per subtable.
 
-    The cache mirrors the paper's P4 register-array layout: one array
-    of keys (VIPs), one of values (PIPs), and one of access bits. A
-    VIP may occupy one line per way, chosen by a fixed hash of the key
+    Each line is one int, as each line of the paper's P4 cache is one
+    register entry (a 32-bit VIP tag, the server index and the access
+    bit): the {!Netcore.Addr.Pair} of (VIP, PIP) plus the access bit,
+    so a probe reads one word. A VIP may occupy one line per way, chosen by a fixed hash of the key
     — no LRU, no chaining. One way is the paper's direct-mapped cache,
     where an insertion can only evict the current occupant of one
     line; more ways is a d-left table ("Limited Associativity Caching
@@ -92,7 +93,9 @@ val ins_fresh : int
     insert evicted a valid occupant, the candidate for spillover — that
     occupant's VIP as a non-negative int, with its PIP readable via
     {!evicted_pip} until the next insert. Int-packed like {!lookup}, so
-    an eviction on the per-hop learn stage allocates nothing. *)
+    an eviction on the per-hop learn stage allocates nothing. Raises
+    [Invalid_argument] outside the {!Netcore.Addr.Pair} ranges
+    ([vip < 2{^32}], [pip < 2{^29}]), before changing anything. *)
 val insert : t -> admission:admission -> Netcore.Addr.Vip.t -> Netcore.Addr.Pip.t -> int
 
 (** [evicted_pip t] is the PIP of the occupant evicted by the most

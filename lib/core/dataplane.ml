@@ -287,10 +287,8 @@ let admission_of_role = function
 let insert_with_spill t env st (pkt : Packet.t) ~admission vip pip =
   let cache = cache_for t st vip in
   let evicted = Geo_cache.insert cache ~admission vip pip in
-  if evicted >= 0 && t.cfg.Config.spillover && pkt.Packet.spill_vip < 0 then
-  begin
-    pkt.Packet.spill_vip <- evicted;
-    pkt.Packet.spill_pip <- Pip.to_int (Geo_cache.evicted_pip cache);
+  if evicted >= 0 && t.cfg.Config.spillover && pkt.Packet.spill < 0 then begin
+    Packet.set_spill pkt (Vip.of_int evicted) (Geo_cache.evicted_pip cache);
     t.spills_attached <- t.spills_attached + 1;
     flight t env st pkt "spilled"
   end
@@ -408,13 +406,12 @@ let regular_lookup t env st (pkt : Packet.t) =
     if
       t.cfg.Config.promotion && st.role = Topo.Node.Regular_spine
       && Cache.hit_bit r
-      && pkt.Packet.promo_vip < 0
+      && pkt.Packet.promo < 0
     then begin
       let dst_node = Topo.Topology.node_of_pip t.topo pip in
       if Topo.Topology.pod t.topo dst_node <> Topo.Topology.pod t.topo st.sw_id
       then begin
-        pkt.Packet.promo_vip <- Vip.to_int pkt.Packet.dst_vip;
-        pkt.Packet.promo_pip <- Pip.to_int pip;
+        Packet.set_promo pkt pkt.Packet.dst_vip pip;
         t.promotions <- t.promotions + 1;
         flight t env st pkt "promoted"
       end
@@ -422,17 +419,16 @@ let regular_lookup t env st (pkt : Packet.t) =
   end
 
 let absorb_spill t env st (pkt : Packet.t) =
-  if pkt.Packet.spill_vip >= 0 && t.cfg.Config.spillover then begin
-    let vip = Vip.of_int pkt.Packet.spill_vip in
+  if pkt.Packet.spill >= 0 && t.cfg.Config.spillover then begin
+    let vip = Vip.of_int (Packet.spill_vip pkt) in
     let cache = cache_for t st vip in
     if
       Geo_cache.slots cache > 0
       && Geo_cache.insert cache ~admission:(admission_of_role st.role) vip
-           (Pip.of_int pkt.Packet.spill_pip)
+           (Pip.of_int (Packet.spill_pip pkt))
          <> Cache.ins_rejected
     then begin
-      pkt.Packet.spill_vip <- -1;
-      pkt.Packet.spill_pip <- -1;
+      Packet.clear_spill pkt;
       t.spills_absorbed <- t.spills_absorbed + 1;
       flight t env st pkt "spill_absorbed"
     end
@@ -461,12 +457,11 @@ let learn t env st (pkt : Packet.t) =
         insert_with_spill t env st pkt ~admission:`A_bit_clear
           pkt.Packet.dst_vip pkt.Packet.dst_pip
   | Topo.Node.Core_switch ->
-      if pkt.Packet.promo_vip >= 0 && t.cfg.Config.promotion then begin
+      if pkt.Packet.promo >= 0 && t.cfg.Config.promotion then begin
         insert_with_spill t env st pkt ~admission:`A_bit_clear
-          (Vip.of_int pkt.Packet.promo_vip)
-          (Pip.of_int pkt.Packet.promo_pip);
-        pkt.Packet.promo_vip <- -1;
-        pkt.Packet.promo_pip <- -1
+          (Vip.of_int (Packet.promo_vip pkt))
+          (Pip.of_int (Packet.promo_pip pkt));
+        Packet.clear_promo pkt
       end
 
 (* The four pipeline stages (classify -> lookup -> learn -> emit).
@@ -479,23 +474,23 @@ let learn t env st (pkt : Packet.t) =
 
 let classify t env ~switch ~from (pkt : Packet.t) =
   let st = state t switch in
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Learning ->
       if Pip.equal pkt.Packet.dst_pip (Topo.Topology.pip t.topo switch)
       then begin
-        if pkt.Packet.mapping_vip >= 0 then
+        if pkt.Packet.mapping >= 0 then
           insert_no_spill t st ~admission:`All
-            (Vip.of_int pkt.Packet.mapping_vip)
-            (Pip.of_int pkt.Packet.mapping_pip);
+            (Vip.of_int (Packet.mapping_vip pkt))
+            (Pip.of_int (Packet.mapping_pip pkt));
         Verdict.consume
       end
       else Verdict.forward
   | Packet.Invalidation ->
-      if pkt.Packet.mapping_vip >= 0 then begin
-        let vip = Vip.of_int pkt.Packet.mapping_vip in
+      if pkt.Packet.mapping >= 0 then begin
+        let vip = Vip.of_int (Packet.mapping_vip pkt) in
         if
           Geo_cache.invalidate (cache_for t st vip) vip
-            ~stale:(Pip.of_int pkt.Packet.mapping_pip)
+            ~stale:(Pip.of_int (Packet.mapping_pip pkt))
         then begin
           t.entries_invalidated <- t.entries_invalidated + 1;
           flight t env st pkt "invalidated"
@@ -526,7 +521,7 @@ let classify t env ~switch ~from (pkt : Packet.t) =
       Verdict.next
 
 let lookup t env ~switch ~from:_ (pkt : Packet.t) =
-  (match pkt.Packet.kind with
+  (match Packet.kind pkt with
   | Packet.Data | Packet.Ack ->
       (* Tagged packets use the conservative variant. *)
       if not (Packet.resolved pkt) then begin
@@ -539,7 +534,7 @@ let lookup t env ~switch ~from:_ (pkt : Packet.t) =
   Verdict.next
 
 let admit t env ~switch ~from:_ (pkt : Packet.t) =
-  (match pkt.Packet.kind with
+  (match Packet.kind pkt with
   | Packet.Data | Packet.Ack ->
       let st = state t switch in
       (* Spillover absorption, then role-dependent learning. *)
@@ -549,7 +544,7 @@ let admit t env ~switch ~from:_ (pkt : Packet.t) =
   Verdict.next
 
 let emit t env ~switch ~from:_ (pkt : Packet.t) =
-  (match pkt.Packet.kind with
+  (match Packet.kind pkt with
   | Packet.Data | Packet.Ack -> (
       let st = state t switch in
       match st.role with

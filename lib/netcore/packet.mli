@@ -20,17 +20,16 @@ type kind =
 type t = {
   mutable id : int;  (** unique per simulation *)
   mutable flow_id : int;
-  mutable kind : kind;
-  mutable size : int;  (** bytes on the wire *)
   mutable seq : int;  (** data/ack sequence number within the flow *)
   mutable src_vip : Addr.Vip.t;
   mutable dst_vip : Addr.Vip.t;
   mutable src_pip : Addr.Pip.t;
   mutable dst_pip : Addr.Pip.t;
   mutable flags : int;
-      (** the five flags and the hop count below, packed into one word
-          so a pooled packet stays small; read and write them with the
-          accessors after this type, not through this field *)
+      (** the kind, the size in bytes, the five flags and the hop count
+          below, packed into one word so a pooled packet stays small;
+          read and write them with the accessors after this type, not
+          through this field *)
   mutable misdelivery : int;
       (** misdelivery tag (§3.3); carries the stale physical address
           (as a raw PIP int) the packet was wrongly delivered to, so
@@ -39,24 +38,31 @@ type t = {
           so setting and clearing the tag on the per-hop path never
           allocates *)
   mutable hit_switch : int;  (** node id of the switch that served the hit; -1 if none *)
-  mutable spill_vip : int;
-      (** spilled entry riding along, as a raw (VIP, PIP) int pair with
-          [spill_pip]; [-1] = no rider. Riders are unboxed ints, like
+  mutable spill : int;
+      (** spilled entry riding along, as one {!Addr.Pair} word;
+          {!Addr.Pair.none} = no rider. Riders are unboxed ints, like
           [misdelivery], so attaching or absorbing one on the per-hop
           path never allocates (and a store into a pooled, long-lived
-          packet runs no write barrier) *)
-  mutable spill_pip : int;
-  mutable promo_vip : int;  (** promotion riding along; [-1] = none *)
-  mutable promo_pip : int;
-  mutable mapping_vip : int;
-      (** payload of [Learning]/[Invalidation] packets; [-1] = none *)
-  mutable mapping_pip : int;
+          packet runs no write barrier). Read and write the three
+          riders with the {{!riders} accessors} below. *)
+  mutable promo : int;  (** promotion riding along, the same way *)
+  mutable mapping : int;
+      (** payload of [Learning]/[Invalidation] packets, the same way *)
   mutable sent_at : Dessim.Time_ns.t;
   mutable pool_slot : int;
       (** index in the owning simulator's packet pool; -1 if the packet
           is not pool-managed. Maintained by the pool, not by
           {!reset}. *)
 }
+(** Fifteen fields: with its header a packet is 16 words, OCaml's
+    16-word major-heap size class, so a pooled packet carries no
+    slack. *)
+
+val kind : t -> kind
+
+val size : t -> int
+(** bytes on the wire, below 2{^24}; {!reset} and the [make_*]
+    functions raise [Invalid_argument] outside that range *)
 
 (** {2 Flags}
 
@@ -88,6 +94,27 @@ val set_ecn : t -> bool -> unit
 val set_gw_visited : t -> bool -> unit
 val set_retransmit : t -> bool -> unit
 val set_hops : t -> int -> unit
+
+(** {2:riders Riders}
+
+    The spill, promotion and mapping riders each hold one (VIP, PIP)
+    fact as an {!Addr.Pair} word. The readers return the raw VIP or
+    PIP int, [-1] when the rider is absent. The setters raise
+    [Invalid_argument] outside the {!Addr.Pair} ranges ([vip < 2{^32}],
+    [pip < 2{^29}]). *)
+
+val spill_vip : t -> int
+val spill_pip : t -> int
+val set_spill : t -> Addr.Vip.t -> Addr.Pip.t -> unit
+val clear_spill : t -> unit
+val promo_vip : t -> int
+val promo_pip : t -> int
+val set_promo : t -> Addr.Vip.t -> Addr.Pip.t -> unit
+val clear_promo : t -> unit
+val mapping_vip : t -> int
+val mapping_pip : t -> int
+val set_mapping : t -> Addr.Vip.t -> Addr.Pip.t -> unit
+val clear_mapping : t -> unit
 
 (** [make_data ~id ~flow_id ~seq ~size ~src_vip ~dst_vip ~src_pip
     ~dst_pip ~now] is a fresh unresolved data packet addressed (outer)

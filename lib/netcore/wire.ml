@@ -75,7 +75,7 @@ let encode (pkt : Packet.t) =
   put_ipv4 buf
     ~src:(Addr.Pip.to_int pkt.Packet.src_pip)
     ~dst:(pip_wire pkt.Packet.dst_pip)
-    ~proto:4 ~total_len:(20 + pkt.Packet.size);
+    ~proto:4 ~total_len:(20 + Packet.size pkt);
   (* Option block. *)
   let flags =
     (if Packet.resolved pkt then flag_resolved else 0)
@@ -85,7 +85,7 @@ let encode (pkt : Packet.t) =
     lor if Packet.ecn pkt then flag_ecn else 0
   in
   put_u8 buf flags;
-  put_u8 buf (kind_code pkt.Packet.kind);
+  put_u8 buf (kind_code (Packet.kind pkt));
   put_u32 buf (if pkt.Packet.hit_switch < 0 then 0xffff_ffff else pkt.Packet.hit_switch);
   let tlv ty payload_words =
     put_u8 buf ty;
@@ -94,19 +94,19 @@ let encode (pkt : Packet.t) =
   in
   if pkt.Packet.misdelivery >= 0 then
     tlv tlv_misdelivery [ pkt.Packet.misdelivery ];
-  if pkt.Packet.spill_vip >= 0 then
-    tlv tlv_spill [ pkt.Packet.spill_vip; pkt.Packet.spill_pip ];
-  if pkt.Packet.promo_vip >= 0 then
-    tlv tlv_promo [ pkt.Packet.promo_vip; pkt.Packet.promo_pip ];
-  if pkt.Packet.mapping_vip >= 0 then
-    tlv tlv_mapping [ pkt.Packet.mapping_vip; pkt.Packet.mapping_pip ];
+  let rider ty w =
+    if w >= 0 then tlv ty [ Addr.Pair.vip w; Addr.Pair.pip w ]
+  in
+  rider tlv_spill pkt.Packet.spill;
+  rider tlv_promo pkt.Packet.promo;
+  rider tlv_mapping pkt.Packet.mapping;
   put_u8 buf 0 (* end of options *);
   (* Inner IPv4: virtual addresses. *)
   put_ipv4 buf
     ~src:(Addr.Vip.to_int pkt.Packet.src_vip)
     ~dst:(Addr.Vip.to_int pkt.Packet.dst_vip)
-    ~proto:6 ~total_len:pkt.Packet.size;
-  put_u32 buf pkt.Packet.size;
+    ~proto:6 ~total_len:(Packet.size pkt);
+  put_u32 buf (Packet.size pkt);
   put_u32 buf pkt.Packet.seq;
   put_u32 buf (pkt.Packet.flow_id land 0xffff_ffff);
   put_u32 buf pkt.Packet.id;
@@ -120,9 +120,9 @@ let decode b =
   let off = off + 6 in
   (* TLVs until the 0 terminator. *)
   let misdelivery = ref (-1) in
-  let spill_vip = ref (-1) and spill_pip = ref (-1) in
-  let promo_vip = ref (-1) and promo_pip = ref (-1) in
-  let mapping_vip = ref (-1) and mapping_pip = ref (-1) in
+  let spill = ref Addr.Pair.none in
+  let promo = ref Addr.Pair.none in
+  let mapping = ref Addr.Pair.none in
   let rec tlvs off =
     let ty = get_u8 b off in
     if ty = 0 then off + 1
@@ -131,22 +131,22 @@ let decode b =
       let word i = get_u32 b (off + 2 + (4 * i)) in
       (* A (vip, pip) rider TLV. Its words are signed 32-bit, as
          [put_u32] writes a negative int; in memory -1 marks an absent
-         rider, so a negative word is malformed, not a rider to drop. *)
-      let rider name vr pr =
+         rider, so a negative word is malformed, not a rider to drop,
+         and so is a PIP beyond [Addr.Pair]'s 29 bits. *)
+      let rider name r =
         if len <> 8 then invalid_arg ("Wire.decode: bad " ^ name ^ " TLV");
         let v = word 0 and p = word 1 in
-        if v land 0x8000_0000 <> 0 || p land 0x8000_0000 <> 0 then
+        if v land 0x8000_0000 <> 0 || p lsr Addr.Pair.pip_bits <> 0 then
           invalid_arg ("Wire.decode: bad " ^ name ^ " TLV");
-        vr := v;
-        pr := p
+        r := Addr.Pair.pack v p
       in
       (match ty with
       | t when t = tlv_misdelivery ->
           if len <> 4 then invalid_arg "Wire.decode: bad misdelivery TLV";
           misdelivery := word 0
-      | t when t = tlv_spill -> rider "spill" spill_vip spill_pip
-      | t when t = tlv_promo -> rider "promo" promo_vip promo_pip
-      | t when t = tlv_mapping -> rider "mapping" mapping_vip mapping_pip
+      | t when t = tlv_spill -> rider "spill" spill
+      | t when t = tlv_promo -> rider "promo" promo
+      | t when t = tlv_mapping -> rider "mapping" mapping
       | t -> invalid_arg (Printf.sprintf "Wire.decode: unknown TLV %d" t));
       tlvs (off + 2 + len)
     end
@@ -169,10 +169,12 @@ let decode b =
           ~dst_vip:(Addr.Vip.of_int dst_vip) ~src_pip:(Addr.Pip.of_int src_pip)
           ~dst_pip:(pip_unwire dst_pip) ~now:0
     | Packet.Learning | Packet.Invalidation ->
-        if !mapping_vip < 0 then
+        if !mapping < 0 then
           invalid_arg "Wire.decode: control packet without mapping TLV";
         Packet.make_control ~id ~kind
-          ~mapping:(Addr.Vip.of_int !mapping_vip, Addr.Pip.of_int !mapping_pip)
+          ~mapping:
+            ( Addr.Vip.of_int (Addr.Pair.vip !mapping),
+              Addr.Pip.of_int (Addr.Pair.pip !mapping) )
           ~src_pip:(Addr.Pip.of_int src_pip) ~dst_pip:(pip_unwire dst_pip)
           ~now:0
   in
@@ -184,12 +186,9 @@ let decode b =
     base.Packet.misdelivery <- !misdelivery;
   base.Packet.hit_switch <-
     (if hit_switch_raw = 0xffff_ffff then -1 else hit_switch_raw);
-  base.Packet.spill_vip <- !spill_vip;
-  base.Packet.spill_pip <- !spill_pip;
-  base.Packet.promo_vip <- !promo_vip;
-  base.Packet.promo_pip <- !promo_pip;
-  base.Packet.mapping_vip <- !mapping_vip;
-  base.Packet.mapping_pip <- !mapping_pip;
+  base.Packet.spill <- !spill;
+  base.Packet.promo <- !promo;
+  base.Packet.mapping <- !mapping;
   base
 
 let header_bytes pkt = Bytes.length (encode pkt)

@@ -33,7 +33,9 @@ val encode : Packet.t -> bytes
     [hops] as 0 (not wire state). Raises [Invalid_argument] on
     malformed input (truncation, unknown kind or TLV, bad lengths, a
     spill/promotion/mapping TLV carrying a negative signed 32-bit
-    word — [-1] is the in-memory "no rider" mark). *)
+    word — [-1] is the in-memory "no rider" mark — or a PIP of
+    2{^29} or more, beyond the {!Addr.Pair} range), or a payload
+    length of 2{^24} or more (the in-memory size field's range). *)
 val decode : bytes -> Packet.t
 
 (** [header_bytes pkt] is the encoded size — the tunnel overhead the

@@ -176,7 +176,7 @@ let merge a b =
   }
 
 let tenant_packet (pkt : Packet.t) =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Data | Packet.Ack -> true
   | Packet.Learning | Packet.Invalidation -> false
 
@@ -202,7 +202,7 @@ let packet_sent t pkt =
    invalidation packets) matter for protocol health even though they
    are not tenant traffic. *)
 let packet_dropped t ~site (pkt : Packet.t) =
-  let i = (kind_index pkt.Packet.kind * num_sites) + site_index site in
+  let i = (kind_index (Packet.kind pkt) * num_sites) + site_index site in
   t.drops.(i) <- t.drops.(i) + 1
 
 let drops_of_kind t kind =
@@ -231,7 +231,7 @@ let gateway_arrival t pkt =
   end
 
 let switch_processed t ~switch (pkt : Packet.t) =
-  t.switch_bytes.(switch) <- t.switch_bytes.(switch) + pkt.Packet.size
+  t.switch_bytes.(switch) <- t.switch_bytes.(switch) + Packet.size pkt
 
 let delivered t (pkt : Packet.t) ~now ~first_of_flow =
   t.delivered_packets <- t.delivered_packets + 1;

@@ -179,7 +179,7 @@ type t = {
   metrics : Metrics.t;
   scheme : Scheme.t;
   mutable transport : Transport.t option;
-  vm_host : int array;
+  num_vms : int; (* VIPs 0 .. num_vms - 1, placed by [mapping] *)
   gateways : int array; (* the replicas actually used *)
   mutable next_packet_id : int;
   env : Scheme.env;
@@ -233,6 +233,11 @@ let gateway_for_flow t flow_id =
 
 let transport_exn t =
   match t.transport with Some tr -> tr | None -> assert false
+
+(* Where a VM lives: its PIP in the mapping, which is its host's node
+   id. *)
+let host_of_vm_index t i = Netcore.Mapping.placement t.mapping i
+let vm_host t vip = host_of_vm_index t (Vip.to_int vip)
 
 (* --- packet pool ------------------------------------------------------- *)
 
@@ -303,70 +308,48 @@ let pool_release t (pkt : Packet.t) =
 (* --- cross-shard handoff serialization --------------------------------- *)
 
 (* Record layout (all ints): 0 mode, 1 arrival, 2 edge (mode 0 only;
-   every shard shares one Topology.t, so edge ids agree), 3 id,
-   4 flow_id, 5 kind, 6 size, 7 seq, 8 src_vip, 9 dst_vip,
-   10 src_pip, 11 dst_pip, 12 misdelivery, 13 hit_switch, 14 flags
-   (with the hop count), 15 sent_at, 16-21 the three (vip, pip) riders
-   (spill, promo, mapping payload) as the packet's raw ints, -1 when
-   absent. *)
-let hoff_stride = 22
+   every shard shares one Topology.t, so edge ids agree), then the
+   packet's flight fields as stored: 3 id, 4 flow_id, 5 seq, 6 src_vip,
+   7 dst_vip, 8 src_pip, 9 dst_pip, 10 flags (kind, size, flag bits and
+   hop count), 11 misdelivery, 12 hit_switch, 13 sent_at, 14-16 the
+   spill, promo and mapping-payload riders (one [Addr.Pair] word each,
+   -1 when absent). *)
+let hoff_stride = 17
 
-let kind_code = function
-  | Packet.Data -> 0
-  | Packet.Ack -> 1
-  | Packet.Learning -> 2
-  | Packet.Invalidation -> 3
-
-let kind_of_code = function
-  | 0 -> Packet.Data
-  | 1 -> Packet.Ack
-  | 2 -> Packet.Learning
-  | _ -> Packet.Invalidation
-
-(* The packet half of a record: words [off+3 .. off+21]. Every flight
+(* The packet half of a record: words [off+3 .. off+16]. Every flight
    field is written, so [hoff_decode] fully re-initializes a recycled
    packet (all but its [pool_slot]). *)
 let hoff_encode buf off (pkt : Packet.t) =
   buf.(off + 3) <- pkt.Packet.id;
   buf.(off + 4) <- pkt.Packet.flow_id;
-  buf.(off + 5) <- kind_code pkt.Packet.kind;
-  buf.(off + 6) <- pkt.Packet.size;
-  buf.(off + 7) <- pkt.Packet.seq;
-  buf.(off + 8) <- Vip.to_int pkt.Packet.src_vip;
-  buf.(off + 9) <- Vip.to_int pkt.Packet.dst_vip;
-  buf.(off + 10) <- Pip.to_int pkt.Packet.src_pip;
-  buf.(off + 11) <- Pip.to_int pkt.Packet.dst_pip;
-  buf.(off + 12) <- pkt.Packet.misdelivery;
-  buf.(off + 13) <- pkt.Packet.hit_switch;
-  buf.(off + 14) <- pkt.Packet.flags;
-  buf.(off + 15) <- Time_ns.to_ns pkt.Packet.sent_at;
-  buf.(off + 16) <- pkt.Packet.spill_vip;
-  buf.(off + 17) <- pkt.Packet.spill_pip;
-  buf.(off + 18) <- pkt.Packet.promo_vip;
-  buf.(off + 19) <- pkt.Packet.promo_pip;
-  buf.(off + 20) <- pkt.Packet.mapping_vip;
-  buf.(off + 21) <- pkt.Packet.mapping_pip
+  buf.(off + 5) <- pkt.Packet.seq;
+  buf.(off + 6) <- Vip.to_int pkt.Packet.src_vip;
+  buf.(off + 7) <- Vip.to_int pkt.Packet.dst_vip;
+  buf.(off + 8) <- Pip.to_int pkt.Packet.src_pip;
+  buf.(off + 9) <- Pip.to_int pkt.Packet.dst_pip;
+  buf.(off + 10) <- pkt.Packet.flags;
+  buf.(off + 11) <- pkt.Packet.misdelivery;
+  buf.(off + 12) <- pkt.Packet.hit_switch;
+  buf.(off + 13) <- Time_ns.to_ns pkt.Packet.sent_at;
+  buf.(off + 14) <- pkt.Packet.spill;
+  buf.(off + 15) <- pkt.Packet.promo;
+  buf.(off + 16) <- pkt.Packet.mapping
 
 let hoff_decode buf off (pkt : Packet.t) =
   pkt.Packet.id <- buf.(off + 3);
   pkt.Packet.flow_id <- buf.(off + 4);
-  pkt.Packet.kind <- kind_of_code buf.(off + 5);
-  pkt.Packet.size <- buf.(off + 6);
-  pkt.Packet.seq <- buf.(off + 7);
-  pkt.Packet.src_vip <- Vip.of_int buf.(off + 8);
-  pkt.Packet.dst_vip <- Vip.of_int buf.(off + 9);
-  pkt.Packet.src_pip <- Pip.of_int buf.(off + 10);
-  pkt.Packet.dst_pip <- Pip.of_int buf.(off + 11);
-  pkt.Packet.misdelivery <- buf.(off + 12);
-  pkt.Packet.hit_switch <- buf.(off + 13);
-  pkt.Packet.flags <- buf.(off + 14);
-  pkt.Packet.sent_at <- Time_ns.of_ns buf.(off + 15);
-  pkt.Packet.spill_vip <- buf.(off + 16);
-  pkt.Packet.spill_pip <- buf.(off + 17);
-  pkt.Packet.promo_vip <- buf.(off + 18);
-  pkt.Packet.promo_pip <- buf.(off + 19);
-  pkt.Packet.mapping_vip <- buf.(off + 20);
-  pkt.Packet.mapping_pip <- buf.(off + 21)
+  pkt.Packet.seq <- buf.(off + 5);
+  pkt.Packet.src_vip <- Vip.of_int buf.(off + 6);
+  pkt.Packet.dst_vip <- Vip.of_int buf.(off + 7);
+  pkt.Packet.src_pip <- Pip.of_int buf.(off + 8);
+  pkt.Packet.dst_pip <- Pip.of_int buf.(off + 9);
+  pkt.Packet.flags <- buf.(off + 10);
+  pkt.Packet.misdelivery <- buf.(off + 11);
+  pkt.Packet.hit_switch <- buf.(off + 12);
+  pkt.Packet.sent_at <- Time_ns.of_ns buf.(off + 13);
+  pkt.Packet.spill <- buf.(off + 14);
+  pkt.Packet.promo <- buf.(off + 15);
+  pkt.Packet.mapping <- buf.(off + 16)
 
 let hoff_push sc ~dst_shard ~mode ~arrival ~a (pkt : Packet.t) =
   let buf = sc.hs_buf in
@@ -389,7 +372,7 @@ let hoff_read t buf off =
    which never reach a transport) are local. *)
 let hoff_home sc (pkt : Packet.t) =
   let f = pkt.Packet.flow_id in
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Data ->
       if f >= 0 && f < Array.length sc.hs_recv_home then sc.hs_recv_home.(f)
       else sc.hs_my
@@ -412,12 +395,9 @@ let corrupt_seq_offset = 1 lsl 40
 
 let corrupt_packet (pkt : Packet.t) =
   pkt.Packet.seq <- pkt.Packet.seq + corrupt_seq_offset;
-  pkt.Packet.mapping_vip <- -1;
-  pkt.Packet.mapping_pip <- -1;
-  pkt.Packet.promo_vip <- -1;
-  pkt.Packet.promo_pip <- -1;
-  pkt.Packet.spill_vip <- -1;
-  pkt.Packet.spill_pip <- -1
+  Packet.clear_mapping pkt;
+  Packet.clear_promo pkt;
+  Packet.clear_spill pkt
 
 let drop_faulted t ~site (pkt : Packet.t) =
   Metrics.packet_dropped t.metrics ~site pkt;
@@ -438,7 +418,7 @@ let transmit t ~edge (pkt : Packet.t) =
       if t.faults_on && Topo.Link.take_corrupt link then corrupt_packet pkt;
       let p =
         Topo.Link.transmit_packed link ~now:(Engine.now t.engine)
-          ~bytes:pkt.Packet.size
+          ~bytes:(Packet.size pkt)
       in
       if p = Topo.Link.dropped then begin
         Metrics.packet_dropped t.metrics ~site:Metrics.Link_buffer pkt;
@@ -457,7 +437,7 @@ let transmit t ~edge (pkt : Packet.t) =
                cross-shard propagation delay), which is what lets the
                window protocol drain mailboxes only at barriers. *)
             Engine.schedule_event t.engine ~at:arrival ~code:ev_link_deq
-              ~a:edge ~b:pkt.Packet.size;
+              ~a:edge ~b:(Packet.size pkt);
             hoff_push sc ~dst_shard:sc.hs_owner.(next) ~mode:0 ~arrival ~a:edge
               pkt;
             pool_release t pkt
@@ -527,13 +507,13 @@ and gateway_forward t ~node (pkt : Packet.t) =
       forward_from t ~node pkt
 
 and host_receive t ~node (pkt : Packet.t) =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Learning | Packet.Invalidation ->
       (* Control packets are switch-addressed; one reaching a host is
          a routing bug. *)
       assert false
   | Packet.Data | Packet.Ack ->
-      let vip_home = t.vm_host.(Vip.to_int pkt.Packet.dst_vip) in
+      let vip_home = vm_host t pkt.Packet.dst_vip in
       if vip_home = node then deliver t pkt
       else begin
         Metrics.misdelivered t.metrics pkt;
@@ -595,7 +575,7 @@ and deliver t (pkt : Packet.t) =
            delivery metrics and the transport callbacks both run where
            the flow state is. *)
         let arrival = Time_ns.add (Engine.now t.engine) sc.hs_lookahead in
-        let mode = match pkt.Packet.kind with Packet.Ack -> 3 | _ -> 2 in
+        let mode = match Packet.kind pkt with Packet.Ack -> 3 | _ -> 2 in
         hoff_push sc ~dst_shard:home ~mode ~arrival ~a:0 pkt;
         pool_release t pkt
       end
@@ -614,7 +594,7 @@ and deliver_local t (pkt : Packet.t) =
   if Packet.is_data pkt && Dessim.Telemetry.is_enabled t.cfg.telemetry then
     Dessim.Telemetry.observe t.cfg.telemetry "packet_latency_s"
       (Time_ns.to_sec (Time_ns.sub (Engine.now t.engine) pkt.Packet.sent_at));
-  (match pkt.Packet.kind with
+  (match Packet.kind pkt with
   | Packet.Data -> Transport.on_data (transport_exn t) pkt
   | Packet.Ack -> Transport.on_ack (transport_exn t) pkt
   | Packet.Learning | Packet.Invalidation -> ());
@@ -625,10 +605,8 @@ and deliver_local t (pkt : Packet.t) =
 (* --- fault execution --------------------------------------------------- *)
 
 let migrate_now t ~vip ~to_host =
-  let old_host = t.vm_host.(Vip.to_int vip) in
-  let old_pip = Topology.pip t.topo old_host in
+  let old_pip = Netcore.Mapping.lookup t.mapping vip in
   let new_pip = Topology.pip t.topo to_host in
-  t.vm_host.(Vip.to_int vip) <- to_host;
   Netcore.Mapping.migrate t.mapping vip new_pip;
   t.scheme.Scheme.on_mapping_update t.env vip ~old_pip ~new_pip
 
@@ -655,7 +633,7 @@ let apply_action t (action : Fault.action) =
   | Fault.Gateway_down g -> t.gw_down.(g) <- true
   | Fault.Gateway_up g -> t.gw_down.(g) <- false
   | Fault.Churn n ->
-      let num_vms = Array.length t.vm_host in
+      let num_vms = t.num_vms in
       let hosts = Topology.hosts t.topo in
       let num_hosts = Array.length hosts in
       for _ = 1 to n do
@@ -664,7 +642,8 @@ let apply_action t (action : Fault.action) =
         (* Never a no-op migration: bump to the next host if the draw
            landed on the VM's current placement. *)
         let to_host =
-          if hosts.(h) = t.vm_host.(vip) then hosts.((h + 1) mod num_hosts)
+          if hosts.(h) = host_of_vm_index t vip then
+            hosts.((h + 1) mod num_hosts)
           else hosts.(h)
         in
         migrate_now t ~vip:(Vip.of_int vip) ~to_host
@@ -691,7 +670,7 @@ let apply_fault t ~index =
 (* --- sending ---------------------------------------------------------- *)
 
 let send_tenant_body t ~src_host (pkt : Packet.t) =
-  let dst_home = t.vm_host.(Vip.to_int pkt.Packet.dst_vip) in
+  let dst_home = vm_host t pkt.Packet.dst_vip in
   if dst_home = src_host then begin
     (* Hypervisor-local switching for co-located VMs: no network, no
        translation. *)
@@ -744,7 +723,7 @@ let send_tenant_packet t ~src_host pkt =
    in-flight record. A single-shard network always takes the direct
    branch. *)
 let send_from_host t ~counted (pkt : Packet.t) =
-  let src_host = t.vm_host.(Vip.to_int pkt.Packet.src_vip) in
+  let src_host = vm_host t pkt.Packet.src_vip in
   match t.shard with
   | Some sc when sc.hs_owner.(src_host) <> sc.hs_my ->
       if not counted then t.injected_pkts <- t.injected_pkts + 1;
@@ -793,7 +772,7 @@ let handle_event t ~code ~a ~b =
     let pkt = t.pool.(b) in
     if code = ev_arrive then begin
       let link = Topology.link_of_edge t.topo a in
-      Topo.Link.delivered link ~bytes:pkt.Packet.size;
+      Topo.Link.delivered link ~bytes:(Packet.size pkt);
       arrive t ~node:link.Topo.Link.dst ~from:link.Topo.Link.src pkt
     end
     else if code = ev_arrive_remote then begin
@@ -826,7 +805,7 @@ let make_transport t =
     Engine.schedule_event_after t.engine ~delay ~code:ev_pace ~a:flow_id ~b:seq
   in
   let send_data flow ~seq ~size ~retransmit =
-    let src_host = t.vm_host.(Vip.to_int flow.Flow.src_vip) in
+    let src_host = vm_host t flow.Flow.src_vip in
     let pkt = pool_acquire t in
     Packet.reset pkt ~id:(fresh_packet_id t ()) ~flow_id:flow.Flow.id
       ~kind:Packet.Data ~seq ~size ~src_vip:flow.Flow.src_vip
@@ -837,7 +816,7 @@ let make_transport t =
     send_from_host t ~counted:false pkt
   in
   let send_ack flow ~seq ~ecn_echo =
-    let src_host = t.vm_host.(Vip.to_int flow.Flow.dst_vip) in
+    let src_host = vm_host t flow.Flow.dst_vip in
     let pkt = pool_acquire t in
     Packet.reset pkt ~id:(fresh_packet_id t ()) ~flow_id:flow.Flow.id
       ~kind:Packet.Ack ~seq ~size:Packet.ack_size ~src_vip:flow.Flow.dst_vip
@@ -883,17 +862,16 @@ let create ?(config = default_config) topo ~scheme =
   let hosts = Topology.hosts topo in
   let vms_per_host = params.Topo.Params.vms_per_host in
   let num_vms = Array.length hosts * vms_per_host in
-  (* Size both mapping lanes once; the install storm below touches
-     every VIP, so starting at 1024 would re-blit the lanes
-     ~log2(num_vms/1024) times at large presets. *)
+  (* Size the mapping once; the install storm below touches every VIP,
+     so starting at 1024 would re-blit the table ~log2(num_vms/1024)
+     times at large presets. The mapping is the one record of where
+     each VM lives: a host's PIP is its node id ([Topology.pip] is the
+     identity), so [vm_host] reads it back. *)
   let mapping = Netcore.Mapping.create ~initial_capacity:num_vms () in
-  let vm_host =
-    Array.init num_vms (fun vip -> hosts.(vip / vms_per_host))
-  in
-  Array.iteri
-    (fun vip host ->
-      Netcore.Mapping.install mapping (Vip.of_int vip) (Topology.pip topo host))
-    vm_host;
+  for vip = 0 to num_vms - 1 do
+    Netcore.Mapping.install mapping (Vip.of_int vip)
+      (Topology.pip topo hosts.(vip / vms_per_host))
+  done;
   let gateways =
     match config.gateways_used with
     | None -> Topology.gateways topo
@@ -918,7 +896,7 @@ let create ?(config = default_config) topo ~scheme =
       metrics = Metrics.create ?classify:config.classify topo (Rng.split rng);
       scheme;
       transport = None;
-      vm_host;
+      num_vms;
       gateways;
       next_packet_id = 0;
       env;
@@ -1112,9 +1090,7 @@ let topo t = t.topo
 let mapping t = t.mapping
 let engine t = t.engine
 let env t = t.env
-let vm_host t vip = t.vm_host.(Vip.to_int vip)
-let num_vms t = Array.length t.vm_host
-let host_of_vm_index t i = t.vm_host.(i)
+let num_vms t = t.num_vms
 
 (* The halves of [flow] that start on [t]: both on an unsharded
    network, else those whose home shard is this one. *)

@@ -70,7 +70,8 @@ val mapping : t -> Netcore.Mapping.t
 val engine : t -> Dessim.Engine.t
 val env : t -> Scheme.env
 
-(** [vm_host t vip] is the node id currently hosting [vip]. *)
+(** [vm_host t vip] is the node id currently hosting [vip]: its PIP in
+    {!mapping}, the one record of where each VM lives. *)
 val vm_host : t -> Netcore.Addr.Vip.t -> int
 
 (** [num_vms t] is the size of the VIP space. *)
@@ -152,8 +153,9 @@ val handoff_stride : int
     packet half of the record at [off] (ints [off+3] to
     [off+handoff_stride-1]; the first three hold mode, arrival time and
     edge). [handoff_decode buf off pkt] reads it back, overwriting
-    every field of [pkt] but [pool_slot]. Riders travel as their raw
-    ints, [-1] when absent. *)
+    every field of [pkt] but [pool_slot]. The flags word (kind, size,
+    flag bits, hop count) and the riders (one packed word each, [-1]
+    when absent) travel as stored. *)
 val handoff_encode : int array -> int -> Netcore.Packet.t -> unit
 
 val handoff_decode : int array -> int -> Netcore.Packet.t -> unit

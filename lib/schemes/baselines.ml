@@ -216,7 +216,7 @@ let bluebird ?(cp_rate_bps = 20e9) ?(cp_fwd_delay = Time_ns.of_ns 8_500)
               match states.(switch) with
               | None -> Verdict.forward
               | Some st -> (
-                  match pkt.Packet.kind with
+                  match Packet.kind pkt with
                   | Packet.Learning | Packet.Invalidation -> Verdict.forward
                   | Packet.Data | Packet.Ack ->
                       if Packet.resolved pkt then Verdict.forward
@@ -231,7 +231,7 @@ let bluebird ?(cp_rate_bps = 20e9) ?(cp_fwd_delay = Time_ns.of_ns 8_500)
                         else if
                           (* Route-cache miss: detour via the SFE over
                              the bandwidth-limited data-to-CP channel. *)
-                          st.cp_queued_bytes + pkt.Packet.size
+                          st.cp_queued_bytes + Packet.size pkt
                           > cp_queue_bytes
                         then begin
                           incr cp_drops;
@@ -243,16 +243,16 @@ let bluebird ?(cp_rate_bps = 20e9) ?(cp_fwd_delay = Time_ns.of_ns 8_500)
                           let start = Time_ns.max now st.cp_busy_until in
                           let ser =
                             Time_ns.of_rate_bytes ~bits_per_sec:cp_rate_bps
-                              pkt.Packet.size
+                              (Packet.size pkt)
                           in
                           st.cp_busy_until <- Time_ns.add start ser;
                           st.cp_queued_bytes <-
-                            st.cp_queued_bytes + pkt.Packet.size;
+                            st.cp_queued_bytes + Packet.size pkt;
                           let ready =
                             Time_ns.add (Time_ns.sub st.cp_busy_until now)
                               cp_fwd_delay
                           in
-                          let bytes = pkt.Packet.size in
+                          let bytes = Packet.size pkt in
                           Dessim.Engine.schedule_after env.Scheme.engine
                             ~delay:ready (fun () ->
                               st.cp_queued_bytes <- st.cp_queued_bytes - bytes);

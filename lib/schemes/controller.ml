@@ -182,7 +182,7 @@ let make ?(gw_cost_hops = 40.0) ~topo ~total_slots ~interval () =
             (fun _env ~switch ~from:_ pkt ->
               let pos = st.switch_pos.(switch) in
               if pos >= 0 then begin
-                match pkt.Packet.kind with
+                match Packet.kind pkt with
                 | Packet.Data | Packet.Ack ->
                     if
                       (not (Packet.resolved pkt))

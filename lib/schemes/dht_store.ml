@@ -66,7 +66,7 @@ let make_with_control topo =
           [
             Pipeline.stage ~kind:Pipeline.Lookup "dht-partition"
               (fun env ~switch ~from pkt ->
-                match pkt.Packet.kind with
+                match Packet.kind pkt with
                 | Packet.Learning | Packet.Invalidation -> Verdict.forward
                 | Packet.Data | Packet.Ack ->
                     if Packet.resolved pkt then Verdict.forward

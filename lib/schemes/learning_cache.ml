@@ -37,7 +37,7 @@ let lookup t ~switch (pkt : Packet.t) =
   match t.caches.(switch) with
   | None -> ()
   | Some cache -> (
-      match pkt.Packet.kind with
+      match Packet.kind pkt with
       | Packet.Data | Packet.Ack ->
           if pkt.Packet.misdelivery >= 0 then
             ignore
@@ -60,7 +60,7 @@ let learn t ~switch (pkt : Packet.t) =
   | None -> ()
   | Some cache ->
       let tenant =
-        match pkt.Packet.kind with
+        match Packet.kind pkt with
         | Packet.Data | Packet.Ack -> true
         | Packet.Learning | Packet.Invalidation -> false
       in

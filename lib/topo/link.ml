@@ -7,8 +7,6 @@ type t = {
   ecn_threshold : int option;
   mutable busy_until : Dessim.Time_ns.t;
   mutable queued_bytes : int;
-  mutable tx_bytes : int;
-  mutable tx_packets : int;
   mutable drops : int;
   mutable marked : int;
   (* Serialization-time memo: traffic uses very few distinct packet
@@ -37,8 +35,6 @@ let make ~ecn_threshold ~src ~dst ~rate_bps ~prop_delay ~buffer_bytes =
     ecn_threshold;
     busy_until = Dessim.Time_ns.zero;
     queued_bytes = 0;
-    tx_bytes = 0;
-    tx_packets = 0;
     drops = 0;
     marked = 0;
     ser_bytes = -1;
@@ -79,8 +75,6 @@ let transmit_packed t ~now ~bytes =
     let done_ser = Dessim.Time_ns.add start ser in
     t.busy_until <- done_ser;
     t.queued_bytes <- t.queued_bytes + bytes;
-    t.tx_bytes <- t.tx_bytes + bytes;
-    t.tx_packets <- t.tx_packets + 1;
     (* Arrival fits in 62 bits (2^62 ns ~ 146 years of simulated time),
        so the CE bit rides in bit 0 without loss. *)
     (Dessim.Time_ns.add done_ser t.prop_delay lsl 1) lor ce
@@ -99,8 +93,6 @@ let delivered t ~bytes = t.queued_bytes <- t.queued_bytes - bytes
 let reset t =
   t.busy_until <- Dessim.Time_ns.zero;
   t.queued_bytes <- 0;
-  t.tx_bytes <- 0;
-  t.tx_packets <- 0;
   t.drops <- 0;
   t.marked <- 0;
   t.up <- true;

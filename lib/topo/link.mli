@@ -17,8 +17,6 @@ type t = {
           CE-marked, as DCTCP's step marking does; [None] disables *)
   mutable busy_until : Dessim.Time_ns.t;
   mutable queued_bytes : int;
-  mutable tx_bytes : int;  (** total bytes successfully transmitted *)
-  mutable tx_packets : int;
   mutable drops : int;
   mutable marked : int;  (** CE marks applied *)
   mutable ser_bytes : int;

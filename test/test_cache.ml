@@ -486,6 +486,29 @@ let test_config_overrides () =
   checkb "weighted allocation kept" true
     (match w.Config.allocation with Config.Weighted _ -> true | _ -> false)
 
+(* A line is one word: a pair out of the packing's range is refused
+   before anything changes, and the widest pair that fits reads back
+   whole, access bit included. *)
+let test_insert_range_checked () =
+  let c = Cache.create ~ways:1 ~slots:4 in
+  let out_of_range =
+    Invalid_argument "Addr.Pair.pack: VIP or PIP out of range"
+  in
+  let vip_limit = 1 lsl Netcore.Addr.Pair.vip_bits
+  and pip_limit = 1 lsl Netcore.Addr.Pair.pip_bits in
+  Alcotest.check_raises "vip 2^32" out_of_range (fun () ->
+      ignore (Cache.insert c ~admission:`All (Vip.of_int vip_limit) (Pip.of_int 1)));
+  Alcotest.check_raises "pip 2^29" out_of_range (fun () ->
+      ignore (Cache.insert c ~admission:`All (Vip.of_int 1) (Pip.of_int pip_limit)));
+  checki "nothing inserted" 0 (Cache.occupancy c);
+  checki "nothing rejected" 0 (Cache.rejections c);
+  let v = Vip.of_int (vip_limit - 1) and p = Pip.of_int (pip_limit - 1) in
+  checki "fresh" Cache.ins_fresh (Cache.insert c ~admission:`All v p);
+  let h = Cache.lookup c v in
+  checki "pip" (pip_limit - 1) (Pip.to_int (Cache.hit_pip h));
+  checkb "bit was clear" false (Cache.hit_bit h);
+  checkb "bit now set" true (Cache.access_bit c v = Some true)
+
 let () =
   Alcotest.run "switchv2p-cache"
     [
@@ -504,6 +527,7 @@ let () =
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           QCheck_alcotest.to_alcotest cache_model_qcheck;
           QCheck_alcotest.to_alcotest occupancy_qcheck;
+          Alcotest.test_case "insert range checked" `Quick test_insert_range_checked;
         ] );
       ( "assoc_cache",
         [

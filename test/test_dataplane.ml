@@ -80,17 +80,12 @@ let mk_data ?(resolved = false) ?(id = 1) h ~src_host ~dst_vip ~dst_node =
 
 let process h ~switch ~from pkt = Dataplane.process h.dp h.env ~switch ~from pkt
 
-(* Riders are unboxed (vip, pip) int pairs; -1 in both marks "none". *)
-let set_spill (p : Packet.t) v pip =
-  p.Packet.spill_vip <- Vip.to_int v;
-  p.Packet.spill_pip <- Pip.to_int pip
-
-let set_promo (p : Packet.t) v pip =
-  p.Packet.promo_vip <- Vip.to_int v;
-  p.Packet.promo_pip <- Pip.to_int pip
-
-let no_spill (p : Packet.t) = p.Packet.spill_vip = -1 && p.Packet.spill_pip = -1
-let no_promo (p : Packet.t) = p.Packet.promo_vip = -1 && p.Packet.promo_pip = -1
+(* Riders are one packed (vip, pip) word each; their halves read -1
+   when there is none. *)
+let set_spill = Packet.set_spill
+let set_promo = Packet.set_promo
+let no_spill (p : Packet.t) = Packet.spill_vip p = -1 && Packet.spill_pip p = -1
+let no_promo (p : Packet.t) = Packet.promo_vip p = -1 && Packet.promo_pip p = -1
 let cache h sw = Dataplane.cache h.dp ~switch:sw
 
 (* --- learning rules (Table 1) --- *)
@@ -212,14 +207,14 @@ let test_learning_packet_generation () =
   (match !(h.emitted) with
   | [ (src, lp) ] ->
       checki "emitted at gateway ToR" gt src;
-      checkb "is learning packet" true (lp.Packet.kind = Packet.Learning);
+      checkb "is learning packet" true (Packet.kind lp = Packet.Learning);
       checki "addressed to sender's ToR"
         (Topology.tor_of h.t sender)
         (Pip.to_int lp.Packet.dst_pip);
-      checki "carries the destination VIP" 7 lp.Packet.mapping_vip;
+      checki "carries the destination VIP" 7 (Packet.mapping_vip lp);
       checki "carries the destination PIP"
         (Pip.to_int (Topology.pip h.t dst_host))
-        lp.Packet.mapping_pip
+        (Packet.mapping_pip lp)
   | l -> Alcotest.failf "expected exactly one learning packet, got %d" (List.length l));
   checki "stat counted" 1 (Dataplane.learning_packets_sent h.dp)
 
@@ -277,8 +272,8 @@ let test_spill_attached_on_eviction () =
   ignore (process h ~switch:gt ~from:(gateway h) p1);
   let p2 = mk_data ~id:2 ~resolved:true h ~src_host:sender ~dst_vip:(vip 8) ~dst_node:d2 in
   ignore (process h ~switch:gt ~from:(gateway h) p2);
-  checki "evicted entry rides along" 7 p2.Packet.spill_vip;
-  checki "with its PIP" (Pip.to_int (Topology.pip h.t d1)) p2.Packet.spill_pip;
+  checki "evicted entry rides along" 7 (Packet.spill_vip p2);
+  checki "with its PIP" (Pip.to_int (Topology.pip h.t d1)) (Packet.spill_pip p2);
   checki "stat" 1 (Dataplane.spills_attached h.dp)
 
 let test_spill_absorbed_downstream () =
@@ -323,9 +318,9 @@ let test_promotion_on_popular_interpod_hit () =
   (* Second hit finds the bit set and the destination is inter-pod. *)
   let p2 = mk_data ~id:2 h ~src_host:sender ~dst_vip:(vip 7) ~dst_node:(gateway h) in
   ignore (process h ~switch:sp ~from:sender p2);
-  checki "promoted mapping" 7 p2.Packet.promo_vip;
+  checki "promoted mapping" 7 (Packet.promo_vip p2);
   checki "promoted PIP" (Pip.to_int (Topology.pip h.t dst_host))
-    p2.Packet.promo_pip;
+    (Packet.promo_pip p2);
   checki "stat" 1 (Dataplane.promotions h.dp)
 
 let test_no_promotion_intra_pod () =
@@ -418,8 +413,8 @@ let test_spill_thrash_is_bounded () =
   checkb "slot holds the source mapping" true
     (Cache.peek (cache h rt) p1.Packet.src_vip <> None);
   (* If anything rides on, it is the single displaced entry. *)
-  checki "displaced absorbee rides on" 42 p1.Packet.spill_vip;
-  checki "with its PIP" (Pip.to_int (Topology.pip h.t d1)) p1.Packet.spill_pip
+  checki "displaced absorbee rides on" 42 (Packet.spill_vip p1);
+  checki "with its PIP" (Pip.to_int (Topology.pip h.t d1)) (Packet.spill_pip p1)
 
 (* --- misdelivery and invalidation --- *)
 
@@ -444,7 +439,7 @@ let test_misdelivery_tagging () =
   (* The invalidation packet targets the stale-serving switch. *)
   (match !(h.emitted) with
   | [ (_, inv) ] ->
-      checkb "invalidation kind" true (inv.Packet.kind = Packet.Invalidation);
+      checkb "invalidation kind" true (Packet.kind inv = Packet.Invalidation);
       checki "targets stale switch" (spine_in_pod h 1) (Pip.to_int inv.Packet.dst_pip)
   | l -> Alcotest.failf "expected one invalidation, got %d" (List.length l));
   checki "inval stat" 1 (Dataplane.invalidation_packets_sent h.dp)

@@ -29,6 +29,48 @@ let test_addr_pp () =
   let s = Format.asprintf "%a" Vip.pp (Vip.of_int ((1 lsl 16) + (2 lsl 8) + 3)) in
   Alcotest.check Alcotest.string "dotted quad" "10.1.2.3" s
 
+(* --- one-word (VIP, PIP) pairs --- *)
+
+module Pair = Netcore.Addr.Pair
+
+let vip_limit = 1 lsl Pair.vip_bits
+let pip_limit = 1 lsl Pair.pip_bits
+
+let pair_qcheck =
+  QCheck.Test.make ~name:"pair packing roundtrip" ~count:1000
+    QCheck.(
+      pair
+        (oneof [ int_range 0 (vip_limit - 1); oneofl [ 0; vip_limit - 1 ] ])
+        (oneof [ int_range 0 (pip_limit - 1); oneofl [ 0; pip_limit - 1 ] ]))
+    (fun (v, p) ->
+      let w = Pair.pack v p in
+      w >= 0 && w <> Pair.none && Pair.vip w = v && Pair.pip w = p)
+
+let out_of_range = Invalid_argument "Addr.Pair.pack: VIP or PIP out of range"
+
+let test_pair_ranges () =
+  Alcotest.check_raises "vip 2^32" out_of_range (fun () ->
+      ignore (Pair.pack vip_limit 0));
+  Alcotest.check_raises "pip 2^29" out_of_range (fun () ->
+      ignore (Pair.pack 0 pip_limit));
+  Alcotest.check_raises "negative pip" out_of_range (fun () ->
+      ignore (Pair.pack 0 (-1)));
+  checki "none has no vip" (-1) (Pair.vip Pair.none);
+  checki "largest pair" max_int
+    ((Pair.pack (vip_limit - 1) (pip_limit - 1) lsl 1) lor 1)
+
+let test_mapping_install_range () =
+  let m = Mapping.create () in
+  Alcotest.check_raises "vip 2^32"
+    (Invalid_argument "Mapping.install: VIP out of range") (fun () ->
+      Mapping.install m (Vip.of_int vip_limit) (Pip.of_int 1));
+  Alcotest.check_raises "pip 2^29" out_of_range (fun () ->
+      Mapping.install m (Vip.of_int 1) (Pip.of_int pip_limit));
+  checki "nothing installed" 0 (Mapping.size m);
+  checki "no version" 0 (Mapping.version m (Vip.of_int 1));
+  Mapping.install m (Vip.of_int 7) (Pip.of_int (pip_limit - 1));
+  checki "largest pip" (pip_limit - 1) (Pip.to_int (Mapping.lookup m (Vip.of_int 7)))
+
 let test_mapping_basic () =
   let m = Mapping.create () in
   checki "empty" 0 (Mapping.size m);
@@ -73,28 +115,21 @@ let mk_data ?(seq = 0) ?(id = 0) () =
     ~dst_vip:(Vip.of_int 2) ~src_pip:(Pip.of_int 10) ~dst_pip:(Pip.of_int 20)
     ~now:0
 
-(* Riders are unboxed (vip, pip) int pairs, -1 when absent. *)
-let set_spill (p : Packet.t) v w =
-  p.Packet.spill_vip <- v;
-  p.Packet.spill_pip <- w
-
-let set_promo (p : Packet.t) v w =
-  p.Packet.promo_vip <- v;
-  p.Packet.promo_pip <- w
-
-let set_mapping (p : Packet.t) v w =
-  p.Packet.mapping_vip <- v;
-  p.Packet.mapping_pip <- w
+(* Riders are one packed (vip, pip) word each; their halves read -1
+   when there is none. *)
+let set_spill p v w = Packet.set_spill p (Vip.of_int v) (Pip.of_int w)
+let set_promo p v w = Packet.set_promo p (Vip.of_int v) (Pip.of_int w)
+let set_mapping p v w = Packet.set_mapping p (Vip.of_int v) (Pip.of_int w)
 
 let test_packet_data_initial_state () =
   let p = mk_data () in
   checkb "unresolved" false (Packet.resolved p);
   checkb "no tag" true (p.Packet.misdelivery < 0);
   checki "no hit switch" (-1) p.Packet.hit_switch;
-  checkb "no spill" true (p.Packet.spill_vip = -1 && p.Packet.spill_pip = -1);
-  checkb "no promo" true (p.Packet.promo_vip = -1 && p.Packet.promo_pip = -1);
+  checkb "no spill" true ((Packet.spill_vip p) = -1 && (Packet.spill_pip p) = -1);
+  checkb "no promo" true ((Packet.promo_vip p) = -1 && (Packet.promo_pip p) = -1);
   checkb "no mapping payload" true
-    (p.Packet.mapping_vip = -1 && p.Packet.mapping_pip = -1);
+    ((Packet.mapping_vip p) = -1 && (Packet.mapping_pip p) = -1);
   checkb "is data" true (Packet.is_data p);
   checki "hops" 0 (Packet.hops p)
 
@@ -105,10 +140,32 @@ let test_packet_control () =
       ~src_pip:(Pip.of_int 1) ~dst_pip:(Pip.of_int 2) ~now:0
   in
   checkb "control resolved" true (Packet.resolved p);
-  checki "carries mapping VIP" 3 p.Packet.mapping_vip;
-  checki "carries mapping PIP" 30 p.Packet.mapping_pip;
-  checki "control size" Packet.control_size p.Packet.size;
+  checki "carries mapping VIP" 3 (Packet.mapping_vip p);
+  checki "carries mapping PIP" 30 (Packet.mapping_pip p);
+  checki "control size" Packet.control_size (Packet.size p);
   checkb "not data" false (Packet.is_data p)
+
+let test_packet_rider_range () =
+  let p = mk_data () in
+  List.iter
+    (fun (name, set) ->
+      Alcotest.check_raises (name ^ " vip 2^32") out_of_range (fun () ->
+          set p (Vip.of_int vip_limit) (Pip.of_int 1));
+      Alcotest.check_raises (name ^ " pip 2^29") out_of_range (fun () ->
+          set p (Vip.of_int 1) (Pip.of_int pip_limit)))
+    [
+      ("spill", Packet.set_spill);
+      ("promo", Packet.set_promo);
+      ("mapping", Packet.set_mapping);
+    ];
+  checkb "no rider attached" true
+    (Packet.spill_vip p = -1 && Packet.promo_vip p = -1
+   && Packet.mapping_vip p = -1)
+
+(* A pooled packet is 15 fields plus its header: OCaml's 16-word size
+   class, with no slack word. *)
+let test_packet_size_pinned () =
+  checkb "at most 15 fields" true (Obj.size (Obj.repr (Packet.blank ())) <= 15)
 
 let test_packet_control_kind_checked () =
   Alcotest.check_raises "data is not control"
@@ -185,8 +242,8 @@ let test_flow_invalid () =
 let packet_equal (a : Packet.t) (b : Packet.t) =
   a.Packet.id = b.Packet.id
   && a.Packet.flow_id = b.Packet.flow_id
-  && a.Packet.kind = b.Packet.kind
-  && a.Packet.size = b.Packet.size
+  && Packet.kind a = Packet.kind b
+  && Packet.size a = Packet.size b
   && a.Packet.seq = b.Packet.seq
   && Vip.equal a.Packet.src_vip b.Packet.src_vip
   && Vip.equal a.Packet.dst_vip b.Packet.dst_vip
@@ -195,12 +252,12 @@ let packet_equal (a : Packet.t) (b : Packet.t) =
   && Packet.resolved a = Packet.resolved b
   && a.Packet.misdelivery = b.Packet.misdelivery
   && a.Packet.hit_switch = b.Packet.hit_switch
-  && a.Packet.spill_vip = b.Packet.spill_vip
-  && a.Packet.spill_pip = b.Packet.spill_pip
-  && a.Packet.promo_vip = b.Packet.promo_vip
-  && a.Packet.promo_pip = b.Packet.promo_pip
-  && a.Packet.mapping_vip = b.Packet.mapping_vip
-  && a.Packet.mapping_pip = b.Packet.mapping_pip
+  && (Packet.spill_vip a) = (Packet.spill_vip b)
+  && (Packet.spill_pip a) = (Packet.spill_pip b)
+  && (Packet.promo_vip a) = (Packet.promo_vip b)
+  && (Packet.promo_pip a) = (Packet.promo_pip b)
+  && (Packet.mapping_vip a) = (Packet.mapping_vip b)
+  && (Packet.mapping_pip a) = (Packet.mapping_pip b)
   && Packet.gw_visited a = Packet.gw_visited b
   && Packet.retransmit a = Packet.retransmit b
 
@@ -278,25 +335,41 @@ let test_handoff_roundtrip_rider_subsets () =
 
 (* -1 marks an absent rider in memory, so a rider TLV carrying a
    negative signed 32-bit word must be rejected, not decoded into a
-   silently dropped rider. *)
+   silently dropped rider. A packet cannot hold such a rider, so [set]
+   writes the words into the encoded TLV: the first option after the
+   outer IPv4 header (20 bytes) and the 6-byte option header is the
+   rider's type byte, then its length byte, then the VIP and PIP
+   words. *)
 let test_wire_rejects_negative_rider_words () =
+  let put_u32 b off v =
+    for i = 0 to 3 do
+      Bytes.set b (off + i) (Char.chr ((v lsr (8 * (3 - i))) land 0xff))
+    done
+  in
+  let patched set v w =
+    let p = mk_data () in
+    set p 3 30;
+    let b = Netcore.Wire.encode p in
+    put_u32 b 28 v;
+    put_u32 b 32 w;
+    b
+  in
   let cases =
     [
-      ("spill", fun p v w -> set_spill p v w);
-      ("promo", fun p v w -> set_promo p v w);
-      ("mapping", fun p v w -> set_mapping p v w);
+      ("spill", patched set_spill);
+      ("promo", patched set_promo);
+      ("mapping", patched set_mapping);
     ]
   in
   List.iter
-    (fun (name, set) ->
+    (fun (name, encode) ->
       List.iter
         (fun (v, w) ->
-          let p = mk_data () in
-          set p v w;
+          let b = encode v w in
           Alcotest.check_raises
             (Printf.sprintf "%s (%d, %d)" name v w)
             (Invalid_argument (Printf.sprintf "Wire.decode: bad %s TLV" name))
-            (fun () -> ignore (Netcore.Wire.decode (Netcore.Wire.encode p))))
+            (fun () -> ignore (Netcore.Wire.decode b)))
         [ (3, -1); (0x8000_0000, 30); (3, 0xffff_ffff) ])
     cases
 
@@ -369,6 +442,8 @@ let () =
           Alcotest.test_case "negative rejected" `Quick test_addr_negative_rejected;
           Alcotest.test_case "none sentinel" `Quick test_pip_none;
           Alcotest.test_case "pretty printing" `Quick test_addr_pp;
+          QCheck_alcotest.to_alcotest pair_qcheck;
+          Alcotest.test_case "pair ranges checked" `Quick test_pair_ranges;
         ] );
       ( "mapping",
         [
@@ -377,6 +452,8 @@ let () =
           Alcotest.test_case "migrate unknown" `Quick test_mapping_migrate_unknown;
           Alcotest.test_case "lookup unknown" `Quick test_mapping_lookup_unknown;
           Alcotest.test_case "iter" `Quick test_mapping_iter;
+          Alcotest.test_case "install range checked" `Quick
+            test_mapping_install_range;
         ] );
       ( "packet",
         [
@@ -384,6 +461,8 @@ let () =
           Alcotest.test_case "control packets" `Quick test_packet_control;
           Alcotest.test_case "control kind checked" `Quick test_packet_control_kind_checked;
           QCheck_alcotest.to_alcotest flags_qcheck;
+          Alcotest.test_case "rider range checked" `Quick test_packet_rider_range;
+          Alcotest.test_case "blank is 15 fields" `Quick test_packet_size_pinned;
         ] );
       ( "flow",
         [

@@ -665,6 +665,88 @@ let test_switchv2p_event_loop_allocation_free () =
   checkb "invalidation packets" true (stat "invalidation_packets" > 0.0);
   Alcotest.check zero_words "minor words in the event loop" 0.0 words
 
+(* Riders are one packed word each: attaching, reading and absorbing
+   one is plain int arithmetic, with no allocation in any profile. *)
+let test_riders_allocation_free () =
+  let module Packet = Netcore.Packet in
+  let pip = Netcore.Addr.Pip.of_int in
+  let pkt =
+    Packet.make_data ~id:0 ~flow_id:0 ~seq:0 ~size:1500 ~src_vip:(Vip.of_int 0)
+      ~dst_vip:(Vip.of_int 8) ~src_pip:(pip 1) ~dst_pip:(pip 2) ~now:0
+  in
+  let sum = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to n_alloc do
+          let v = Vip.of_int (i land 1023) in
+          Packet.set_spill pkt v (pip i);
+          Packet.set_promo pkt v (pip (i + 1));
+          Packet.set_mapping pkt v (pip (i + 2));
+          sum :=
+            !sum + Packet.spill_vip pkt + Packet.spill_pip pkt
+            + Packet.promo_pip pkt + Packet.mapping_pip pkt;
+          Packet.clear_spill pkt;
+          Packet.clear_promo pkt;
+          Packet.clear_mapping pkt
+        done)
+  in
+  checkb "riders read back" true (!sum > 0);
+  checki "absorbed" (-1) (Packet.spill_vip pkt);
+  Alcotest.check zero_words "minor words over 10k riders" 0.0 words
+
+(* The ground-truth store's per-packet reads and a migration's write
+   are one word each and allocate nothing. *)
+let test_mapping_allocation_free () =
+  let module Mapping = Netcore.Mapping in
+  let m = Mapping.create ~initial_capacity:16 () in
+  for v = 0 to 15 do
+    Mapping.install m (Vip.of_int v) (Netcore.Addr.Pip.of_int v)
+  done;
+  let sum = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to n_alloc do
+          let v = Vip.of_int (i land 15) in
+          sum := !sum + Netcore.Addr.Pip.to_int (Mapping.lookup m v);
+          Mapping.migrate m v (Netcore.Addr.Pip.of_int (i land 255))
+        done)
+  in
+  checkb "lookups ran" true (!sum > 0);
+  checki "versions bumped" (1 + (n_alloc / 16)) (Mapping.version m (Vip.of_int 0));
+  Alcotest.check zero_words "minor words over 10k lookups and migrations" 0.0
+    words
+
+(* The mapping is the one record of VM placement: after a churn
+   episode has moved VMs, every VIP's host is the node its mapped PIP
+   names. *)
+let test_vm_host_is_mapping_after_churn () =
+  let t = topo () in
+  let net = Network.create t ~scheme:(Schemes.Baselines.direct ()) in
+  let ms = Time_ns.of_ms in
+  Network.install_faults net
+    {
+      Dessim.Fault.seed = 11;
+      specs =
+        [|
+          { Dessim.Fault.at = ms 1; action = Dessim.Fault.Churn 6 };
+          { Dessim.Fault.at = ms 2; action = Dessim.Fault.Churn 6 };
+        |];
+    };
+  Network.run net [ cross_host_flow ~src:0 ~dst:8 () ] ~migrations:[]
+    ~until:(ms 10);
+  let hosts = Topology.hosts t in
+  let moved = ref 0 in
+  for i = 0 to Network.num_vms net - 1 do
+    let vip = Vip.of_int i in
+    let host = Network.vm_host net vip in
+    checki
+      (Printf.sprintf "vip %d" i)
+      (Topology.node_of_pip t (Netcore.Mapping.lookup (Network.mapping net) vip))
+      host;
+    if host <> hosts.(i / 4) then incr moved
+  done;
+  checkb "churn moved VMs" true (!moved > 0)
+
 let () =
   Alcotest.run "network"
     [
@@ -683,6 +765,8 @@ let () =
         [
           Alcotest.test_case "follow-me delivers" `Quick test_migration_follow_me_delivers;
           Alcotest.test_case "switchv2p invalidates stale" `Quick test_migration_switchv2p_invalidates;
+          Alcotest.test_case "vm_host reads the mapping" `Quick
+            test_vm_host_is_mapping_after_churn;
         ] );
       ( "infrastructure",
         [
@@ -716,5 +800,9 @@ let () =
             test_blank_packet_major_born;
           Alcotest.test_case "switchv2p event loop" `Quick
             test_switchv2p_event_loop_allocation_free;
+          Alcotest.test_case "rider attach and absorb" `Quick
+            test_riders_allocation_free;
+          Alcotest.test_case "mapping lookup and migrate" `Quick
+            test_mapping_allocation_free;
         ] );
     ]

@@ -520,8 +520,7 @@ let test_switchv2p_miss_path_allocation_free () =
     learn_pkt.Packet.dst_vip <- Vip.of_int (12 + (!i land 1));
     Packet.set_resolved learn_pkt true;
     learn_pkt.Packet.dst_pip <- remote_pip;
-    learn_pkt.Packet.spill_vip <- -1;
-    learn_pkt.Packet.spill_pip <- -1;
+    Packet.clear_spill learn_pkt;
     ignore (Pipeline.run pl env ~switch:gw_tor ~from:gw learn_pkt : int);
     (* The next hop absorbs the spill. *)
     ignore (Pipeline.run pl env ~switch:next_hop ~from:gw_tor learn_pkt : int);
@@ -550,7 +549,7 @@ let test_switchv2p_miss_path_allocation_free () =
     (D.spills_attached dp - spilled >= iters);
   checkb "the next hop absorbs spills" true (D.spills_absorbed dp - absorbed >= iters);
   checki "every spine hit promotes" iters (D.promotions dp - promoted);
-  checkb "the core consumed the promotion" true (hit_pkt.Packet.promo_vip = -1);
+  checkb "the core consumed the promotion" true (Packet.promo_vip hit_pkt = -1);
   Alcotest.check (Alcotest.float 0.0) "minor words over 10k dispatches" 0.0 words
 
 (* The gateway-ToR learning-packet coin. The miss-path loop above turns
@@ -584,8 +583,7 @@ let test_switchv2p_learning_coin_allocation_free () =
     Packet.set_resolved pkt true;
     Packet.set_gw_visited pkt true;
     pkt.Packet.dst_pip <- dst_pip;
-    pkt.Packet.spill_vip <- -1;
-    pkt.Packet.spill_pip <- -1;
+    Packet.clear_spill pkt;
     ignore (Pipeline.run pl env ~switch:gw_tor ~from:gw pkt : int)
   in
   for _ = 1 to 100 do

@@ -535,6 +535,15 @@ let routing_qcheck =
       && List.nth path (List.length path - 1) = dst
       && List.length path - 1 <= 6)
 
+(* 16 fields plus the header: a link sits in OCaml's 18-word size
+   class, one per directed edge (29,300 at FT16-400K). *)
+let test_link_size_pinned () =
+  let l =
+    Link.make ~ecn_threshold:None ~src:0 ~dst:1 ~rate_bps:100e9
+      ~prop_delay:(Time_ns.of_us 1) ~buffer_bytes:1_000_000
+  in
+  checkb "at most 16 fields" true (Obj.size (Obj.repr l) <= 16)
+
 let () =
   Alcotest.run "topo"
     [
@@ -580,5 +589,6 @@ let () =
           Alcotest.test_case "transmit model" `Quick test_link_transmit_model;
           Alcotest.test_case "idle restart" `Quick test_link_idle_restart;
           Alcotest.test_case "ecn marking" `Quick test_link_ecn_marking;
+          Alcotest.test_case "16 fields" `Quick test_link_size_pinned;
         ] );
     ]
